@@ -72,6 +72,19 @@ def _parse_ranks(text: str) -> HiggsRankPair:
     return HiggsRankPair(int(parts[0]), int(parts[1]))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+_JOBS_HELP = "worker threads (default: 1, inline; a thread pool runs only for N > 1)"
+
+
 def _add_common(sub: argparse.ArgumentParser, *, with_type: bool = True) -> None:
     if with_type:
         sub.add_argument(
@@ -163,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="drop witnesses with no Milnor-Wood-feasible degree split (needs --degL or --canonical)",
         )
-        sub.add_argument("--jobs", type=int, default=None, help="worker threads (default: machine)")
+        sub.add_argument("--jobs", type=_positive_int, default=None, help=_JOBS_HELP)
 
     sub = commands.add_parser("certify", help="irreducibility certificate (canonical twist)")
     _add_common(sub)
@@ -173,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("selftest", help="randomized invariant suites")
     _add_common(sub, with_type=False)
     sub.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    sub.add_argument("--trials", type=int, default=1000, help="cases per suite")
-    sub.add_argument("--jobs", type=int, default=None, help="worker threads (default: machine)")
+    sub.add_argument("--trials", type=_positive_int, default=1000, help="cases per suite")
+    sub.add_argument("--jobs", type=_positive_int, default=None, help=_JOBS_HELP)
 
     return parser
 
@@ -325,7 +338,11 @@ def run(config: RunConfig) -> int:
         return 1
     text = render(config, report)
     if config.output_path is not None:
-        Path(config.output_path).write_text(text, encoding="utf-8")
+        try:
+            Path(config.output_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"upqstab: error: cannot write {config.output_path}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0

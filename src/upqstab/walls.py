@@ -186,39 +186,45 @@ def wall_alpha(t: HitchinPairType, w: WallWitness) -> Fraction | None:
     return Fraction(t.total_degree * r_sub - w.d_sub * r, coeff)
 
 
-def _admissible_rank_pairs(t: HitchinPairType) -> list[tuple[int, int]]:
-    pairs = []
+def _wall_families(t: HitchinPairType) -> list[tuple[int, int, int]]:
+    """Sub-ranks (p', q') that can witness a wall, with coeff = p' r - p r' != 0.
+
+    Listed in (p', q') order, which is also the witness order inside a wall.
+    """
+    r = t.total_rank
+    families = []
     for p_sub in range(t.p + 1):
         for q_sub in range(t.q + 1):
-            if 1 <= p_sub + q_sub <= t.total_rank - 1:
-                pairs.append((p_sub, q_sub))
-    return pairs
+            r_sub = p_sub + q_sub
+            coeff = p_sub * r - t.p * r_sub
+            if 1 <= r_sub <= r - 1 and coeff:
+                families.append((p_sub, q_sub, coeff))
+    return families
 
 
 def _family_walls(
-    t: HitchinPairType, p_sub: int, q_sub: int, lo: Fraction, hi: Fraction
-) -> list[tuple[Fraction, WallWitness]]:
-    """All (alpha, witness) hits for fixed sub-ranks, with no degree cutoff.
+    t: HitchinPairType, family: tuple[int, int, int], lo: Fraction, hi: Fraction, scale: int
+) -> tuple[int, int, range, range]:
+    """Every wall of one rank family in [lo, hi], with no degree cutoff.
 
-    Slope equality pins d' as an affine function of alpha, so inverting it at
-    the interval ends yields the complete integer d'-range.
+    The wall of (p', q', d') is alpha = (D r' - d' r)/coeff, so slope equality
+    pins d' as an affine function of alpha and inverting it at the interval
+    ends yields the complete d'-range.  Returns (p', q', degrees, keys), where
+    keys[i] = alpha * scale is the integer key of the wall witnessed by
+    degrees[i]; both are arithmetic progressions, so no Fraction is built.
     """
+    p_sub, q_sub, coeff = family
     r = t.total_rank
-    r_sub = p_sub + q_sub
-    coeff = p_sub * r - t.p * r_sub
-    if coeff == 0:
-        return []
-    d_at_lo = Fraction(t.total_degree * r_sub - lo * coeff, r)
-    d_at_hi = Fraction(t.total_degree * r_sub - hi * coeff, r)
-    d_min = math.ceil(min(d_at_lo, d_at_hi))
-    d_max = math.floor(max(d_at_lo, d_at_hi))
-    hits = []
-    for d_sub in range(d_min, d_max + 1):
-        witness = WallWitness(p_sub, q_sub, d_sub)
-        alpha = wall_alpha(t, witness)
-        assert alpha is not None and lo <= alpha <= hi
-        hits.append((alpha, witness))
-    return hits
+    base = t.total_degree * (p_sub + q_sub)
+    # d' at alpha = n/m is (base m - n coeff)/(r m); it falls as alpha rises iff coeff > 0
+    ends = [(base * x.denominator - x.numerator * coeff, r * x.denominator) for x in (lo, hi)]
+    (num_min, den_min), (num_max, den_max) = ends if coeff < 0 else ends[::-1]
+    d_min = -(-num_min // den_min)
+    d_max = num_max // den_max
+    unit = scale // coeff
+    degrees = range(d_min, d_max + 1)
+    keys = range((base - d_min * r) * unit, (base - (d_max + 1) * r) * unit, -r * unit)
+    return p_sub, q_sub, degrees, keys
 
 
 def _witness_survives_mw(w: WallWitness, deg_l: int, alpha: Fraction) -> bool:
@@ -255,6 +261,10 @@ def enumerate_walls(
     witness is kept only if some integer degree split of it satisfies the
     rank-free Milnor-Wood bounds at that wall (requires ctx with
     twist_degree >= 0).
+
+    Every family's walls are scaled by L = lcm(|coeff|) to integer keys, so
+    candidates are grouped and sorted as plain ints and one Fraction is built
+    per distinct wall.
     """
     lo = as_rational(interval[0])
     hi = as_rational(interval[1])
@@ -268,17 +278,26 @@ def enumerate_walls(
                 f"mw_filter requires twist_degree >= 0, got {ctx.twist_degree}"
             )
 
-    families = _admissible_rank_pairs(t)
+    families = _wall_families(t)
+    scale = math.lcm(*(abs(coeff) for _, _, coeff in families))
     per_family = ordered_map(
-        lambda pq: _family_walls(t, pq[0], pq[1], lo, hi), families, jobs
+        lambda family: _family_walls(t, family, lo, hi, scale), families, jobs
     )
-    hits: dict[Fraction, set[WallWitness]] = {}
-    for family_hits in per_family:
-        for alpha, witness in family_hits:
-            if mw_filter and not _witness_survives_mw(witness, ctx.twist_degree, alpha):
-                continue
-            hits.setdefault(alpha, set()).add(witness)
-    return [Wall(alpha, tuple(hits[alpha])) for alpha in sorted(hits)]
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for p_sub, q_sub, degrees, keys in per_family:
+        for key, d_sub in zip(keys, degrees):
+            groups.setdefault(key, []).append((p_sub, q_sub, d_sub))
+    walls = []
+    for key in sorted(groups):
+        alpha = Fraction(key, scale)
+        witnesses = [WallWitness(*w) for w in groups[key]]
+        if mw_filter:
+            witnesses = [
+                w for w in witnesses if _witness_survives_mw(w, ctx.twist_degree, alpha)
+            ]
+        if witnesses:
+            walls.append(Wall(alpha, tuple(witnesses)))
+    return walls
 
 
 def chamber_report(
@@ -293,20 +312,18 @@ def chamber_report(
     lo = as_rational(interval[0])
     hi = as_rational(interval[1])
     walls = enumerate_walls(t, (lo, hi), mw_filter=mw_filter, ctx=ctx, jobs=jobs)
-    wall_alphas = {w.alpha for w in walls}
     if lo == hi:
-        chambers = [] if wall_alphas else [Chamber(lo, hi, True, True)]
+        chambers = [] if walls else [Chamber(lo, hi, True, True)]
     else:
-        interior = sorted(x for x in wall_alphas if lo < x < hi)
-        points = [lo, *interior, hi]
+        # walls come sorted, so only the first and last can sit on an interval end
+        alphas = [w.alpha for w in walls]
+        lo_closed = not alphas or alphas[0] != lo
+        hi_closed = not alphas or alphas[-1] != hi
+        points = [lo, *alphas[(not lo_closed):len(alphas) - (not hi_closed)], hi]
+        last = len(points) - 2
         chambers = [
-            Chamber(
-                x,
-                y,
-                x == lo and lo not in wall_alphas,
-                y == hi and hi not in wall_alphas,
-            )
-            for x, y in zip(points, points[1:])
+            Chamber(x, y, i == 0 and lo_closed, i == last and hi_closed)
+            for i, (x, y) in enumerate(zip(points, points[1:]))
         ]
     return ChamberReport((lo, hi), tuple(walls), tuple(chambers))
 

@@ -65,6 +65,9 @@ def test_parse_args_canonical_sets_twist_degree():
         ["toledo"],  # missing type
         ["frobnicate"],  # unknown command
         ["walls", "--type", "1,1,1,0", "--interval", "0,1", "--alpha", "1"],  # stray flag
+        ["walls", "--type", "1,1,1,0", "--interval", "0,1", "--jobs", "0"],  # no workers
+        ["selftest", "--jobs", "0"],
+        ["selftest", "--trials", "0"],  # no cases
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):
@@ -170,6 +173,16 @@ def test_output_path_writes_file(tmp_path, capsys):
     assert main(["toledo", "--type", "1,1,1,0", "--output", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert json.loads(target.read_text())["tau"] == "1/1"
+
+
+def test_unwritable_output_path_is_an_engine_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert main(["toledo", "--type", "2,1,1,0", "--output", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"upqstab: error: cannot write {target}")
+    assert captured.err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_repeated_runs_are_byte_identical(capsys):
