@@ -17,11 +17,10 @@ sets the default output format (json or csv).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +35,7 @@ from .core import (
 )
 from .milnor_wood import mw_check
 from .oracle import property_driver
-from .walls import chamber_report, enumerate_walls, irreducibility_certificate
+from .walls import Chamber, Wall, chamber_report, enumerate_walls, irreducibility_certificate
 
 FORMAT_ENV_VAR = "UPQSTAB_FORMAT"
 
@@ -281,7 +280,7 @@ def _execute(config: RunConfig) -> dict:
             "type": config.type_spec.to_json(),
             "interval": [format_rational(lo), format_rational(hi)],
             "mw_filter": config.mw_filter,
-            "walls": [w.to_json() for w in walls],
+            "walls": walls,
         }
     if config.command == "chambers":
         report = chamber_report(
@@ -291,11 +290,14 @@ def _execute(config: RunConfig) -> dict:
             ctx=config.ctx,
             jobs=config.jobs,
         )
+        lo, hi = report.interval
         return {
             "command": "chambers",
             "type": config.type_spec.to_json(),
+            "interval": [format_rational(lo), format_rational(hi)],
             "mw_filter": config.mw_filter,
-            **report.to_json(),
+            "walls": report.walls,
+            "chambers": report.chambers,
         }
     if config.command == "certify":
         certificate = irreducibility_certificate(config.type_spec, config.genus, config.alpha)
@@ -312,21 +314,79 @@ def _execute(config: RunConfig) -> dict:
     raise ValueError(f"unknown command {config.command!r}")
 
 
+# walls and chambers reports are written straight from the engine's Wall and
+# Chamber objects.  The templates reproduce, byte for byte, what
+# json.dumps(..., indent=2, sort_keys=True) writes for Wall.to_json and
+# ChamberReport.to_json at their depth in the report; the stdlib encoder's
+# pure-Python indent path costs more than the wall enumeration itself.
+_WITNESS_JSON = "        [\n          %d,\n          %d,\n          %d\n        ]"
+_WALL_JSON = '    {\n      "alpha": "%s",\n      "witnesses": [\n%s\n      ]\n    }'
+_COUNTED_WALL_JSON = (
+    '    {\n      "alpha": "%s",\n      "witness_count": %d,\n      "witnesses": [\n%s\n      ]\n    }'
+)
+_CHAMBER_JSON = (
+    '    {\n      "hi": "%s",\n      "hi_closed": %s,\n      "lo": "%s",\n      "lo_closed": %s\n    }'
+)
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+def _witnesses_json(wall: Wall) -> str:
+    return ",\n".join([_WITNESS_JSON % (w.p_sub, w.q_sub, w.d_sub) for w in wall.witnesses])
+
+
+def _json_list(items: list[str]) -> str:
+    """A top-level report member's list value, from its rendered items."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def _walls_json(walls: Sequence[Wall], counted: bool) -> str:
+    if counted:
+        items = [
+            _COUNTED_WALL_JSON % (format_rational(w.alpha), len(w.witnesses), _witnesses_json(w))
+            for w in walls
+        ]
+    else:
+        items = [_WALL_JSON % (format_rational(w.alpha), _witnesses_json(w)) for w in walls]
+    return _json_list(items)
+
+
+def _chambers_json(chambers: Sequence[Chamber]) -> str:
+    return _json_list([
+        _CHAMBER_JSON % (
+            format_rational(c.hi), _JSON_BOOL[c.hi_closed], format_rational(c.lo), _JSON_BOOL[c.lo_closed]
+        )
+        for c in chambers
+    ])
+
+
+def _render_json(report: dict) -> str:
+    # only walls and chambers reports have "walls" and "chambers" members
+    counted = report["command"] == "chambers"
+    members = []
+    for key in sorted(report):
+        value = report[key]
+        if key == "walls":
+            text = _walls_json(value, counted)
+        elif key == "chambers":
+            text = _chambers_json(value)
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        members.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(members) + "\n}\n"
+
+
 def _render_csv(report: dict) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["alpha_num", "alpha_den", "p_sub", "q_sub", "d_sub"])
+    rows = ["alpha_num,alpha_den,p_sub,q_sub,d_sub\n"]
     for wall in report["walls"]:
-        alpha = parse_rational(wall["alpha"])
-        for p_sub, q_sub, d_sub in wall["witnesses"]:
-            writer.writerow([alpha.numerator, alpha.denominator, p_sub, q_sub, d_sub])
-    return buffer.getvalue()
+        num, den = wall.alpha.numerator, wall.alpha.denominator
+        rows += ["%d,%d,%d,%d,%d\n" % (num, den, w.p_sub, w.q_sub, w.d_sub) for w in wall.witnesses]
+    return "".join(rows)
 
 
 def render(config: RunConfig, report: dict) -> str:
     if config.output_format == "csv":
         return _render_csv(report)
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return _render_json(report)
 
 
 def run(config: RunConfig) -> int:

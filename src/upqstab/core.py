@@ -49,7 +49,10 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if "/" in s:
         num_s, den_s = s.split("/", 1)
-        return Fraction(int(num_s), int(den_s))
+        den = int(den_s)
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(int(num_s), den)
     return Fraction(int(s))
 
 

@@ -2,8 +2,10 @@
 
 Each digest is of the full stdout of `main(argv)`.  The walls inputs cover a
 rational interval, both Milnor-Wood filter twists, degenerate intervals on and
-off a wall, and a wide interval on a (7, 5) type; selftest is pinned with and
-without a thread pool.
+off a wall, an interval with no walls, and a wide interval on a (7, 5) type.
+toledo, mw (rank-free and with ranks) and certify (fully irreducible, closure
+irreducible only, and neither) pin the reports rendered by the stdlib encoder;
+selftest is pinned with and without a thread pool.
 """
 
 from __future__ import annotations
@@ -51,6 +53,20 @@ PINNED = [
      "a7c09b2ec60994f25d4a89e87f8cd09298a8a197d9a204e76a81ea863246a0d5"),
     ("chambers --type 7,5,3,-2 --interval -50,50",  # 639247 bytes
      "3ab1c27560bc1101081525c6a5e40e565e0e2a04f7070c4ea89e2e5e02043360"),
+    ("chambers --type 1,1,1,0 --interval -1/2,1/2",  # 293 bytes, no walls
+     "de1a4df57b477cf530ad8207d4b4691e19a508e4bcf01d2183a2944ff4808bbb"),
+    ("toledo --type 4,3,2,-1",  # 108 bytes
+     "b0cf81309440270ba21086e0005c6893d415baa874e52680f6ee8587b08562f7"),
+    ("mw --type 4,3,2,-1 --degL 2 --alpha -1/3",  # 362 bytes
+     "186bd14033292775bed37e94274e3587675b91044b885a57921dbfe571868ba7"),
+    ("mw --type 2,1,1,0 --degL 1 --alpha 3 --ranks 1,1",  # 398 bytes
+     "3d6ee27c51bd379b4fc55aa421dc10f625d54ec7f6d99b741513d64276c00136"),
+    ("certify --type 1,1,-1,0 --genus 2 --alpha 0",  # 551 bytes, fully irreducible
+     "82e0313d88163d2ca674231757cc8783a366c592bf85a92ab30cc75b3315666e"),
+    ("certify --type 1,1,-2,0 --genus 3 --alpha 0",  # 552 bytes, closure only
+     "9cdde56ff4cd05e19b753bf4d5f11d6209f4a4214e9d55670f5ca26ed62edd9a"),
+    ("certify --type 2,2,1,1 --genus 2 --alpha 0",  # 532 bytes, both windows empty
+     "9e8e4da60ab2b7b2055ea62df0b0a0e0bc4dd1134e2bfa2a0fc56d8982a842c6"),
     ("selftest --seed 0 --trials 120",  # 774 bytes
      "d20af443d9647ad1aaf153490b76a0f31dbb496a42916b4458933c8d3ecd3127"),
     ("selftest --seed 0 --trials 120 --jobs 2",  # 774 bytes

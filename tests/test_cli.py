@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +69,8 @@ def test_parse_args_canonical_sets_twist_degree():
         ["walls", "--type", "1,1,1,0", "--interval", "0,1", "--jobs", "0"],  # no workers
         ["selftest", "--jobs", "0"],
         ["selftest", "--trials", "0"],  # no cases
+        ["walls", "--type", "1,1,1,0", "--interval", "1/0,1"],  # zero denominator
+        ["certify", "--type", "1,1,-1,0", "--genus", "2", "--alpha", "1/0"],
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):
@@ -89,6 +92,13 @@ def test_walls_report_matches_engine(capsys):
     assert rebuilt == enumerate_walls(HitchinPairType(1, 1, 1, 0), (-2, 2))
     assert report["interval"] == ["-2/1", "2/1"]
     assert [parse_rational(x) for x in report["interval"]] == [Fraction(-2), Fraction(2)]
+
+
+def test_readme_walls_sample_is_real_stdout(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sample = readme.split("--interval -2,2` prints exactly\n\n```json\n", 1)[1].split("```", 1)[0]
+    assert main(["walls", "--type", "1,1,1,0", "--interval", "-2,2"]) == 0
+    assert capsys.readouterr().out == sample
 
 
 def test_walls_csv_golden(capsys):

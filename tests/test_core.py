@@ -218,6 +218,8 @@ def test_rational_parsing_and_formatting():
     assert format_rational(Fraction(2, 4)) == "1/2"
     with pytest.raises(ValueError):
         parse_rational("1.5")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
 
 
 def test_floats_are_rejected():
