@@ -11,11 +11,8 @@ from .core import (
     HiggsRankPair,
     HitchinPairType,
     ParameterVector,
-    Quiver,
     QuiverNumericalType,
     Rational,
-    TwistAssignment,
-    UPQ_QUIVER,
     alpha_slope_quiver,
     alpha_slope_upq,
     alpha_to_c_pair,
@@ -28,7 +25,6 @@ from .core import (
     toledo,
     upq_parameter_vector,
     upq_quiver_type,
-    upq_twists,
 )
 from .milnor_wood import MWVerdict, mw_check, toledo_bounds, toledo_bounds_for_ranks
 from .oracle import (
@@ -64,12 +60,9 @@ __all__ = [
     "IrreducibilityCertificate",
     "MWVerdict",
     "ParameterVector",
-    "Quiver",
     "QuiverNumericalType",
     "Rational",
     "SplitMix64",
-    "TwistAssignment",
-    "UPQ_QUIVER",
     "Wall",
     "WallWitness",
     "alpha_slope_quiver",
@@ -94,6 +87,5 @@ __all__ = [
     "toledo_bounds_for_ranks",
     "upq_parameter_vector",
     "upq_quiver_type",
-    "upq_twists",
     "wall_alpha",
 ]

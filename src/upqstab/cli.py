@@ -209,12 +209,16 @@ def _resolve_ctx(parser: argparse.ArgumentParser, ns: argparse.Namespace, *, req
             parser.error("--canonical requires --genus")
         if deg_l is not None and deg_l != 2 * genus - 2:
             parser.error(f"--canonical fixes degL = 2*genus - 2 = {2 * genus - 2}, but --degL {deg_l} was given")
-        return GeometryContext.canonical_twist(genus)
-    if deg_l is not None:
+    elif deg_l is None:
+        if required:
+            parser.error("this command needs a twisting degree: pass --degL or --canonical with --genus")
+        return None
+    try:
+        if canonical:
+            return GeometryContext.canonical_twist(genus)
         return GeometryContext(genus=genus if genus is not None else 0, twist_degree=deg_l)
-    if required:
-        parser.error("this command needs a twisting degree: pass --degL or --canonical with --genus")
-    return None
+    except ValueError as exc:  # a negative --genus
+        parser.error(str(exc))
 
 
 def parse_args(argv: list[str]) -> RunConfig:

@@ -2,9 +2,10 @@
 
 A U(p,q)-Hitchin pair (V, W, beta, gamma) is carried here only through its
 numerical type t = (p, q, a, b) = (rk V, rk W, deg V, deg W); a quiver bundle
-only through per-vertex (rank, degree) data.  Everything downstream (slopes,
-Toledo invariants, Milnor-Wood bounds, wall enumeration) is a function of
-these integers and of exact rational stability parameters.
+only through per-vertex (rank, degree) data.  The quiver's arrows and their
+twisting enter no formula and are not modelled.  Everything downstream
+(slopes, Toledo invariants, Milnor-Wood bounds, wall enumeration) is a
+function of these integers and of exact rational stability parameters.
 
 All arithmetic is arbitrary-precision exact rational via fractions.Fraction,
 which stores values in lowest terms with positive denominator.  Floats are
@@ -106,10 +107,6 @@ class HitchinPairType:
         return {"p": self.p, "q": self.q, "a": self.a, "b": self.b}
 
     @classmethod
-    def from_json(cls, doc: dict) -> "HitchinPairType":
-        return cls(int(doc["p"]), int(doc["q"]), int(doc["a"]), int(doc["b"]))
-
-    @classmethod
     def parse(cls, text: str) -> "HitchinPairType":
         """Parse "p,q,a,b"."""
         parts = [part.strip() for part in text.split(",")]
@@ -145,10 +142,6 @@ class GeometryContext:
     def to_json(self) -> dict:
         return {"genus": self.genus, "twist_degree": self.twist_degree, "canonical": self.canonical}
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "GeometryContext":
-        return cls(int(doc["genus"]), int(doc["twist_degree"]), bool(doc["canonical"]))
-
 
 @dataclass(frozen=True)
 class HiggsRankPair:
@@ -173,66 +166,6 @@ class HiggsRankPair:
 
     def to_json(self) -> dict:
         return {"rk_beta": self.rk_beta, "rk_gamma": self.rk_gamma}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "HiggsRankPair":
-        return cls(int(doc["rk_beta"]), int(doc["rk_gamma"]))
-
-
-@dataclass(frozen=True)
-class Quiver:
-    """Finite oriented graph; vertices are indexed 0..vertex_count-1.
-
-    Oriented cycles and parallel arrows are permitted.
-    """
-
-    vertex_count: int
-    arrows: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        _require_int(self.vertex_count, "vertex_count")
-        if self.vertex_count < 1:
-            raise ValueError(f"vertex_count must be positive, got {self.vertex_count}")
-        object.__setattr__(self, "arrows", tuple((int(t), int(h)) for t, h in self.arrows))
-        for tail, head in self.arrows:
-            if not (0 <= tail < self.vertex_count and 0 <= head < self.vertex_count):
-                raise ValueError(
-                    f"arrow ({tail},{head}) out of range for {self.vertex_count} vertices"
-                )
-
-    def to_json(self) -> dict:
-        return {"vertex_count": self.vertex_count, "arrows": [list(a) for a in self.arrows]}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Quiver":
-        return cls(int(doc["vertex_count"]), tuple((int(t), int(h)) for t, h in doc["arrows"]))
-
-
-@dataclass(frozen=True)
-class TwistAssignment:
-    """Per-arrow twisting degrees (deg of the twisting bundle on each arrow).
-
-    Carried for report metadata and consistency checks only; twisting degrees
-    do not enter any slope formula.
-    """
-
-    degrees: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "degrees", tuple(_require_int(d, "twist degree") for d in self.degrees))
-
-    def validate_for(self, quiver: Quiver) -> None:
-        if len(self.degrees) != len(quiver.arrows):
-            raise ValueError(
-                f"twist assignment has {len(self.degrees)} entries for {len(quiver.arrows)} arrows"
-            )
-
-    def to_json(self) -> dict:
-        return {"degrees": list(self.degrees)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TwistAssignment":
-        return cls(tuple(int(d) for d in doc["degrees"]))
 
 
 @dataclass(frozen=True)
@@ -268,10 +201,6 @@ class QuiverNumericalType:
 
     def to_json(self) -> dict:
         return {"ranks": list(self.ranks), "degrees": list(self.degrees)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "QuiverNumericalType":
-        return cls(tuple(int(r) for r in doc["ranks"]), tuple(int(d) for d in doc["degrees"]))
 
 
 @dataclass(frozen=True)
@@ -310,10 +239,6 @@ class ParameterVector:
 
     def to_json(self) -> dict:
         return {"alpha": [format_rational(v) for v in self.values]}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ParameterVector":
-        return cls(tuple(parse_rational(v) for v in doc["alpha"]))
 
 
 @dataclass(frozen=True)
@@ -376,18 +301,6 @@ class BoundInterval:
             "regime_label": self.regime_label,
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "BoundInterval":
-        label = doc.get("regime_label")
-        if doc.get("infeasible"):
-            return cls.infeasible(label)
-        return cls(parse_rational(doc["lower"]), parse_rational(doc["upper"]), label)
-
-
-# The two-vertex quiver underlying U(p,q)-Hitchin pairs: vertex 0 carries V,
-# vertex 1 carries W; beta is the arrow W -> V, gamma the arrow V -> W.
-UPQ_QUIVER = Quiver(vertex_count=2, arrows=((1, 0), (0, 1)))
-
 
 def upq_quiver_type(t: HitchinPairType) -> QuiverNumericalType:
     """Numerical type of t viewed as a bundle over the two-vertex quiver."""
@@ -397,12 +310,6 @@ def upq_quiver_type(t: HitchinPairType) -> QuiverNumericalType:
 def upq_parameter_vector(alpha: RationalLike) -> ParameterVector:
     """The scalar parameter as a vector (alpha, 0): the weight sits on the V-vertex."""
     return ParameterVector.of(alpha, 0)
-
-
-def upq_twists(twist_degree: int) -> TwistAssignment:
-    """Both arrows of the two-vertex quiver are twisted by the dual line bundle."""
-    _require_int(twist_degree, "twist_degree")
-    return TwistAssignment((-twist_degree, -twist_degree))
 
 
 def slope(rank: int, degree: int) -> Fraction:
@@ -434,9 +341,7 @@ def alpha_slope_upq(t: HitchinPairType, alpha: RationalLike) -> Fraction:
 
 def toledo(t: HitchinPairType) -> Fraction:
     """Toledo invariant tau = 2pq/(p+q) * (mu(V) - mu(W)) = 2(qa - pb)/(p+q)."""
-    tau = Fraction(2 * (t.q * t.a - t.p * t.b), t.p + t.q)
-    assert tau == Fraction(2 * t.p * t.q, t.p + t.q) * (slope(t.p, t.a) - slope(t.q, t.b))
-    return tau
+    return Fraction(2 * (t.q * t.a - t.p * t.b), t.p + t.q)
 
 
 def alpha_to_c_pair(t: HitchinPairType, alpha: RationalLike) -> tuple[Fraction, Fraction]:
@@ -449,8 +354,6 @@ def alpha_to_c_pair(t: HitchinPairType, alpha: RationalLike) -> tuple[Fraction, 
     mu = slope(t.total_rank, t.total_degree)
     c1 = mu - a * Fraction(t.q, t.p + t.q)
     c2 = mu + a * Fraction(t.p, t.p + t.q)
-    assert c2 - c1 == a
-    assert Fraction(t.p, t.p + t.q) * c1 + Fraction(t.q, t.p + t.q) * c2 == mu
     return c1, c2
 
 

@@ -97,7 +97,9 @@ def brute_force_walls(
                 alpha = (mu0 - Fraction(d_sub, r_sub)) / (sub_ratio - ratio)
                 if lo <= alpha <= hi:
                     hits.setdefault(alpha, set()).add(WallWitness(p_sub, q_sub, d_sub))
-    return [Wall(alpha, tuple(hits[alpha])) for alpha in sorted(hits)]
+    return [
+        Wall(alpha, tuple(sorted(hits[alpha], key=WallWitness.sort_key))) for alpha in sorted(hits)
+    ]
 
 
 def envelope_toledo_bounds(p: int, q: int, deg_l: int, alpha: RationalLike) -> BoundInterval:
@@ -284,16 +286,6 @@ def _check_tau_gap_case(case: dict) -> dict | None:
     return None
 
 
-def _make_envelope_case(rng: SplitMix64) -> dict:
-    deg_l = rng.randint(0, 4)
-    return {
-        "p": rng.randint(1, 8),
-        "q": rng.randint(1, 8),
-        "deg_l": deg_l,
-        "alpha": Fraction(rng.randint(-12 * (deg_l + 2), 12 * (deg_l + 2)), 12),
-    }
-
-
 def _check_envelope_case(case: dict) -> dict | None:
     p, q, deg_l, a = case["p"], case["q"], case["deg_l"], case["alpha"]
     closed_form = toledo_bounds(p, q, deg_l, a)
@@ -317,7 +309,7 @@ _SUITES = (
     ("toledo_duality", _make_toledo_duality_case, _check_toledo_duality_case),
     ("bounds_duality", _make_bounds_duality_case, _check_bounds_duality_case),
     ("tau_bound_implies_slope_gap", _make_tau_gap_case, _check_tau_gap_case),
-    ("envelope_identity", _make_envelope_case, _check_envelope_case),
+    ("envelope_identity", _make_bounds_duality_case, _check_envelope_case),
 )
 
 

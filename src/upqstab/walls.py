@@ -25,7 +25,6 @@ from .core import (
     as_rational,
     format_rational,
     gcd_rank_degree,
-    parse_rational,
     slope,
     toledo,
 )
@@ -59,11 +58,6 @@ class WallWitness:
     def to_json(self) -> list[int]:
         return [self.p_sub, self.q_sub, self.d_sub]
 
-    @classmethod
-    def from_json(cls, doc: list) -> "WallWitness":
-        p_sub, q_sub, d_sub = (int(x) for x in doc)
-        return cls(p_sub, q_sub, d_sub)
-
 
 def _check_witness_ranks(t: HitchinPairType, w: WallWitness) -> None:
     r_sub = w.p_sub + w.q_sub
@@ -76,30 +70,26 @@ def _check_witness_ranks(t: HitchinPairType, w: WallWitness) -> None:
 
 @dataclass(frozen=True)
 class Wall:
-    """A critical parameter value with every witnessing sub-type, deduplicated."""
+    """A critical parameter value with every witnessing sub-type.
+
+    The producer orders the witnesses: they must be distinct and in
+    (p', q', d') order, as `enumerate_walls` emits them and as
+    `brute_force_walls` sorts them.  Stored as given.
+    """
 
     alpha: Fraction
     witnesses: tuple[WallWitness, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", as_rational(self.alpha))
-        ordered = tuple(sorted(set(self.witnesses), key=WallWitness.sort_key))
-        if not ordered:
+        if not self.witnesses:
             raise ValueError("a wall must carry at least one witness")
-        object.__setattr__(self, "witnesses", ordered)
 
     def to_json(self) -> dict:
         return {
             "alpha": format_rational(self.alpha),
             "witnesses": [w.to_json() for w in self.witnesses],
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Wall":
-        return cls(
-            parse_rational(doc["alpha"]),
-            tuple(WallWitness.from_json(w) for w in doc["witnesses"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -128,15 +118,6 @@ class Chamber:
             "hi_closed": self.hi_closed,
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "Chamber":
-        return cls(
-            parse_rational(doc["lo"]),
-            parse_rational(doc["hi"]),
-            bool(doc["lo_closed"]),
-            bool(doc["hi_closed"]),
-        )
-
 
 @dataclass(frozen=True)
 class ChamberReport:
@@ -160,15 +141,6 @@ class ChamberReport:
             ],
             "chambers": [c.to_json() for c in self.chambers],
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ChamberReport":
-        lo, hi = (parse_rational(x) for x in doc["interval"])
-        return cls(
-            (lo, hi),
-            tuple(Wall.from_json(w) for w in doc["walls"]),
-            tuple(Chamber.from_json(c) for c in doc["chambers"]),
-        )
 
 
 def wall_alpha(t: HitchinPairType, w: WallWitness) -> Fraction | None:
@@ -344,10 +316,6 @@ class CertificateCondition:
     def to_json(self) -> dict:
         return {"holds": self.holds, "alpha_window": self.alpha_window.to_json()}
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "CertificateCondition":
-        return cls(bool(doc["holds"]), BoundInterval.from_json(doc["alpha_window"]))
-
 
 @dataclass(frozen=True)
 class IrreducibilityCertificate:
@@ -382,17 +350,6 @@ class IrreducibilityCertificate:
             "closure_irreducible": self.closure_irreducible,
             "fully_irreducible": self.fully_irreducible,
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "IrreducibilityCertificate":
-        return cls(
-            parse_rational(doc["tau"]),
-            bool(doc["tau_bound_ok"]),
-            CertificateCondition.from_json(doc["condition1"]),
-            CertificateCondition.from_json(doc["condition2"]),
-            bool(doc["closure_irreducible"]),
-            bool(doc["fully_irreducible"]),
-        )
 
 
 def irreducibility_certificate(

@@ -13,10 +13,7 @@ from upqstab import (
     HiggsRankPair,
     HitchinPairType,
     ParameterVector,
-    Quiver,
     QuiverNumericalType,
-    TwistAssignment,
-    UPQ_QUIVER,
     alpha_slope_quiver,
     alpha_slope_upq,
     alpha_to_c_pair,
@@ -29,7 +26,6 @@ from upqstab import (
     toledo,
     upq_parameter_vector,
     upq_quiver_type,
-    upq_twists,
 )
 from upqstab.oracle import SplitMix64, _random_pair_type, _random_quiver_type
 
@@ -241,8 +237,6 @@ def test_type_invariants_are_enforced():
     with pytest.raises(ValueError):
         QuiverNumericalType(ranks=(1,), degrees=(1, 0))
     with pytest.raises(ValueError):
-        Quiver(vertex_count=2, arrows=((0, 2),))
-    with pytest.raises(ValueError):
         GeometryContext(genus=-1, twist_degree=0)
     with pytest.raises(ValueError):
         GeometryContext(genus=2, twist_degree=3, canonical=True)
@@ -264,19 +258,6 @@ def test_higgs_rank_pair_range_relative_to_type():
         HiggsRankPair(2, 0).validate_for(t)
 
 
-def test_upq_quiver_shape_and_twists():
-    assert UPQ_QUIVER.vertex_count == 2
-    assert sorted(UPQ_QUIVER.arrows) == [(0, 1), (1, 0)]
-    twists = upq_twists(4)
-    twists.validate_for(UPQ_QUIVER)
-    assert twists.degrees == (-4, -4)
-    # canonical context: both arrows carry minus the canonical degree
-    ctx = GeometryContext.canonical_twist(2)
-    assert upq_twists(ctx.twist_degree).degrees == (-2, -2)
-    with pytest.raises(ValueError, match="entries"):
-        TwistAssignment((1,)).validate_for(UPQ_QUIVER)
-
-
 def test_parameter_vector_helpers():
     alpha = ParameterVector.of(3, 1, -2)
     assert alpha.normalized().values == (Fraction(0), Fraction(-2), Fraction(-5))
@@ -295,23 +276,3 @@ def test_bound_interval_behaviour():
 def test_gcd_rank_degree():
     assert gcd_rank_degree(HitchinPairType(1, 1, -1, 0)) == 1
     assert gcd_rank_degree(HitchinPairType(2, 2, 1, 1)) == 2
-
-
-def test_json_round_trips():
-    t = HitchinPairType(2, 3, -1, 4)
-    assert HitchinPairType.from_json(t.to_json()) == t
-    ctx = GeometryContext.canonical_twist(2)
-    assert GeometryContext.from_json(ctx.to_json()) == ctx
-    ranks = HiggsRankPair(1, 2)
-    assert HiggsRankPair.from_json(ranks.to_json()) == ranks
-    quiver = Quiver(3, ((0, 1), (1, 2), (2, 0)))
-    assert Quiver.from_json(quiver.to_json()) == quiver
-    twists = TwistAssignment((-2, 0, 5))
-    assert TwistAssignment.from_json(twists.to_json()) == twists
-    e = QuiverNumericalType((1, 0, 2), (3, -1, 0))
-    assert QuiverNumericalType.from_json(e.to_json()) == e
-    alpha = ParameterVector.of(Fraction(1, 3), -2)
-    assert ParameterVector.from_json(alpha.to_json()) == alpha
-    box = BoundInterval.closed(-1, Fraction(5, 3), "iii")
-    assert BoundInterval.from_json(box.to_json()) == box
-    assert BoundInterval.from_json(BoundInterval.infeasible().to_json()).is_infeasible

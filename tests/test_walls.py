@@ -137,9 +137,7 @@ def test_complementary_witness_solves_the_same_wall():
                 assert wall_alpha(t, w.complement_in(t)) == wall.alpha
 
 
-def test_wall_dedups_and_sorts_witnesses():
-    wall = Wall(Fraction(1), (WallWitness(1, 0, 0), WallWitness(0, 1, 1), WallWitness(1, 0, 0)))
-    assert wall.witnesses == (WallWitness(0, 1, 1), WallWitness(1, 0, 0))
+def test_wall_needs_a_witness():
     with pytest.raises(ValueError, match="at least one witness"):
         Wall(Fraction(1), ())
 
@@ -235,9 +233,6 @@ def test_chamber_report_json_round_trip():
     doc = report.to_json()
     assert doc["interval"] == ["-2/1", "2/1"]
     assert [w["witness_count"] for w in doc["walls"]] == [2, 2]
-    from upqstab import ChamberReport
-
-    assert ChamberReport.from_json(doc) == report
 
 
 def test_certificate_positive_case():
@@ -341,8 +336,3 @@ def test_certificate_tau_bound_implies_gap_condition_when_ranks_differ():
         else:
             assert gap < deg_k
         checked += 1
-
-
-def test_certificate_json_round_trip():
-    cert = irreducibility_certificate(HitchinPairType(2, 1, 1, 0), 3, Fraction(1, 2))
-    assert IrreducibilityCertificate.from_json(cert.to_json()) == cert
