@@ -12,7 +12,6 @@ from .core import (
     HitchinPairType,
     ParameterVector,
     QuiverNumericalType,
-    Rational,
     alpha_slope_quiver,
     alpha_slope_upq,
     alpha_to_c_pair,
@@ -61,7 +60,6 @@ __all__ = [
     "MWVerdict",
     "ParameterVector",
     "QuiverNumericalType",
-    "Rational",
     "SplitMix64",
     "Wall",
     "WallWitness",

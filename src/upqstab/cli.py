@@ -17,6 +17,7 @@ sets the default output format (json or csv).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -71,14 +72,22 @@ def _parse_ranks(text: str) -> HiggsRankPair:
     return HiggsRankPair(int(parts[0]), int(parts[1]))
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type for integers no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 _JOBS_HELP = "worker threads (default: 1, inline; a thread pool runs only for N > 1)"
@@ -105,7 +114,7 @@ def _add_common(sub: argparse.ArgumentParser, *, with_type: bool = True) -> None
 
 def _add_twist(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--degL", dest="deg_l", type=int, default=None, help="degree of the twisting line bundle")
-    sub.add_argument("--genus", type=int, default=None, help="genus of the base curve")
+    sub.add_argument("--genus", type=_int_at_least(0), default=None, help="genus of the base curve")
     sub.add_argument(
         "--canonical",
         action="store_true",
@@ -136,7 +145,9 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
     return merged
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing does not mutate it."""
     parser = argparse.ArgumentParser(
         prog="upqstab",
         description="Exact stability computations for U(p,q)-Hitchin pair numerical types.",
@@ -213,12 +224,9 @@ def _resolve_ctx(parser: argparse.ArgumentParser, ns: argparse.Namespace, *, req
         if required:
             parser.error("this command needs a twisting degree: pass --degL or --canonical with --genus")
         return None
-    try:
-        if canonical:
-            return GeometryContext.canonical_twist(genus)
-        return GeometryContext(genus=genus if genus is not None else 0, twist_degree=deg_l)
-    except ValueError as exc:  # a negative --genus
-        parser.error(str(exc))
+    if canonical:
+        return GeometryContext.canonical_twist(genus)
+    return GeometryContext(genus=genus if genus is not None else 0, twist_degree=deg_l)
 
 
 def parse_args(argv: list[str]) -> RunConfig:
@@ -335,7 +343,7 @@ _JSON_BOOL = {False: "false", True: "true"}
 
 
 def _witnesses_json(wall: Wall) -> str:
-    return ",\n".join([_WITNESS_JSON % (w.p_sub, w.q_sub, w.d_sub) for w in wall.witnesses])
+    return ",\n".join([_WITNESS_JSON % w for w in wall.witnesses])
 
 
 def _json_list(items: list[str]) -> str:
@@ -383,7 +391,7 @@ def _render_csv(report: dict) -> str:
     rows = ["alpha_num,alpha_den,p_sub,q_sub,d_sub\n"]
     for wall in report["walls"]:
         num, den = wall.alpha.numerator, wall.alpha.denominator
-        rows += ["%d,%d,%d,%d,%d\n" % (num, den, w.p_sub, w.q_sub, w.d_sub) for w in wall.witnesses]
+        rows += ["%d,%d,%d,%d,%d\n" % (num, den, *w) for w in wall.witnesses]
     return "".join(rows)
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 
@@ -216,10 +215,6 @@ class ParameterVector:
     def of(cls, *values: RationalLike) -> "ParameterVector":
         return cls(tuple(as_rational(v) for v in values))
 
-    @classmethod
-    def zeros(cls, n: int) -> "ParameterVector":
-        return cls((Fraction(0),) * n)
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -230,12 +225,6 @@ class ParameterVector:
         """Overall translation alpha -> alpha + a*(1,...,1)."""
         a = as_rational(constant)
         return ParameterVector(tuple(v + a for v in self.values))
-
-    def normalized(self) -> "ParameterVector":
-        """Translate so the first entry is 0 (a convention, not an invariant)."""
-        if not self.values:
-            return self
-        return self.shifted(-self.values[0])
 
     def to_json(self) -> dict:
         return {"alpha": [format_rational(v) for v in self.values]}
@@ -286,11 +275,6 @@ class BoundInterval:
             return False
         x = as_rational(value)
         return self.lower <= x <= self.upper
-
-    def width(self) -> Fraction | None:
-        if self.is_infeasible:
-            return None
-        return self.upper - self.lower
 
     def to_json(self) -> dict:
         if self.is_infeasible:

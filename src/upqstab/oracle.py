@@ -98,7 +98,7 @@ def brute_force_walls(
                 if lo <= alpha <= hi:
                     hits.setdefault(alpha, set()).add(WallWitness(p_sub, q_sub, d_sub))
     return [
-        Wall(alpha, tuple(sorted(hits[alpha], key=WallWitness.sort_key))) for alpha in sorted(hits)
+        Wall(alpha, tuple(sorted(hits[alpha]))) for alpha in sorted(hits)
     ]
 
 

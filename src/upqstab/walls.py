@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .concurrency import ordered_map
 from .core import (
@@ -31,41 +32,21 @@ from .core import (
 from .milnor_wood import toledo_bounds
 
 
-@dataclass(frozen=True)
-class WallWitness:
-    """Sub-type ranks and total degree (p', q', d' = a' + b') witnessing a wall."""
+class WallWitness(NamedTuple):
+    """Sub-type ranks and total degree (p', q', d' = a' + b') witnessing a wall.
+
+    A plain integer triple: it compares, hashes and sorts as its tuple.
+    """
 
     p_sub: int
     q_sub: int
     d_sub: int
 
     def sort_key(self) -> tuple[int, int, int]:
-        return (self.p_sub, self.q_sub, self.d_sub)
-
-    def validate_for(self, t: HitchinPairType) -> None:
-        _check_witness_ranks(t, self)
-        r_sub = self.p_sub + self.q_sub
-        if self.p_sub * t.total_rank == t.p * r_sub:
-            raise ValueError(
-                f"witness ({self.p_sub},{self.q_sub},{self.d_sub}) has the ambient rank ratio "
-                f"{t.p}/{t.total_rank} and can never witness a wall"
-            )
-
-    def complement_in(self, t: HitchinPairType) -> "WallWitness":
-        """The quotient-side witness; it solves the same wall equation."""
-        return WallWitness(t.p - self.p_sub, t.q - self.q_sub, t.total_degree - self.d_sub)
+        return tuple(self)
 
     def to_json(self) -> list[int]:
-        return [self.p_sub, self.q_sub, self.d_sub]
-
-
-def _check_witness_ranks(t: HitchinPairType, w: WallWitness) -> None:
-    r_sub = w.p_sub + w.q_sub
-    if not (0 <= w.p_sub <= t.p and 0 <= w.q_sub <= t.q and 1 <= r_sub <= t.total_rank - 1):
-        raise ValueError(
-            f"witness ranks ({w.p_sub},{w.q_sub}) out of range for ambient type "
-            f"({t.p},{t.q}): need 0 <= p' <= p, 0 <= q' <= q, 1 <= p'+q' <= p+q-1"
-        )
+        return list(self)
 
 
 @dataclass(frozen=True)
@@ -149,9 +130,13 @@ def wall_alpha(t: HitchinPairType, w: WallWitness) -> Fraction | None:
     Solves d'/r' + alpha p'/r' = d/r + alpha p/r for alpha; returns None
     exactly when the rank ratios coincide and no solution exists.
     """
-    _check_witness_ranks(t, w)
     r = t.total_rank
     r_sub = w.p_sub + w.q_sub
+    if not (0 <= w.p_sub <= t.p and 0 <= w.q_sub <= t.q and 1 <= r_sub <= r - 1):
+        raise ValueError(
+            f"witness ranks ({w.p_sub},{w.q_sub}) out of range for ambient type "
+            f"({t.p},{t.q}): need 0 <= p' <= p, 0 <= q' <= q, 1 <= p'+q' <= p+q-1"
+        )
     coeff = w.p_sub * r - t.p * r_sub
     if coeff == 0:
         return None
@@ -255,14 +240,14 @@ def enumerate_walls(
     per_family = ordered_map(
         lambda family: _family_walls(t, family, lo, hi, scale), families, jobs
     )
-    groups: dict[int, list[tuple[int, int, int]]] = {}
+    groups: dict[int, list[WallWitness]] = {}
     for p_sub, q_sub, degrees, keys in per_family:
         for key, d_sub in zip(keys, degrees):
-            groups.setdefault(key, []).append((p_sub, q_sub, d_sub))
+            groups.setdefault(key, []).append(WallWitness(p_sub, q_sub, d_sub))
     walls = []
     for key in sorted(groups):
         alpha = Fraction(key, scale)
-        witnesses = [WallWitness(*w) for w in groups[key]]
+        witnesses = groups[key]
         if mw_filter:
             witnesses = [
                 w for w in witnesses if _witness_survives_mw(w, ctx.twist_degree, alpha)

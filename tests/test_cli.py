@@ -71,11 +71,23 @@ def test_parse_args_canonical_sets_twist_degree():
         ["mw", "--type", "1,1,0,0", "--canonical", "--genus", "-1", "--alpha", "0"],  # negative genus
         ["walls", "--type", "1,1,0,0", "--interval", "-1,1", "--degL", "2", "--genus", "-1"],
         ["mw", "--type", "1,1,0,0", "--degL", "2", "--genus", "-3", "--alpha", "0"],
+        ["walls", "--type", "1,1,0,0", "--interval", "-1,1", "--genus", "-1"],  # genus with no twist
+        ["chambers", "--type", "1,1,0,0", "--interval", "-1,1", "--genus", "-1"],
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_parse_args_calls_are_independent():
+    filtered = parse_args(["walls", "--type", "1,1,1,0", "--interval", "-2,2", "--mw-filter", "--degL", "0"])
+    plain = parse_args(["walls", "--type", "2,1,0,0", "--interval", "-1,1"])
+    assert filtered.mw_filter is True and filtered.ctx.twist_degree == 0
+    assert filtered.type_spec == HitchinPairType(1, 1, 1, 0)
+    assert plain.mw_filter is False and plain.ctx is None
+    assert plain.type_spec == HitchinPairType(2, 1, 0, 0)
+    assert plain.interval == (Fraction(-1), Fraction(1))
 
 
 def test_toledo_report(capsys):

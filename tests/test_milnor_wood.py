@@ -134,7 +134,7 @@ def test_regime_width_monotone_in_twist_degree():
         narrower = toledo_bounds(p, q, deg_l - 1, alpha) if abs(alpha) <= deg_l - 1 else None
         wider = toledo_bounds(p, q, deg_l, alpha)
         if narrower is not None and narrower.regime_label == "ii" and wider.regime_label == "ii":
-            assert wider.width() >= narrower.width()
+            assert wider.upper - wider.lower >= narrower.upper - narrower.lower
 
 
 def test_regime_bounds_reject_negative_twist_degree():

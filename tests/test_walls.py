@@ -51,10 +51,15 @@ def test_wall_alpha_rejects_bad_ranks():
         wall_alpha(T110, WallWitness(0, 0, 0))
 
 
-def test_witness_validate_for_includes_ratio_exclusion():
-    WallWitness(1, 0, 3).validate_for(T110)
-    with pytest.raises(ValueError, match="never witness"):
-        WallWitness(1, 1, 0).validate_for(HitchinPairType(2, 2, 1, 0))
+def test_witness_is_its_integer_triple():
+    w = WallWitness(1, 0, 3)
+    assert w == (1, 0, 3) and hash(w) == hash((1, 0, 3))
+    p_sub, q_sub, d_sub = w
+    assert (p_sub, q_sub, d_sub) == (w.p_sub, w.q_sub, w.d_sub) == (1, 0, 3)
+    unsorted = [WallWitness(1, 0, 3), (0, 2, 5), WallWitness(0, 2, -1), WallWitness(1, 0, -4)]
+    assert sorted(unsorted) == [(0, 2, -1), (0, 2, 5), (1, 0, -4), (1, 0, 3)]
+    assert w.to_json() == list(w) == [1, 0, 3]
+    assert w.sort_key() == (1, 0, 3)
 
 
 def test_canonical_wall_enumeration():
@@ -134,7 +139,8 @@ def test_complementary_witness_solves_the_same_wall():
         t = HitchinPairType(rng.randint(1, 3), rng.randint(1, 3), rng.randint(-3, 3), rng.randint(-3, 3))
         for wall in enumerate_walls(t, (-3, 3)):
             for w in wall.witnesses:
-                assert wall_alpha(t, w.complement_in(t)) == wall.alpha
+                complement = WallWitness(t.p - w.p_sub, t.q - w.q_sub, t.total_degree - w.d_sub)
+                assert wall_alpha(t, complement) == wall.alpha
 
 
 def test_wall_needs_a_witness():
