@@ -66,10 +66,27 @@ def _parse_interval(text: str) -> tuple[Fraction, Fraction]:
 
 
 def _parse_ranks(text: str) -> HiggsRankPair:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 'rk_beta,rk_gamma', got {text!r}")
-    return HiggsRankPair(int(parts[0]), int(parts[1]))
+    try:
+        rk_beta, rk_gamma = (int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"expected 'rk_beta,rk_gamma' with two integers, got {text!r}") from None
+    return HiggsRankPair(rk_beta, rk_gamma)
+
+
+def _usage_type(parse):
+    """An argparse type that gives parse's ValueError message as the usage error.
+
+    argparse turns a bare ValueError into "invalid <function name> value",
+    which names the parser instead of the reason.
+    """
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def _int_at_least(minimum: int):
@@ -98,7 +115,7 @@ def _add_common(sub: argparse.ArgumentParser, *, with_type: bool = True) -> None
         sub.add_argument(
             "--type",
             dest="type_spec",
-            type=HitchinPairType.parse,
+            type=_usage_type(HitchinPairType.parse),
             required=True,
             metavar="p,q,a,b",
             help="numerical type of the pair",
@@ -161,10 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("mw", help="Milnor-Wood membership check")
     _add_common(sub)
     _add_twist(sub)
-    sub.add_argument("--alpha", type=parse_rational, required=True, help="stability parameter")
+    sub.add_argument("--alpha", type=_usage_type(parse_rational), required=True, help="stability parameter")
     sub.add_argument(
         "--ranks",
-        type=_parse_ranks,
+        type=_usage_type(_parse_ranks),
         default=None,
         metavar="rk_beta,rk_gamma",
         help="use the rank-level bounds with these Higgs-field ranks",
@@ -178,7 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(sub)
         _add_twist(sub)
         sub.add_argument(
-            "--interval", type=_parse_interval, required=True, metavar="lo,hi", help="closed parameter interval"
+            "--interval",
+            type=_usage_type(_parse_interval),
+            required=True,
+            metavar="lo,hi",
+            help="closed parameter interval",
         )
         sub.add_argument(
             "--mw-filter",
@@ -191,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("certify", help="irreducibility certificate (canonical twist)")
     _add_common(sub)
     sub.add_argument("--genus", type=int, required=True, help="genus of the base curve (>= 2)")
-    sub.add_argument("--alpha", type=parse_rational, required=True, help="stability parameter")
+    sub.add_argument("--alpha", type=_usage_type(parse_rational), required=True, help="stability parameter")
 
     sub = commands.add_parser("selftest", help="randomized invariant suites")
     _add_common(sub, with_type=False)
@@ -411,13 +432,32 @@ def run(config: RunConfig) -> int:
     text = render(config, report)
     if config.output_path is not None:
         try:
-            Path(config.output_path).write_text(text, encoding="utf-8")
+            _write_atomically(Path(config.output_path), text)
         except OSError as exc:
             print(f"upqstab: error: cannot write {config.output_path}: {exc.strerror or exc}", file=sys.stderr)
             return 1
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _write_atomically(target: Path, text: str) -> None:
+    """Write text to a temp file beside target, then rename it over target.
+
+    Readers see the old file or the whole new one, never a partial write.  On
+    failure the temp file is removed and an existing target is left as it was.
+    The temp file is created with mode 0o666 less the umask, as a plain write
+    would create target.
+    """
+    temp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -46,14 +46,14 @@ def as_rational(value: RationalLike) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den" or a plain integer string into a Fraction."""
-    s = text.strip()
-    if "/" in s:
-        num_s, den_s = s.split("/", 1)
-        den = int(den_s)
-        if den == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num_s), den)
-    return Fraction(int(s))
+    num_s, slash, den_s = text.strip().partition("/")
+    try:
+        num, den = int(num_s), int(den_s) if slash else 1
+    except ValueError:
+        raise ValueError(f"expected an integer or 'num/den' with integer parts, got {text!r}") from None
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:
@@ -108,10 +108,10 @@ class HitchinPairType:
     @classmethod
     def parse(cls, text: str) -> "HitchinPairType":
         """Parse "p,q,a,b"."""
-        parts = [part.strip() for part in text.split(",")]
-        if len(parts) != 4:
-            raise ValueError(f"expected 'p,q,a,b' with four integers, got {text!r}")
-        p, q, a, b = (int(part) for part in parts)
+        try:
+            p, q, a, b = (int(part) for part in text.split(","))
+        except ValueError:
+            raise ValueError(f"expected 'p,q,a,b' with four integers, got {text!r}") from None
         return cls(p, q, a, b)
 
 

@@ -191,6 +191,13 @@ def _witness_survives_mw(w: WallWitness, deg_l: int, alpha: Fraction) -> bool:
     rational interval; feasibility is exactly the existence of an integer in
     it.  A rank-0 side forces that side's degree to 0, hence tau' = 0, and
     the bounds collapse to [0, 0]: such witnesses always survive.
+
+    Width argument: with m' = min(p', q') >= 1 and l = deg L, the a'-interval
+    is closed and has length m' l where |alpha| <= l (regime ii) and
+    m' (l + |alpha|) / 2 where |alpha| > l (regimes i and iii).  A closed
+    interval of length >= 1 holds an integer, so every witness survives at
+    l >= 1, and at l = 0 only a witness with m' |alpha| < 2 can fail.
+    `enumerate_walls` calls this check only for those.
     """
     if w.p_sub == 0 or w.q_sub == 0:
         return True
@@ -217,7 +224,10 @@ def enumerate_walls(
     Walls landing exactly on an interval end are included.  With mw_filter a
     witness is kept only if some integer degree split of it satisfies the
     rank-free Milnor-Wood bounds at that wall (requires ctx with
-    twist_degree >= 0).
+    twist_degree >= 0).  By the width argument of `_witness_survives_mw`
+    that keeps every witness when twist_degree >= 1; at twist_degree 0 only
+    a witness with both ranks >= 1 and min(p', q') |alpha| < 2 is checked,
+    so only walls with |alpha| < 2 can lose witnesses.
 
     Every family's walls are scaled by L = lcm(|coeff|) to integer keys, so
     candidates are grouped and sorted as plain ints and one Fraction is built
@@ -244,13 +254,16 @@ def enumerate_walls(
     for p_sub, q_sub, degrees, keys in per_family:
         for key, d_sub in zip(keys, degrees):
             groups.setdefault(key, []).append(WallWitness(p_sub, q_sub, d_sub))
+    # at deg L = 0 a witness can fail the filter only if min(p', q') |key| < 2 scale
+    narrow = 2 * scale if mw_filter and ctx.twist_degree == 0 else 0
     walls = []
     for key in sorted(groups):
         alpha = Fraction(key, scale)
         witnesses = groups[key]
-        if mw_filter:
+        if -narrow < key < narrow:
             witnesses = [
-                w for w in witnesses if _witness_survives_mw(w, ctx.twist_degree, alpha)
+                w for w in witnesses
+                if min(w.p_sub, w.q_sub) * abs(key) >= narrow or _witness_survives_mw(w, 0, alpha)
             ]
         if witnesses:
             walls.append(Wall(alpha, tuple(witnesses)))

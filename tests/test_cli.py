@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,34 +51,45 @@ def test_parse_args_canonical_sets_twist_degree():
     assert config.ctx.twist_degree == 4 and config.ctx.canonical and config.ctx.genus == 3
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["mw", "--type", "1,1,1,0", "--alpha", "0"],  # missing degL/canonical
-        ["mw", "--type", "1,1,1,0", "--canonical", "--alpha", "0"],  # canonical without genus
-        ["mw", "--type", "1,1,1,0", "--canonical", "--genus", "2", "--degL", "3", "--alpha", "0"],
-        ["walls", "--type", "1,1,1,0"],  # missing interval
-        ["walls", "--type", "1,1", "--interval", "-2,2"],  # malformed type
-        ["walls", "--type", "1,1,1,0", "--interval", "-2"],  # malformed interval
-        ["toledo", "--type", "1,1,1,0", "--format", "csv"],  # csv undefined here
-        ["toledo"],  # missing type
-        ["frobnicate"],  # unknown command
-        ["walls", "--type", "1,1,1,0", "--interval", "0,1", "--alpha", "1"],  # stray flag
-        ["walls", "--type", "1,1,1,0", "--interval", "0,1", "--jobs", "0"],  # no workers
-        ["selftest", "--jobs", "0"],
-        ["selftest", "--trials", "0"],  # no cases
-        ["walls", "--type", "1,1,1,0", "--interval", "1/0,1"],  # zero denominator
-        ["certify", "--type", "1,1,-1,0", "--genus", "2", "--alpha", "1/0"],
-        ["mw", "--type", "1,1,0,0", "--canonical", "--genus", "-1", "--alpha", "0"],  # negative genus
-        ["walls", "--type", "1,1,0,0", "--interval", "-1,1", "--degL", "2", "--genus", "-1"],
-        ["mw", "--type", "1,1,0,0", "--degL", "2", "--genus", "-3", "--alpha", "0"],
-        ["walls", "--type", "1,1,0,0", "--interval", "-1,1", "--genus", "-1"],  # genus with no twist
-        ["chambers", "--type", "1,1,0,0", "--interval", "-1,1", "--genus", "-1"],
-    ],
-)
+# each argv with the reason its usage error must give
+_USAGE_ERRORS = [
+    (["mw", "--type", "1,1,1,0", "--alpha", "0"], "pass --degL or --canonical"),
+    (["mw", "--type", "1,1,1,0", "--canonical", "--alpha", "0"], "--canonical requires --genus"),
+    (["mw", "--type", "1,1,1,0", "--canonical", "--genus", "2", "--degL", "3", "--alpha", "0"], "fixes degL"),
+    (["walls", "--type", "1,1,1,0"], "required: --interval"),
+    (["walls", "--type", "1,1", "--interval", "-2,2"], "--type: expected 'p,q,a,b' with four integers"),
+    (["walls", "--type", "1,1,1,0", "--interval", "-2"], "--interval: expected 'lo,hi'"),
+    (["toledo", "--type", "1,1,1,0", "--format", "csv"], "only defined for the walls command"),
+    (["toledo"], "required: --type"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["walls", "--type", "1,1,1,0", "--interval", "0,1", "--alpha", "1"], "unrecognized arguments"),
+    (["walls", "--type", "1,1,1,0", "--interval", "0,1", "--jobs", "0"], "--jobs: must be at least 1"),
+    (["selftest", "--jobs", "0"], "--jobs: must be at least 1"),
+    (["selftest", "--trials", "0"], "--trials: must be at least 1"),
+    (["walls", "--type", "1,1,1,0", "--interval", "1/0,1"], "--interval: zero denominator"),
+    (["certify", "--type", "1,1,-1,0", "--genus", "2", "--alpha", "1/0"], "--alpha: zero denominator"),
+    (["mw", "--type", "1,1,0,0", "--canonical", "--genus", "-1", "--alpha", "0"], "--genus: must be at least 0"),
+    (["walls", "--type", "1,1,0,0", "--interval", "-1,1", "--degL", "2", "--genus", "-1"], "--genus: must be at least 0"),
+    (["mw", "--type", "1,1,0,0", "--degL", "2", "--genus", "-3", "--alpha", "0"], "--genus: must be at least 0"),
+    (["walls", "--type", "1,1,0,0", "--interval", "-1,1", "--genus", "-1"], "--genus: must be at least 0"),
+    (["chambers", "--type", "1,1,0,0", "--interval", "-1,1", "--genus", "-1"], "--genus: must be at least 0"),
+    (["walls", "--type", "1,1,1,0", "--interval", "-1,1.5"], "--interval: expected an integer or 'num/den'"),
+    (["toledo", "--type", "0,0,0,0"], "--type: ranks must satisfy p >= 1 and q >= 1"),
+    (["toledo", "--type", "1,1,x,0"], "--type: expected 'p,q,a,b' with four integers"),
+    (["mw", "--type", "2,1,1,0", "--degL", "1", "--alpha", "0", "--ranks", "1"], "--ranks: expected 'rk_beta,rk_gamma'"),
+    (["mw", "--type", "2,1,1,0", "--degL", "1", "--alpha", "0", "--ranks", "-1,0"], "--ranks: Higgs field ranks must be non-negative"),
+    (["mw", "--type", "2,1,1,0", "--degL", "1", "--alpha", "1.5"], "--alpha: expected an integer or 'num/den'"),
+]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _USAGE_ERRORS])
 def test_usage_errors_exit_two(argv, capsys):
+    reason = next(reason for known, reason in _USAGE_ERRORS if known == argv)
     assert main(argv) == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("upqstab") and "error: " in last and reason in last, last
 
 
 def test_parse_args_calls_are_independent():
@@ -195,6 +207,45 @@ def test_output_path_writes_file(tmp_path, capsys):
     assert main(["toledo", "--type", "1,1,1,0", "--output", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert json.loads(target.read_text())["tau"] == "1/1"
+
+
+def test_output_path_replaces_an_existing_file(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("old report\n")
+    assert main(["toledo", "--type", "2,1,1,0", "--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(target.read_text())["tau"] == "2/3"
+    assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_failed_rename_keeps_the_old_file_and_removes_the_temp(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("old report\n")
+
+    def refuse(src, dst):
+        assert Path(src).read_text().startswith("{")  # the whole report reached the temp file
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["toledo", "--type", "2,1,1,0", "--output", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"upqstab: error: cannot write {target}: Permission denied\n"
+    assert target.read_text() == "old report\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_output_path_that_is_a_directory_is_an_engine_error(tmp_path, capsys):
+    target = tmp_path / "reports"
+    target.mkdir()
+    (target / "keep.txt").write_text("kept\n")
+    assert main(["toledo", "--type", "2,1,1,0", "--output", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"upqstab: error: cannot write {target}")
+    assert captured.err.count("\n") == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["reports"]
+    assert (target / "keep.txt").read_text() == "kept\n"
 
 
 def test_unwritable_output_path_is_an_engine_error(tmp_path, capsys):

@@ -4,7 +4,9 @@ Walls are compared with `brute_force_walls` (a per-degree linear solve in
 Fractions), chambers with a sweep over the brute-force walls, and the
 Milnor-Wood filter with an explicit scan over degree splits a' + b' = d'.
 Intervals are random rationals with denominators above 1, endpoints placed
-exactly on walls, and degenerate lo == hi intervals on and off walls.
+exactly on walls, and degenerate lo == hi intervals on and off walls; the
+filter also gets rational intervals inside (-2, 2), the only window where it
+can drop witnesses (deg L = 0, min(p', q') |alpha| < 2).
 """
 
 from __future__ import annotations
@@ -132,20 +134,62 @@ def _has_feasible_split(w: WallWitness, deg_l: int, alpha: Fraction) -> bool:
     )
 
 
+def _near_zero_interval(rng: SplitMix64) -> tuple[Fraction, Fraction]:
+    """A rational interval inside (-2, 2), the only place deg L = 0 can drop witnesses."""
+    lo, hi = sorted(Fraction(rng.randint(-11, 11), rng.randint(6, 12)) for _ in range(2))
+    return lo, hi
+
+
 def test_mw_filter_matches_an_explicit_split_scan():
-    # degL = 0 is where the filter drops witnesses, so it gets half the cases
-    contexts = (GeometryContext(0, 0), GeometryContext(0, 1), GeometryContext(0, 0), GeometryContext.canonical_twist(2))
-    dropped = kept = 0
-    for index, (t, (lo, hi)) in enumerate(_cases(seed=2026, count=160)):
-        ctx = contexts[index % len(contexts)]
+    # deg L = 0 is where the filter drops witnesses, so it gets half the cases,
+    # and half of the intervals hug alpha = 0, where those drops happen
+    rng = SplitMix64(2026)
+    twists = (0, 1, 0, 2, 0, 3)
+    dropped = {deg_l: 0 for deg_l in set(twists)}
+    kept = near_zero = 0
+    for index in range(240):
+        t = _random_type(rng)
+        if rng.randint(0, 1):
+            lo, hi = _near_zero_interval(rng)
+            near_zero += 1
+        else:
+            lo, hi = _random_interval(rng, t)
+        ctx = GeometryContext(0, twists[index % len(twists)])
         expected = []
         for wall in _brute_walls(t, (lo, hi)):
             survivors = tuple(
                 w for w in wall.witnesses if _has_feasible_split(w, ctx.twist_degree, wall.alpha)
             )
-            dropped += len(wall.witnesses) - len(survivors)
+            dropped[ctx.twist_degree] += len(wall.witnesses) - len(survivors)
             kept += len(survivors)
             if survivors:
                 expected.append(Wall(wall.alpha, survivors))
         assert enumerate_walls(t, (lo, hi), mw_filter=True, ctx=ctx) == expected, (t, lo, hi, ctx)
-    assert dropped > 0 and kept > dropped, (dropped, kept)
+    assert near_zero >= 80, near_zero
+    assert dropped[0] > 0 and kept > dropped[0], (dropped, kept)
+    assert dropped[1] == dropped[2] == dropped[3] == 0, dropped
+
+
+def test_split_scan_obeys_the_width_argument():
+    """The oracle alone: at deg L >= 1, or where min(p', q') |alpha| >= 2, a split exists."""
+    rng = SplitMix64(2027)
+    wide = 0
+    for _ in range(3000):
+        w = WallWitness(rng.randint(1, 5), rng.randint(1, 5), rng.randint(-12, 12))
+        deg_l = rng.randint(0, 3)
+        alpha = rng.rational(3, max_den=7)
+        if deg_l >= 1 or min(w.p_sub, w.q_sub) * abs(alpha) >= 2:
+            wide += 1
+            assert _has_feasible_split(w, deg_l, alpha), (w, deg_l, alpha)
+    assert wide >= 2000, wide
+
+
+def test_mw_filter_keeps_every_witness_when_deg_l_is_positive():
+    rng = SplitMix64(2028)
+    for index in range(300):
+        t = _random_type(rng)
+        interval = _near_zero_interval(rng) if index % 2 else _random_interval(rng, t)
+        ctx = GeometryContext(0, rng.randint(1, 3))
+        assert enumerate_walls(t, interval, mw_filter=True, ctx=ctx) == enumerate_walls(t, interval), (
+            t, interval, ctx
+        )
