@@ -17,9 +17,11 @@ sets the default output format (json or csv).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
+import stat
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -432,7 +434,7 @@ def run(config: RunConfig) -> int:
     text = render(config, report)
     if config.output_path is not None:
         try:
-            _write_atomically(Path(config.output_path), text)
+            _write_report(Path(config.output_path), text)
         except OSError as exc:
             print(f"upqstab: error: cannot write {config.output_path}: {exc.strerror or exc}", file=sys.stderr)
             return 1
@@ -441,18 +443,38 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _write_atomically(target: Path, text: str) -> None:
-    """Write text to a temp file beside target, then rename it over target.
+def _write_report(target: Path, text: str) -> None:
+    """Write the report to target.
 
-    Readers see the old file or the whole new one, never a partial write.  On
-    failure the temp file is removed and an existing target is left as it was.
-    The temp file is created with mode 0o666 less the umask, as a plain write
-    would create target.
+    A new path or an existing regular file is written to a temp file in the
+    same directory and renamed over it, so readers see the old file or the whole
+    new one, never a partial write.  On failure the temp file is removed and an
+    existing file is left as it was.  The new file keeps the old one's permission
+    bits (not its owner or hard links), a symlink is followed to the file it
+    names, and a file this process may not write is refused as a plain write
+    would refuse it.  Any other existing target (a device such as /dev/null, a
+    FIFO, /dev/stdout) is written in place: renaming over it would replace the
+    node instead of writing to it.
     """
+    try:
+        st = os.stat(target)
+    except FileNotFoundError:
+        mode = None
+    else:
+        if not stat.S_ISREG(st.st_mode):
+            target.write_text(text, encoding="utf-8")
+            return
+        if not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        mode = stat.S_IMODE(st.st_mode)
+    if target.is_symlink():
+        target = Path(os.path.realpath(target))
     temp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as handle:
+            if mode is not None:
+                os.fchmod(handle.fileno(), mode)
             handle.write(text)
         os.replace(temp, target)
     except BaseException:

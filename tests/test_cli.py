@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import stat
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,6 +235,45 @@ def test_failed_rename_keeps_the_old_file_and_removes_the_temp(tmp_path, capsys,
     assert captured.err == f"upqstab: error: cannot write {target}: Permission denied\n"
     assert target.read_text() == "old report\n"
     assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_output_path_keeps_the_mode_and_writes_through_a_symlink(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("old report\n")
+    target.chmod(0o600)
+    link = tmp_path / "latest.json"
+    link.symlink_to(target.name)
+    assert main(["toledo", "--type", "2,1,1,0", "--output", str(link)]) == 0
+    assert capsys.readouterr().out == ""
+    assert link.is_symlink()
+    assert json.loads(target.read_text())["tau"] == "2/3"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["latest.json", "report.json"]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_read_only_output_file_is_an_engine_error(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("old report\n")
+    target.chmod(0o444)
+    assert main(["toledo", "--type", "2,1,1,0", "--output", str(target)]) == 1
+    assert capsys.readouterr().err == f"upqstab: error: cannot write {target}: Permission denied\n"
+    assert target.read_text() == "old report\n"
+
+
+def test_output_to_a_fifo_writes_into_it(tmp_path, capsys):
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+    # a daemon, so a reader left blocked by a failed write cannot hang the run
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main(["toledo", "--type", "2,1,1,0", "--output", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert capsys.readouterr().out == ""
+    assert json.loads(received[0])["tau"] == "2/3"
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [path.name for path in tmp_path.iterdir()] == ["report.fifo"]
 
 
 def test_output_path_that_is_a_directory_is_an_engine_error(tmp_path, capsys):
