@@ -301,39 +301,25 @@ def _execute(config: RunConfig) -> dict:
             "ranks": None if config.ranks is None else config.ranks.to_json(),
             **verdict.to_json(),
         }
-    if config.command == "walls":
-        walls = enumerate_walls(
-            config.type_spec,
-            config.interval,
-            mw_filter=config.mw_filter,
-            ctx=config.ctx,
-            jobs=config.jobs,
-        )
+    if config.command in ("walls", "chambers"):
+        mw_twist_degree = config.ctx.twist_degree if config.mw_filter else None
         lo, hi = config.interval
-        return {
-            "command": "walls",
+        report = {
+            "command": config.command,
             "type": config.type_spec.to_json(),
             "interval": [format_rational(lo), format_rational(hi)],
             "mw_filter": config.mw_filter,
-            "walls": walls,
         }
-    if config.command == "chambers":
-        report = chamber_report(
-            config.type_spec,
-            config.interval,
-            mw_filter=config.mw_filter,
-            ctx=config.ctx,
-            jobs=config.jobs,
-        )
-        lo, hi = report.interval
-        return {
-            "command": "chambers",
-            "type": config.type_spec.to_json(),
-            "interval": [format_rational(lo), format_rational(hi)],
-            "mw_filter": config.mw_filter,
-            "walls": report.walls,
-            "chambers": report.chambers,
-        }
+        if config.command == "walls":
+            report["walls"] = enumerate_walls(
+                config.type_spec, config.interval, mw_twist_degree=mw_twist_degree, jobs=config.jobs
+            )
+        else:
+            decomposition = chamber_report(
+                config.type_spec, config.interval, mw_twist_degree=mw_twist_degree, jobs=config.jobs
+            )
+            report["walls"], report["chambers"] = decomposition.walls, decomposition.chambers
+        return report
     if config.command == "certify":
         certificate = irreducibility_certificate(config.type_spec, config.genus, config.alpha)
         return {

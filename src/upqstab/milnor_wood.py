@@ -18,6 +18,7 @@ from .core import (
     RationalLike,
     _require_int,
     as_rational,
+    format_rational,
     toledo,
 )
 
@@ -95,8 +96,6 @@ class MWVerdict:
     interval: BoundInterval
 
     def to_json(self) -> dict:
-        from .core import format_rational
-
         return {
             "verdict": "pass" if self.passed else "fail",
             "side": self.side,

@@ -20,9 +20,9 @@ from typing import NamedTuple
 from .concurrency import ordered_map
 from .core import (
     BoundInterval,
-    GeometryContext,
     HitchinPairType,
     RationalLike,
+    _require_int,
     as_rational,
     format_rational,
     gcd_rank_degree,
@@ -30,6 +30,11 @@ from .core import (
     toledo,
 )
 from .milnor_wood import toledo_bounds
+
+# Candidate witnesses one query may build.  At the cap the engine takes about
+# 4 s and 240 MB peak RSS, and a JSON `walls` run about 7 s and 570 MB (one
+# core of a 2-vCPU VM); the largest test or benchmark query has about 49k.
+MAX_WITNESSES = 1_000_000
 
 
 class WallWitness(NamedTuple):
@@ -49,22 +54,17 @@ class WallWitness(NamedTuple):
         return list(self)
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """A critical parameter value with every witnessing sub-type.
 
-    The producer orders the witnesses: they must be distinct and in
-    (p', q', d') order, as `enumerate_walls` emits them and as
-    `brute_force_walls` sorts them.  Stored as given.
+    A plain record: it compares, hashes and unpacks as its (alpha, witnesses)
+    tuple.  Its producers guarantee what it does not check: at least one
+    witness, distinct and in (p', q', d') order, as `enumerate_walls` emits
+    them and as `brute_force_walls` sorts them.
     """
 
     alpha: Fraction
     witnesses: tuple[WallWitness, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", as_rational(self.alpha))
-        if not self.witnesses:
-            raise ValueError("a wall must carry at least one witness")
 
     def to_json(self) -> dict:
         return {
@@ -73,8 +73,7 @@ class Wall:
         }
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     """A maximal wall-free segment of the queried interval.
 
     The closed flags record whether the endpoint belongs to the chamber: an
@@ -87,10 +86,6 @@ class Chamber:
     lo_closed: bool
     hi_closed: bool
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", as_rational(self.lo))
-        object.__setattr__(self, "hi", as_rational(self.hi))
-
     def to_json(self) -> dict:
         return {
             "lo": format_rational(self.lo),
@@ -100,18 +95,12 @@ class Chamber:
         }
 
 
-@dataclass(frozen=True)
-class ChamberReport:
-    """Walls in an interval plus the chamber decomposition between them."""
+class ChamberReport(NamedTuple):
+    """Walls in an interval, in increasing alpha, plus the chambers between them."""
 
     interval: tuple[Fraction, Fraction]
     walls: tuple[Wall, ...]
     chambers: tuple[Chamber, ...]
-
-    def __post_init__(self) -> None:
-        alphas = [w.alpha for w in self.walls]
-        if any(x >= y for x, y in zip(alphas, alphas[1:])):
-            raise ValueError("wall parameter values must be strictly increasing")
 
     def to_json(self) -> dict:
         lo, hi = self.interval
@@ -202,8 +191,6 @@ def _witness_survives_mw(w: WallWitness, deg_l: int, alpha: Fraction) -> bool:
     if w.p_sub == 0 or w.q_sub == 0:
         return True
     bounds = toledo_bounds(w.p_sub, w.q_sub, deg_l, alpha)
-    if bounds.is_infeasible:
-        return False
     r_sub = w.p_sub + w.q_sub
     shift = Fraction(2 * w.p_sub * w.d_sub, r_sub)
     a_lo = (bounds.lower + shift) / 2
@@ -215,19 +202,22 @@ def enumerate_walls(
     t: HitchinPairType,
     interval: tuple[RationalLike, RationalLike],
     *,
-    mw_filter: bool = False,
-    ctx: GeometryContext | None = None,
+    mw_twist_degree: int | None = None,
     jobs: int | None = None,
 ) -> list[Wall]:
     """Every critical value in the closed interval, with merged witness lists.
 
-    Walls landing exactly on an interval end are included.  With mw_filter a
-    witness is kept only if some integer degree split of it satisfies the
-    rank-free Milnor-Wood bounds at that wall (requires ctx with
-    twist_degree >= 0).  By the width argument of `_witness_survives_mw`
-    that keeps every witness when twist_degree >= 1; at twist_degree 0 only
-    a witness with both ranks >= 1 and min(p', q') |alpha| < 2 is checked,
-    so only walls with |alpha| < 2 can lose witnesses.
+    Walls landing exactly on an interval end are included.  With
+    mw_twist_degree = l (an int >= 0; None means no filter) a witness is kept
+    only if some integer degree split of it satisfies the rank-free
+    Milnor-Wood bounds at that wall for deg L = l.  By the width argument of
+    `_witness_survives_mw` that keeps every witness when l >= 1; at l = 0
+    only a witness with both ranks >= 1 and min(p', q') |alpha| < 2 is
+    checked, so only walls with |alpha| < 2 can lose witnesses.
+
+    The witnesses of every family are counted before any is built; more than
+    MAX_WITNESSES candidates (unfiltered, as they bound the work) is a
+    ValueError naming the count.
 
     Every family's walls are scaled by L = lcm(|coeff|) to integer keys, so
     candidates are grouped and sorted as plain ints and one Fraction is built
@@ -237,12 +227,11 @@ def enumerate_walls(
     hi = as_rational(interval[1])
     if lo > hi:
         raise ValueError(f"empty interval direction: lo={lo} > hi={hi}")
-    if mw_filter:
-        if ctx is None:
-            raise ValueError("mw_filter requires a geometry context")
-        if ctx.twist_degree < 0:
+    if mw_twist_degree is not None:
+        _require_int(mw_twist_degree, "mw_twist_degree")
+        if mw_twist_degree < 0:
             raise ValueError(
-                f"mw_filter requires twist_degree >= 0, got {ctx.twist_degree}"
+                f"mw_twist_degree (deg L of the Milnor-Wood filter) must be >= 0, got {mw_twist_degree}"
             )
 
     families = _wall_families(t)
@@ -250,12 +239,19 @@ def enumerate_walls(
     per_family = ordered_map(
         lambda family: _family_walls(t, family, lo, hi, scale), families, jobs
     )
+    # len() of a range longer than sys.maxsize raises OverflowError
+    count = sum(max(0, degrees.stop - degrees.start) for _, _, degrees, _ in per_family)
+    if count > MAX_WITNESSES:
+        raise ValueError(
+            f"the interval holds {count} candidate witnesses, more than the limit of "
+            f"{MAX_WITNESSES}; query a narrower interval"
+        )
     groups: dict[int, list[WallWitness]] = {}
     for p_sub, q_sub, degrees, keys in per_family:
         for key, d_sub in zip(keys, degrees):
             groups.setdefault(key, []).append(WallWitness(p_sub, q_sub, d_sub))
     # at deg L = 0 a witness can fail the filter only if min(p', q') |key| < 2 scale
-    narrow = 2 * scale if mw_filter and ctx.twist_degree == 0 else 0
+    narrow = 2 * scale if mw_twist_degree == 0 else 0
     walls = []
     for key in sorted(groups):
         alpha = Fraction(key, scale)
@@ -274,14 +270,17 @@ def chamber_report(
     t: HitchinPairType,
     interval: tuple[RationalLike, RationalLike],
     *,
-    mw_filter: bool = False,
-    ctx: GeometryContext | None = None,
+    mw_twist_degree: int | None = None,
     jobs: int | None = None,
 ) -> ChamberReport:
-    """Walls plus the open chambers between them, in deterministic order."""
+    """Walls plus the open chambers between them, in deterministic order.
+
+    The walls are those of `enumerate_walls` with the same mw_twist_degree,
+    under the same witness limit.
+    """
     lo = as_rational(interval[0])
     hi = as_rational(interval[1])
-    walls = enumerate_walls(t, (lo, hi), mw_filter=mw_filter, ctx=ctx, jobs=jobs)
+    walls = enumerate_walls(t, (lo, hi), mw_twist_degree=mw_twist_degree, jobs=jobs)
     if lo == hi:
         chambers = [] if walls else [Chamber(lo, hi, True, True)]
     else:

@@ -177,6 +177,24 @@ def test_engine_errors_exit_one(capsys):
     assert main(["mw", "--type", "1,1,1,0", "--degL", "-1", "--alpha", "0"]) == 1
 
 
+@pytest.mark.parametrize("command", ["walls", "chambers"])
+@pytest.mark.parametrize("twist", [[], ["--mw-filter", "--degL", "0"]], ids=["plain", "mw_filter"])
+@pytest.mark.parametrize(
+    "interval, count",
+    [("-1000000000,1000000000", 2000000002),
+     # wider than sys.maxsize, where len() of a range overflows
+     ("-10000000000000000000000,10000000000000000000000", 20000000000000000000002)],
+    ids=["1e9", "1e22"],
+)
+def test_wide_query_is_refused_with_its_witness_count(command, twist, interval, count, capsys):
+    # one witness per integer d' in each of the two rank families of (1,1,0,0)
+    assert main([command, "--type", "1,1,0,0", "--interval", interval, *twist]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("upqstab: error: ") and f" {count} candidate witnesses" in line
+
+
 def test_mw_report_fields(capsys):
     assert main(["mw", "--type", "1,1,3,0", "--degL", "2", "--alpha", "0"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -164,7 +164,7 @@ def test_mw_filter_matches_an_explicit_split_scan():
             kept += len(survivors)
             if survivors:
                 expected.append(Wall(wall.alpha, survivors))
-        assert enumerate_walls(t, (lo, hi), mw_filter=True, ctx=ctx) == expected, (t, lo, hi, ctx)
+        assert enumerate_walls(t, (lo, hi), mw_twist_degree=ctx.twist_degree) == expected, (t, lo, hi, ctx)
         if ctx.twist_degree >= 1:
             assert expected == enumerate_walls(t, (lo, hi)), (t, lo, hi, ctx)
     assert near_zero >= 80, near_zero

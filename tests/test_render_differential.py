@@ -109,7 +109,7 @@ def test_rendered_reports_match_the_stdlib_encoders(capsys):
         lo, hi = _random_interval(rng, t)
         twist_args, ctx = _TWISTS[rng.randint(0, 2)]
         # walls are those of the chamber report: chamber_report calls enumerate_walls
-        report = chamber_report(t, (lo, hi), mw_filter=bool(twist_args), ctx=ctx)
+        report = chamber_report(t, (lo, hi), mw_twist_degree=None if ctx is None else ctx.twist_degree)
         base = ["--type", f"{t.p},{t.q},{t.a},{t.b}",
                 "--interval", f"{format_rational(lo)},{format_rational(hi)}", *twist_args]
         for command in ("walls", "chambers"):

@@ -9,6 +9,8 @@ import pytest
 from upqstab import (
     CertificateCondition,
     BoundInterval,
+    Chamber,
+    ChamberReport,
     GeometryContext,
     HitchinPairType,
     IrreducibilityCertificate,
@@ -24,6 +26,7 @@ from upqstab import (
     upq_quiver_type,
     wall_alpha,
 )
+from upqstab import walls as walls_module
 from upqstab.core import QuiverNumericalType
 from upqstab.oracle import SplitMix64
 
@@ -60,6 +63,23 @@ def test_witness_is_its_integer_triple():
     assert sorted(unsorted) == [(0, 2, -1), (0, 2, 5), (1, 0, -4), (1, 0, 3)]
     assert w.to_json() == list(w) == [1, 0, 3]
     assert w.sort_key() == (1, 0, 3)
+
+
+def test_walls_and_chambers_are_plain_records():
+    wall = Wall(Fraction(-1), (WallWitness(0, 1, 0), WallWitness(1, 0, 1)))
+    assert wall == (Fraction(-1), ((0, 1, 0), (1, 0, 1))) and hash(wall) == hash(tuple(wall))
+    alpha, witnesses = wall
+    assert (alpha, witnesses) == (wall.alpha, wall.witnesses)
+    chamber = Chamber(Fraction(-2), Fraction(-1), True, False)
+    assert chamber == (Fraction(-2), Fraction(-1), True, False)
+    lo, hi, lo_closed, hi_closed = chamber
+    assert (lo, hi, lo_closed, hi_closed) == (chamber.lo, chamber.hi, chamber.lo_closed, chamber.hi_closed)
+    report = chamber_report(T110, (-2, 2))
+    assert isinstance(report, ChamberReport)
+    interval, walls, chambers = report
+    assert report == ((Fraction(-2), Fraction(2)), walls, chambers)
+    assert walls == tuple(enumerate_walls(T110, (-2, 2)))
+    assert walls[0] == wall and chambers[0] == chamber
 
 
 def test_canonical_wall_enumeration():
@@ -143,16 +163,27 @@ def test_complementary_witness_solves_the_same_wall():
                 assert wall_alpha(t, complement) == wall.alpha
 
 
-def test_wall_needs_a_witness():
-    with pytest.raises(ValueError, match="at least one witness"):
-        Wall(Fraction(1), ())
-
-
-def test_mw_filter_requires_context():
-    with pytest.raises(ValueError, match="geometry context"):
-        enumerate_walls(T110, (-2, 2), mw_filter=True)
+def test_mw_filter_rejects_a_negative_twist_degree():
     with pytest.raises(ValueError, match=">= 0"):
-        enumerate_walls(T110, (-2, 2), mw_filter=True, ctx=GeometryContext(genus=0, twist_degree=-1))
+        enumerate_walls(T110, (-2, 2), mw_twist_degree=-1)
+    with pytest.raises(TypeError, match="integer"):
+        enumerate_walls(T110, (-2, 2), mw_twist_degree=Fraction(1, 2))
+
+
+def test_witness_limit_counts_unfiltered_candidates(monkeypatch):
+    # T110 has 4 witnesses over [-2, 2]; (1,3,-2,0) has 18 over [-3, 3], 1 dropped at deg L = 0
+    t = HitchinPairType(1, 3, -2, 0)
+    assert sum(len(w.witnesses) for w in enumerate_walls(t, (-3, 3))) == 18
+    monkeypatch.setattr(walls_module, "MAX_WITNESSES", 4)
+    assert len(chamber_report(T110, (-2, 2)).walls) == 2
+    monkeypatch.setattr(walls_module, "MAX_WITNESSES", 17)
+    for query in (
+        lambda: enumerate_walls(t, (-3, 3)),
+        lambda: enumerate_walls(t, (-3, 3), mw_twist_degree=0),
+        lambda: chamber_report(t, (-3, 3), mw_twist_degree=0),
+    ):
+        with pytest.raises(ValueError, match=r"holds 18 candidate witnesses, more than the limit of 17"):
+            query()
 
 
 def test_mw_filter_drops_witness_without_integral_split():
@@ -161,7 +192,7 @@ def test_mw_filter_drops_witness_without_integral_split():
     t = HitchinPairType(1, 3, -2, 0)
     ctx = GeometryContext(genus=2, twist_degree=0)
     plain = {w.alpha: w.witnesses for w in enumerate_walls(t, (-3, 3))}
-    filtered = {w.alpha: w.witnesses for w in enumerate_walls(t, (-3, 3), mw_filter=True, ctx=ctx)}
+    filtered = {w.alpha: w.witnesses for w in enumerate_walls(t, (-3, 3), mw_twist_degree=ctx.twist_degree)}
     assert set(plain) == set(filtered)
     assert plain[Fraction(0)] == (WallWitness(0, 2, -1), WallWitness(1, 1, -1))
     assert filtered[Fraction(0)] == (WallWitness(0, 2, -1),)
@@ -172,7 +203,7 @@ def test_mw_filter_drops_witness_without_integral_split():
 
 def test_mw_filter_keeps_rank_zero_sides():
     ctx = GeometryContext(genus=2, twist_degree=0)
-    filtered = enumerate_walls(T110, (-2, 2), mw_filter=True, ctx=ctx)
+    filtered = enumerate_walls(T110, (-2, 2), mw_twist_degree=ctx.twist_degree)
     assert filtered == enumerate_walls(T110, (-2, 2))
 
 
@@ -182,7 +213,7 @@ def test_mw_filter_is_never_additive():
     for _ in range(15):
         t = HitchinPairType(rng.randint(1, 3), rng.randint(1, 3), rng.randint(-3, 3), rng.randint(-3, 3))
         plain = {w.alpha: set(w.witnesses) for w in enumerate_walls(t, (-3, 3))}
-        filtered = {w.alpha: set(w.witnesses) for w in enumerate_walls(t, (-3, 3), mw_filter=True, ctx=ctx)}
+        filtered = {w.alpha: set(w.witnesses) for w in enumerate_walls(t, (-3, 3), mw_twist_degree=ctx.twist_degree)}
         for alpha, witnesses in filtered.items():
             assert witnesses <= plain[alpha]
 
