@@ -269,6 +269,9 @@ def parse_args(argv: list[str]) -> RunConfig:
         return RunConfig(type_spec=ns.type_spec, ctx=ctx, alpha=ns.alpha, ranks=ns.ranks, **common)
     if ns.command in ("walls", "chambers"):
         ctx = _resolve_ctx(parser, ns, required=ns.mw_filter)
+        if ns.mw_filter and ctx.twist_degree < 0:
+            given = f"--canonical --genus {ctx.genus}" if ctx.canonical else "--degL"
+            parser.error(f"--mw-filter needs deg(L) >= 0, but {given} gives deg(L) = {ctx.twist_degree}")
         return RunConfig(
             type_spec=ns.type_spec,
             ctx=ctx,

@@ -246,8 +246,10 @@ class BoundInterval:
         if (self.lower is None) != (self.upper is None):
             raise ValueError("interval endpoints must both be present or both absent")
         if self.lower is not None:
-            object.__setattr__(self, "lower", as_rational(self.lower))
-            object.__setattr__(self, "upper", as_rational(self.upper))
+            if not isinstance(self.lower, Fraction):
+                object.__setattr__(self, "lower", as_rational(self.lower))
+            if not isinstance(self.upper, Fraction):
+                object.__setattr__(self, "upper", as_rational(self.upper))
             if self.lower > self.upper:
                 raise ValueError(
                     f"lower bound {self.lower} exceeds upper bound {self.upper}; "
@@ -312,10 +314,13 @@ def alpha_slope_quiver(e: QuiverNumericalType, alpha: ParameterVector | Sequence
         raise ValueError(
             f"parameter vector has {len(values)} entries for {e.vertex_count} vertices"
         )
-    numerator = Fraction(e.total_degree) + sum(
-        (a * r for a, r in zip(values, e.ranks)), Fraction(0)
-    )
-    return numerator / e.total_rank
+    # the sum as num/den over the product of the alpha denominators: one gcd, in the return
+    num, den = e.total_degree, 1
+    for a, r in zip(values, e.ranks):
+        d = a.denominator
+        num = num * d + a.numerator * r * den
+        den *= d
+    return Fraction(num, den * e.total_rank)
 
 
 def alpha_slope_upq(t: HitchinPairType, alpha: RationalLike) -> Fraction:

@@ -32,17 +32,19 @@ def toledo_bounds_for_ranks(
     upper =  rk(gamma) deg(L) + alpha (rk(gamma) - 2pq/(p+q))
 
     deg(L) may be any integer here.  The interval can be empty, in which case
-    the infeasible state is returned.
+    the infeasible state is returned.  Both bounds are computed as integer
+    numerators over the common denominator (p+q) * den(alpha).
     """
     _require_int(deg_l, "deg_l")
     ranks.validate_for(t)
     a = as_rational(alpha)
-    weight = Fraction(2 * t.p * t.q, t.p + t.q)
-    lower = -ranks.rk_beta * deg_l + a * (ranks.rk_beta - weight)
-    upper = ranks.rk_gamma * deg_l + a * (ranks.rk_gamma - weight)
+    n, den = a.numerator, t.total_rank * a.denominator
+    weight = 2 * t.p * t.q  # the numerator of 2pq/(p+q)
+    lower = -ranks.rk_beta * deg_l * den + n * (ranks.rk_beta * t.total_rank - weight)
+    upper = ranks.rk_gamma * deg_l * den + n * (ranks.rk_gamma * t.total_rank - weight)
     if lower > upper:
         return BoundInterval.infeasible()
-    return BoundInterval.closed(lower, upper)
+    return BoundInterval(Fraction(lower, den), Fraction(upper, den))
 
 
 def toledo_bounds(p: int, q: int, deg_l: int, alpha: RationalLike) -> BoundInterval:
@@ -56,6 +58,9 @@ def toledo_bounds(p: int, q: int, deg_l: int, alpha: RationalLike) -> BoundInter
     At the two boundary values adjacent regime formulas agree exactly; the
     returned interval there carries the label "ii".  The agreement is a
     tested identity, not a runtime check.
+
+    Every bound is an integer numerator over the common denominator
+    (p+q) * den(alpha), so each returned endpoint costs one Fraction.
     """
     _require_int(p, "p")
     _require_int(q, "q")
@@ -65,18 +70,21 @@ def toledo_bounds(p: int, q: int, deg_l: int, alpha: RationalLike) -> BoundInter
     if deg_l < 0:
         raise ValueError(f"deg(L) must be non-negative for rank-free bounds, got {deg_l}")
     a = as_rational(alpha)
+    n, d = a.numerator, a.denominator
+    den = (p + q) * d
     m = min(p, q)
-    skew = Fraction(abs(p - q), p + q)
-    weight = Fraction(2 * p * q, p + q)
+    skewed = n * abs(p - q)  # alpha |p-q|/(p+q), over den
+    l_den = deg_l * den  # deg(L), over den
 
-    lower_low = m * (-a * skew - deg_l)  # minimizing side for alpha <= deg(L)
-    upper_high = m * (deg_l - a * skew)  # maximizing side for alpha >= -deg(L)
+    lower_low = -m * (skewed + l_den)  # minimizing side for alpha <= deg(L)
+    upper_high = m * (l_den - skewed)  # maximizing side for alpha >= -deg(L)
+    weighted = -2 * p * q * n  # -alpha 2pq/(p+q), over den
 
-    if a < -deg_l:
-        return BoundInterval.closed(lower_low, -a * weight, "i")
-    if a > deg_l:
-        return BoundInterval.closed(-a * weight, upper_high, "iii")
-    return BoundInterval.closed(lower_low, upper_high, "ii")
+    if n < -deg_l * d:  # alpha < -deg(L)
+        return BoundInterval(Fraction(lower_low, den), Fraction(weighted, den), "i")
+    if n > deg_l * d:  # alpha > deg(L)
+        return BoundInterval(Fraction(weighted, den), Fraction(upper_high, den), "iii")
+    return BoundInterval(Fraction(lower_low, den), Fraction(upper_high, den), "ii")
 
 
 @dataclass(frozen=True)

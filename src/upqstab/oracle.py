@@ -1,9 +1,12 @@
 """Independent brute-force re-derivations used as ground truth in tests.
 
-Nothing here is meant to be fast.  `brute_force_walls` rediscovers critical
-values by exhaustive scan and a per-triple linear solve, sharing only the
-basic slope arithmetic with the production enumerator; `envelope_toledo_bounds`
-rebuilds the rank-free Milnor-Wood interval by scanning Higgs-field ranks.
+What keeps each oracle independent is the scan, not slow arithmetic.
+`brute_force_walls` scans every (p', q', d') with |d'| up to the degree bound
+and solves each triple's slope equation on its own, sharing only the basic
+slope arithmetic with the production enumerator.  `envelope_toledo_bounds`
+scans every Higgs-field rank r in [0, min(p, q)] and takes the extreme
+rank-level bound, never the regime formulas of `toledo_bounds`; its per-rank
+bounds are integer numerators over one common denominator.
 `property_driver` runs the randomized invariant suites behind the `selftest`
 CLI command with a self-contained, platform-independent PRNG.
 """
@@ -107,6 +110,8 @@ def envelope_toledo_bounds(p: int, q: int, deg_l: int, alpha: RationalLike) -> B
 
     Lower bound: minimum of the rank-level lower bounds over rk(beta);
     upper bound: maximum of the rank-level upper bounds over rk(gamma).
+    Every rank r in [0, min(p, q)] is scanned; each bound is an integer
+    numerator over (p+q) * den(alpha).
     """
     _require_int(p, "p")
     _require_int(q, "q")
@@ -116,10 +121,11 @@ def envelope_toledo_bounds(p: int, q: int, deg_l: int, alpha: RationalLike) -> B
     if deg_l < 0:
         raise ValueError(f"deg(L) must be non-negative, got {deg_l}")
     a = as_rational(alpha)
-    weight = Fraction(2 * p * q, p + q)
-    lowers = [-r * deg_l + a * (r - weight) for r in range(min(p, q) + 1)]
-    uppers = [r * deg_l + a * (r - weight) for r in range(min(p, q) + 1)]
-    return BoundInterval.closed(min(lowers), max(uppers))
+    n, den = a.numerator, (p + q) * a.denominator
+    # -r deg(L) + alpha (r - 2pq/(p+q)) and r deg(L) + alpha (r - 2pq/(p+q)), over den
+    lowers = [-r * deg_l * den + n * (r * (p + q) - 2 * p * q) for r in range(min(p, q) + 1)]
+    uppers = [r * deg_l * den + n * (r * (p + q) - 2 * p * q) for r in range(min(p, q) + 1)]
+    return BoundInterval(Fraction(min(lowers), den), Fraction(max(uppers), den))
 
 
 class SplitMix64:

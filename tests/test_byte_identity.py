@@ -5,16 +5,19 @@ rational interval, both Milnor-Wood filter twists, degenerate intervals on and
 off a wall, an interval with no walls, and a wide interval on a (7, 5) type.
 toledo, mw (rank-free and with ranks) and certify (fully irreducible, closure
 irreducible only, and neither) pin the reports rendered by the stdlib encoder;
-selftest is pinned with and without a thread pool.
+selftest is pinned with and without a thread pool, and its report over
+twenty more seeds is pinned as the sorted-key JSON of `property_driver`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from upqstab.cli import main
+from upqstab.oracle import property_driver
 
 PINNED = [
     ("walls --type 4,3,2,-1 --interval -7/3,5/2",  # 5592 bytes
@@ -78,3 +81,35 @@ PINNED = [
 def test_stdout_is_byte_identical(argv, digest, capsys):
     assert main(argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of json.dumps(property_driver(seed, 200), sort_keys=True) for seeds 0..19
+SELFTEST_DIGESTS = [
+    "3c5131641a88d10c03155ea2896dd10a9be2c58c906a52d3f6134cc4d4a32cdb",
+    "c073e14f0a9f90f2cf18a9ebdc44233e65aed99efbec434903b9a96f9acd5400",
+    "283b4b209bf8889dbf3329addcc53ec226405f1131347dd6201cbee949176d67",
+    "da54ec68d78536a5ab71b31e1bc4955444cb3dcff3f711254fea098f0ce1344a",
+    "302a6d3071366d9c09f0b343e19766a614be73020abf1f306b45d3a05d101b46",
+    "ff36b166748e1623a5a826c6e57e862cb6cab153db23f3c24dd5e997a41daa4d",
+    "c4bae768cb7386abce696e4126a5cecf1d3a198acd3c768eb87c56059bbe15cb",
+    "0e21314f9cce1192319bec30b624b07f426873c9ffb17e16aa0a9bdd9414ce88",
+    "07ab3791299b5223ccaebf6ff769e848bdf29694624b836e46c324f69b252b60",
+    "124bba26298907a88c092228b74e3ee82f100b08e41a1e5141210cbd9dcb3686",
+    "f27678fed455d02577f137978d4788d08580261fad1d38394eb5e89de569deab",
+    "686c6a4135c8b56a62ae046c4f4fcd1e8b1936e7729ce9694f749886b24a2c00",
+    "6e369ce5b21468a47dadb273e81fa8966ee80eb9c363d4e9656f5f66d307aeee",
+    "8b18fa73bf8af19c9fbaa7e64a5c69b769d3a25a805fca628a0d3d9005a14f37",
+    "f8a16d4f466f322de2293f71753cb9c96377e70ef24fd47e3e25820bb9189f4f",
+    "3315a9a1c939ebaee054ac891365744007c5f1ece678c8daa2a1f58203baa745",
+    "bc19d06bc68b2409255536f93371ce3c5ab22ee191881864b9ebfb763c82c17b",
+    "b4cab06a3b61546c99b4bf645f316a5c385cda1d91914c20b7391ae916a71ee0",
+    "118b84f2d99fa9ac84d8304502171c6a62ea0e77364b538d61be9358b18b30fe",
+    "8b06358fc2da1a18aa0be54b13ac743889aa11476aba78d35ede75857b071aed",
+]
+
+
+def test_selftest_reports_are_byte_identical_over_seeds():
+    for seed, digest in enumerate(SELFTEST_DIGESTS):
+        report = property_driver(seed, 200)
+        assert report["all_passed"], seed
+        assert hashlib.sha256(json.dumps(report, sort_keys=True).encode("utf-8")).hexdigest() == digest, seed

@@ -81,6 +81,12 @@ _USAGE_ERRORS = [
     (["mw", "--type", "2,1,1,0", "--degL", "1", "--alpha", "0", "--ranks", "1"], "--ranks: expected 'rk_beta,rk_gamma'"),
     (["mw", "--type", "2,1,1,0", "--degL", "1", "--alpha", "0", "--ranks", "-1,0"], "--ranks: Higgs field ranks must be non-negative"),
     (["mw", "--type", "2,1,1,0", "--degL", "1", "--alpha", "1.5"], "--alpha: expected an integer or 'num/den'"),
+    (["walls", "--type", "1,1,1,0", "--interval", "-2,2", "--mw-filter", "--degL", "-1"], "--degL gives deg(L) = -1"),
+    (["chambers", "--type", "1,1,1,0", "--interval", "-2,2", "--mw-filter", "--degL", "-1"], "--degL gives deg(L) = -1"),
+    (["walls", "--type", "1,1,1,0", "--interval", "-2,2", "--mw-filter", "--canonical", "--genus", "0"],
+     "--canonical --genus 0 gives deg(L) = -2"),
+    (["chambers", "--type", "1,1,1,0", "--interval", "-2,2", "--mw-filter", "--canonical", "--genus", "0"],
+     "--canonical --genus 0 gives deg(L) = -2"),
 ]
 
 
