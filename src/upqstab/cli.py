@@ -234,21 +234,16 @@ def _resolve_format(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> 
     return fmt
 
 
-def _resolve_ctx(parser: argparse.ArgumentParser, ns: argparse.Namespace, *, required: bool) -> GeometryContext | None:
-    deg_l = getattr(ns, "deg_l", None)
-    genus = getattr(ns, "genus", None)
-    canonical = getattr(ns, "canonical", False)
-    if canonical:
+def _resolve_ctx(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> GeometryContext:
+    deg_l, genus = ns.deg_l, ns.genus
+    if ns.canonical:
         if genus is None:
             parser.error("--canonical requires --genus")
         if deg_l is not None and deg_l != 2 * genus - 2:
             parser.error(f"--canonical fixes degL = 2*genus - 2 = {2 * genus - 2}, but --degL {deg_l} was given")
-    elif deg_l is None:
-        if required:
-            parser.error("this command needs a twisting degree: pass --degL or --canonical with --genus")
-        return None
-    if canonical:
         return GeometryContext.canonical_twist(genus)
+    if deg_l is None:
+        parser.error("this command needs a twisting degree: pass --degL or --canonical with --genus")
     return GeometryContext(genus=genus if genus is not None else 0, twist_degree=deg_l)
 
 
@@ -265,13 +260,17 @@ def parse_args(argv: list[str]) -> RunConfig:
     if ns.command == "toledo":
         return RunConfig(type_spec=ns.type_spec, **common)
     if ns.command == "mw":
-        ctx = _resolve_ctx(parser, ns, required=True)
+        ctx = _resolve_ctx(parser, ns)
         return RunConfig(type_spec=ns.type_spec, ctx=ctx, alpha=ns.alpha, ranks=ns.ranks, **common)
     if ns.command in ("walls", "chambers"):
-        ctx = _resolve_ctx(parser, ns, required=ns.mw_filter)
-        if ns.mw_filter and ctx.twist_degree < 0:
-            given = f"--canonical --genus {ctx.genus}" if ctx.canonical else "--degL"
-            parser.error(f"--mw-filter needs deg(L) >= 0, but {given} gives deg(L) = {ctx.twist_degree}")
+        ctx = None
+        if ns.mw_filter:
+            ctx = _resolve_ctx(parser, ns)
+            if ctx.twist_degree < 0:
+                given = f"--canonical --genus {ctx.genus}" if ctx.canonical else "--degL"
+                parser.error(f"--mw-filter needs deg(L) >= 0, but {given} gives deg(L) = {ctx.twist_degree}")
+        elif ns.deg_l is not None or ns.canonical or ns.genus is not None:
+            parser.error(f"--degL, --canonical and --genus only act with --mw-filter on {ns.command}")
         return RunConfig(
             type_spec=ns.type_spec,
             ctx=ctx,
@@ -417,10 +416,14 @@ def run(config: RunConfig) -> int:
     """Execute the configured command; engine failures exit 1."""
     try:
         report = _execute(config)
+        text = render(config, report)
     except (ValueError, TypeError) as exc:
-        print(f"upqstab: error: {exc}", file=sys.stderr)
+        reason = str(exc)
+        # results are unbounded integers, and str() refuses one past the interpreter's digit limit
+        if isinstance(exc, ValueError) and "integer string conversion" in reason:
+            reason = f"a result is too long to print: it has an integer of more than {sys.get_int_max_str_digits()} digits"
+        print(f"upqstab: error: {reason}", file=sys.stderr)
         return 1
-    text = render(config, report)
     if config.output_path is not None:
         try:
             _write_report(Path(config.output_path), text)

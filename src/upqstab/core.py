@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -65,6 +65,12 @@ def _require_int(value: int, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _require_label(label: str | None) -> str | None:
+    if label not in (None, "i", "ii", "iii"):
+        raise ValueError(f"regime_label must be one of 'i', 'ii', 'iii', got {label!r}")
+    return label
 
 
 def sign(value: Fraction) -> int:
@@ -230,43 +236,34 @@ class ParameterVector:
         return {"alpha": [format_rational(v) for v in self.values]}
 
 
-@dataclass(frozen=True)
-class BoundInterval:
+class BoundInterval(NamedTuple):
     """Closed interval [lower, upper] of exact rationals, or the infeasible state.
 
     An empty interval is never stored as lower > upper; it is the distinct
-    infeasible state with both endpoints absent.
+    infeasible state with both endpoints absent.  A plain record built by the
+    engine: values from outside go through `closed` or `infeasible`, which
+    check them.
     """
 
     lower: Fraction | None
     upper: Fraction | None
     regime_label: str | None = None
 
-    def __post_init__(self) -> None:
-        if (self.lower is None) != (self.upper is None):
-            raise ValueError("interval endpoints must both be present or both absent")
-        if self.lower is not None:
-            if not isinstance(self.lower, Fraction):
-                object.__setattr__(self, "lower", as_rational(self.lower))
-            if not isinstance(self.upper, Fraction):
-                object.__setattr__(self, "upper", as_rational(self.upper))
-            if self.lower > self.upper:
-                raise ValueError(
-                    f"lower bound {self.lower} exceeds upper bound {self.upper}; "
-                    "use BoundInterval.infeasible() for empty intervals"
-                )
-        if self.regime_label is not None and self.regime_label not in ("i", "ii", "iii"):
-            raise ValueError(f"regime_label must be one of 'i', 'ii', 'iii', got {self.regime_label!r}")
-
     @classmethod
     def closed(
         cls, lower: RationalLike, upper: RationalLike, regime_label: str | None = None
     ) -> "BoundInterval":
-        return cls(as_rational(lower), as_rational(upper), regime_label)
+        lower, upper = as_rational(lower), as_rational(upper)
+        if lower > upper:
+            raise ValueError(
+                f"lower bound {lower} exceeds upper bound {upper}; "
+                "use BoundInterval.infeasible() for empty intervals"
+            )
+        return cls(lower, upper, _require_label(regime_label))
 
     @classmethod
     def infeasible(cls, regime_label: str | None = None) -> "BoundInterval":
-        return cls(None, None, regime_label)
+        return cls(None, None, _require_label(regime_label))
 
     @property
     def is_infeasible(self) -> bool:

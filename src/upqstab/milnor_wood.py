@@ -8,8 +8,8 @@ Both return exact rational closed intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     BoundInterval,
@@ -87,14 +87,13 @@ def toledo_bounds(p: int, q: int, deg_l: int, alpha: RationalLike) -> BoundInter
     return BoundInterval(Fraction(lower_low, den), Fraction(upper_high, den), "ii")
 
 
-@dataclass(frozen=True)
-class MWVerdict:
+class MWVerdict(NamedTuple):
     """Outcome of a Milnor-Wood membership check.
 
     On failure `side` names the violated bound ("lower", "upper", or
     "infeasible" when the interval itself is empty) and `margin` is the exact
     distance to it (None only for an infeasible interval, which carries no
-    endpoints).
+    endpoints).  A plain record built by `mw_check`.
     """
 
     passed: bool

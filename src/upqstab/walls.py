@@ -13,7 +13,6 @@ Semistability is constant on the open chambers between consecutive walls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -297,8 +296,7 @@ def chamber_report(
     return ChamberReport((lo, hi), tuple(walls), tuple(chambers))
 
 
-@dataclass(frozen=True)
-class CertificateCondition:
+class CertificateCondition(NamedTuple):
     """One of the two one-sided parameter windows of the irreducibility check.
 
     `alpha_window` records the window endpoints ([0, hi) for the first
@@ -314,13 +312,15 @@ class CertificateCondition:
         return {"holds": self.holds, "alpha_window": self.alpha_window.to_json()}
 
 
-@dataclass(frozen=True)
-class IrreducibilityCertificate:
+class IrreducibilityCertificate(NamedTuple):
     """Checkable numerical hypotheses for irreducibility of the moduli space.
 
     closure_irreducible asserts the closure of the stable locus is covered by
     the hypotheses; fully_irreducible additionally requires
-    gcd(p+q, a+b) = 1 so that semistable = stable on total slope.
+    gcd(p+q, a+b) = 1 so that semistable = stable on total slope.  A plain
+    record: `irreducibility_certificate` sets closure_irreducible to
+    tau_bound_ok and (condition1.holds or condition2.holds), and
+    fully_irreducible only where closure_irreducible holds.
     """
 
     tau: Fraction
@@ -329,14 +329,6 @@ class IrreducibilityCertificate:
     condition2: CertificateCondition
     closure_irreducible: bool
     fully_irreducible: bool
-
-    def __post_init__(self) -> None:
-        if self.closure_irreducible != (
-            self.tau_bound_ok and (self.condition1.holds or self.condition2.holds)
-        ):
-            raise ValueError("closure_irreducible is inconsistent with its components")
-        if self.fully_irreducible and not self.closure_irreducible:
-            raise ValueError("fully_irreducible requires closure_irreducible")
 
     def to_json(self) -> dict:
         return {
@@ -362,8 +354,7 @@ def irreducibility_certificate(
       condition 2:  a/p - b/q < 2g-2, p <= q,
                     2pq/(pq - p^2 + p + q) (b/q - a/p + 2g-2) - (2g-2) < alpha <= 0
     """
-    if not isinstance(genus, int) or isinstance(genus, bool):
-        raise TypeError(f"genus must be an integer, got {genus!r}")
+    _require_int(genus, "genus")
     if genus < 2:
         raise ValueError(f"genus must be at least 2, got {genus}")
     a = as_rational(alpha)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+import sys
 import threading
 from fractions import Fraction
 from pathlib import Path
@@ -87,6 +88,10 @@ _USAGE_ERRORS = [
      "--canonical --genus 0 gives deg(L) = -2"),
     (["chambers", "--type", "1,1,1,0", "--interval", "-2,2", "--mw-filter", "--canonical", "--genus", "0"],
      "--canonical --genus 0 gives deg(L) = -2"),
+    (["walls", "--type", "1,1,1,0", "--interval", "-2,2", "--degL", "-1"], "only act with --mw-filter"),
+    (["chambers", "--type", "1,1,1,0", "--interval", "-2,2", "--canonical", "--genus", "3"],
+     "only act with --mw-filter"),
+    (["walls", "--type", "1,1,1,0", "--interval", "-2,2", "--genus", "4"], "only act with --mw-filter"),
 ]
 
 
@@ -199,6 +204,36 @@ def test_wide_query_is_refused_with_its_witness_count(command, twist, interval, 
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("upqstab: error: ") and f" {count} candidate witnesses" in line
+
+
+# the longest integer parse_rational accepts; walls there have witness degrees
+# longer than the interpreter's int-to-str digit limit
+_LONG = "9" * 4300
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["walls", "--type", "7,5,3,-2", "--interval", f"{_LONG},{_LONG}"],
+        ["walls", "--type", "7,5,3,-2", "--interval", f"{_LONG},{_LONG}", "--format", "csv"],
+        ["chambers", "--type", "7,5,3,-2", "--interval", f"{_LONG},{_LONG}"],
+        ["mw", "--type", "7,5,3,-2", "--degL", "1", "--alpha", _LONG],
+    ],
+    ids=["walls_json", "walls_csv", "chambers", "mw"],
+)
+def test_too_long_result_is_an_engine_error(argv, tmp_path, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("upqstab: error: a result is too long to print"), line
+    target = tmp_path / "report.json"
+    target.write_text("old report\n")
+    assert main([*argv, "--output", str(target)]) == 1
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == "old report\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_mw_report_fields(capsys):

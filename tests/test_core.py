@@ -242,6 +242,12 @@ def test_type_invariants_are_enforced():
         GeometryContext(genus=2, twist_degree=3, canonical=True)
     with pytest.raises(ValueError):
         BoundInterval.closed(1, 0)
+    with pytest.raises(TypeError):
+        BoundInterval.closed(0.5, 1)
+    with pytest.raises(ValueError):
+        BoundInterval.closed(0, 1, "iv")
+    with pytest.raises(ValueError):
+        BoundInterval.infeasible("iv")
     with pytest.raises(ValueError):
         HiggsRankPair(-1, 0)
 

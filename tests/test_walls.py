@@ -7,13 +7,11 @@ from fractions import Fraction
 import pytest
 
 from upqstab import (
-    CertificateCondition,
     BoundInterval,
     Chamber,
     ChamberReport,
     GeometryContext,
     HitchinPairType,
-    IrreducibilityCertificate,
     Wall,
     WallWitness,
     brute_force_walls,
@@ -21,6 +19,7 @@ from upqstab import (
     compare_at,
     enumerate_walls,
     irreducibility_certificate,
+    mw_check,
     toledo,
     upq_parameter_vector,
     upq_quiver_type,
@@ -80,6 +79,29 @@ def test_walls_and_chambers_are_plain_records():
     assert report == ((Fraction(-2), Fraction(2)), walls, chambers)
     assert walls == tuple(enumerate_walls(T110, (-2, 2)))
     assert walls[0] == wall and chambers[0] == chamber
+
+
+def test_bounds_verdicts_and_certificates_are_plain_records():
+    box = BoundInterval.closed(-2, 2, "ii")
+    assert box == (Fraction(-2), Fraction(2), "ii") and hash(box) == hash(tuple(box))
+    lower, upper, label = box
+    assert (lower, upper, label) == (box.lower, box.upper, box.regime_label)
+    assert BoundInterval.infeasible() == (None, None, None)
+    verdict = mw_check(HitchinPairType(1, 1, 3, 0), 2, 0)
+    assert verdict == (False, "upper", Fraction(1), Fraction(3), box)
+    passed, side, margin, tau, interval = verdict
+    assert (passed, side, margin, tau, interval) == (
+        verdict.passed, verdict.side, verdict.margin, verdict.tau, verdict.interval
+    )
+    cert = irreducibility_certificate(HitchinPairType(1, 1, -1, 0), 2, 0)
+    window = (Fraction(0), Fraction(1), None)
+    assert cert == (Fraction(-1), True, (True, window), (False, (None, None, None)), True, True)
+    tau, tau_bound_ok, condition1, condition2, closure, fully = cert
+    assert (tau, tau_bound_ok, closure, fully) == (
+        cert.tau, cert.tau_bound_ok, cert.closure_irreducible, cert.fully_irreducible
+    )
+    holds, alpha_window = condition1
+    assert (holds, alpha_window) == (cert.condition1.holds, cert.condition1.alpha_window) == (True, window)
 
 
 def test_canonical_wall_enumeration():
@@ -307,30 +329,6 @@ def test_certificate_gcd_clause():
     cert = irreducibility_certificate(HitchinPairType(2, 2, -2, 0), 2, 0)
     if cert.closure_irreducible:
         assert not cert.fully_irreducible
-
-
-def test_certificate_invariants_are_enforced():
-    window = BoundInterval.closed(0, 1)
-    good = CertificateCondition(True, window)
-    bad_closure = dict(
-        tau=Fraction(0),
-        tau_bound_ok=True,
-        condition1=good,
-        condition2=CertificateCondition(False, BoundInterval.infeasible()),
-        closure_irreducible=False,  # inconsistent: tau ok and condition1 holds
-        fully_irreducible=False,
-    )
-    with pytest.raises(ValueError, match="inconsistent"):
-        IrreducibilityCertificate(**bad_closure)
-    with pytest.raises(ValueError, match="requires closure"):
-        IrreducibilityCertificate(
-            tau=Fraction(0),
-            tau_bound_ok=False,
-            condition1=good,
-            condition2=good,
-            closure_irreducible=False,
-            fully_irreducible=True,
-        )
 
 
 def test_certificate_fully_implies_closure_randomized():
