@@ -17,6 +17,7 @@ sets the default output format (json or csv).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import json
@@ -26,7 +27,6 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .core import (
     GeometryContext,
@@ -252,6 +252,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     parser = build_parser()
     ns = parser.parse_args(_merge_value_flags(argv))
     fmt = _resolve_format(parser, ns)
+    if ns.output_path == "":
+        parser.error("argument --output: expected a file path, got ''")
     common = {
         "command": ns.command,
         "output_format": fmt,
@@ -426,7 +428,7 @@ def run(config: RunConfig) -> int:
         return 1
     if config.output_path is not None:
         try:
-            _write_report(Path(config.output_path), text)
+            _write_report(config.output_path, text)
         except OSError as exc:
             print(f"upqstab: error: cannot write {config.output_path}: {exc.strerror or exc}", file=sys.stderr)
             return 1
@@ -435,7 +437,7 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _write_report(target: Path, text: str) -> None:
+def _write_report(target: str, text: str) -> None:
     """Write the report to target.
 
     A new path or an existing regular file is written to a temp file in the
@@ -454,14 +456,16 @@ def _write_report(target: Path, text: str) -> None:
         mode = None
     else:
         if not stat.S_ISREG(st.st_mode):
-            target.write_text(text, encoding="utf-8")
+            with open(target, "w", encoding="utf-8") as handle:
+                handle.write(text)
             return
         if not os.access(target, os.W_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
         mode = stat.S_IMODE(st.st_mode)
-    if target.is_symlink():
-        target = Path(os.path.realpath(target))
-    temp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+    if os.path.islink(target):
+        target = os.path.realpath(target)
+    head, name = os.path.split(target)
+    temp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as handle:
@@ -470,7 +474,8 @@ def _write_report(target: Path, text: str) -> None:
             handle.write(text)
         os.replace(temp, target)
     except BaseException:
-        temp.unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
         raise
 
 

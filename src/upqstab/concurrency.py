@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
+from collections.abc import Callable, Sequence
 
 
-def ordered_map(fn: Callable[[T], R], items: Sequence[T], jobs: int | None = None) -> list[R]:
+def ordered_map(fn: Callable, items: Sequence, jobs: int | None = None) -> list:
     """Apply a pure function to every item, optionally on a thread pool.
 
     jobs=None or 1 runs inline; only jobs > 1 starts (and imports) a thread

@@ -7,6 +7,10 @@ twisting enter no formula and are not modelled.  Everything downstream
 (slopes, Toledo invariants, Milnor-Wood bounds, wall enumeration) is a
 function of these integers and of exact rational stability parameters.
 
+The inputs are named tuples (`ParameterVector` a tuple of Fractions) that
+check their fields in `__new__`; `_make` and `_replace` go through it, so no
+path builds an invalid input.  Each compares equal to its plain tuple.
+
 All arithmetic is arbitrary-precision exact rational via fractions.Fraction,
 which stores values in lowest terms with positive denominator.  Floats are
 rejected at the boundary: walls and regime boundaries are equalities that
@@ -16,11 +20,11 @@ floating point cannot certify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -77,20 +81,25 @@ def sign(value: Fraction) -> int:
     return (value > 0) - (value < 0)
 
 
-@dataclass(frozen=True)
-class HitchinPairType:
-    """Numerical type t = (p, q, a, b) of a U(p,q)-Hitchin pair."""
+def _input_record(name: str, fields: str) -> type:
+    """A namedtuple base whose `_make`, and with it `_replace`, calls the subclass's `__new__`."""
+    base = namedtuple(name, fields)
+    # a plain namedtuple's _make calls tuple.__new__, which would skip the checks
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
 
-    p: int
-    q: int
-    a: int
-    b: int
 
-    def __post_init__(self) -> None:
-        for name in ("p", "q", "a", "b"):
-            _require_int(getattr(self, name), name)
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"ranks must satisfy p >= 1 and q >= 1, got p={self.p}, q={self.q}")
+class HitchinPairType(_input_record("HitchinPairType", "p q a b")):
+    """Numerical type t = (p, q, a, b) of a U(p,q)-Hitchin pair: four ints, p, q >= 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int, a: int, b: int) -> "HitchinPairType":
+        for value, name in ((p, "p"), (q, "q"), (a, "a"), (b, "b")):
+            _require_int(value, name)
+        if p < 1 or q < 1:
+            raise ValueError(f"ranks must satisfy p >= 1 and q >= 1, got p={p}, q={q}")
+        return tuple.__new__(cls, (p, q, a, b))
 
     @property
     def total_rank(self) -> int:
@@ -121,24 +130,22 @@ class HitchinPairType:
         return cls(p, q, a, b)
 
 
-@dataclass(frozen=True)
-class GeometryContext:
-    """Genus of the base curve and degree of the twisting line bundle."""
+class GeometryContext(_input_record("GeometryContext", "genus twist_degree canonical")):
+    """Base-curve genus (int >= 0) and twisting-bundle degree (int); canonical (bool) pins it to 2g - 2."""
 
-    genus: int
-    twist_degree: int
-    canonical: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_int(self.genus, "genus")
-        _require_int(self.twist_degree, "twist_degree")
-        if self.genus < 0:
-            raise ValueError(f"genus must be non-negative, got {self.genus}")
-        if self.canonical and self.twist_degree != 2 * self.genus - 2:
+    def __new__(cls, genus: int, twist_degree: int, canonical: bool = False) -> "GeometryContext":
+        _require_int(genus, "genus")
+        _require_int(twist_degree, "twist_degree")
+        if genus < 0:
+            raise ValueError(f"genus must be non-negative, got {genus}")
+        if canonical and twist_degree != 2 * genus - 2:
             raise ValueError(
-                f"canonical twist requires twist_degree = 2*genus - 2 = {2 * self.genus - 2}, "
-                f"got {self.twist_degree}"
+                f"canonical twist requires twist_degree = 2*genus - 2 = {2 * genus - 2}, "
+                f"got {twist_degree}"
             )
+        return tuple.__new__(cls, (genus, twist_degree, canonical))
 
     @classmethod
     def canonical_twist(cls, genus: int) -> "GeometryContext":
@@ -148,18 +155,16 @@ class GeometryContext:
         return {"genus": self.genus, "twist_degree": self.twist_degree, "canonical": self.canonical}
 
 
-@dataclass(frozen=True)
-class HiggsRankPair:
-    """Ranks of the two Higgs-field components beta: W -> V (x) L and gamma: V -> W (x) L."""
+class HiggsRankPair(_input_record("HiggsRankPair", "rk_beta rk_gamma")):
+    """Ranks (two ints >= 0) of the Higgs-field components beta: W -> V (x) L and gamma: V -> W (x) L."""
 
-    rk_beta: int
-    rk_gamma: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_int(self.rk_beta, "rk_beta")
-        _require_int(self.rk_gamma, "rk_gamma")
-        if self.rk_beta < 0 or self.rk_gamma < 0:
+    def __new__(cls, rk_beta: int, rk_gamma: int) -> "HiggsRankPair":
+        self = tuple.__new__(cls, (_require_int(rk_beta, "rk_beta"), _require_int(rk_gamma, "rk_gamma")))
+        if rk_beta < 0 or rk_gamma < 0:
             raise ValueError(f"Higgs field ranks must be non-negative, got {self}")
+        return self
 
     def validate_for(self, t: HitchinPairType) -> None:
         cap = min(t.p, t.q)
@@ -173,24 +178,21 @@ class HiggsRankPair:
         return {"rk_beta": self.rk_beta, "rk_gamma": self.rk_gamma}
 
 
-@dataclass(frozen=True)
-class QuiverNumericalType:
-    """Per-vertex (rank, degree) data of a quiver bundle."""
+class QuiverNumericalType(_input_record("QuiverNumericalType", "ranks degrees")):
+    """Per-vertex (rank, degree) data of a quiver bundle: equal-length int tuples, ranks >= 0, sum >= 1."""
 
-    ranks: tuple[int, ...]
-    degrees: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ranks", tuple(_require_int(r, "rank") for r in self.ranks))
-        object.__setattr__(self, "degrees", tuple(_require_int(d, "degree") for d in self.degrees))
-        if len(self.ranks) != len(self.degrees):
-            raise ValueError(
-                f"rank/degree length mismatch: {len(self.ranks)} vs {len(self.degrees)}"
-            )
-        if any(r < 0 for r in self.ranks):
-            raise ValueError(f"vertex ranks must be non-negative, got {self.ranks}")
-        if sum(self.ranks) < 1:
+    def __new__(cls, ranks: Iterable[int], degrees: Iterable[int]) -> "QuiverNumericalType":
+        ranks = tuple(_require_int(r, "rank") for r in ranks)
+        degrees = tuple(_require_int(d, "degree") for d in degrees)
+        if len(ranks) != len(degrees):
+            raise ValueError(f"rank/degree length mismatch: {len(ranks)} vs {len(degrees)}")
+        if any(r < 0 for r in ranks):
+            raise ValueError(f"vertex ranks must be non-negative, got {ranks}")
+        if sum(ranks) < 1:
             raise ValueError("total rank must be at least 1")
+        return tuple.__new__(cls, (ranks, degrees))
 
     @property
     def vertex_count(self) -> int:
@@ -208,46 +210,45 @@ class QuiverNumericalType:
         return {"ranks": list(self.ranks), "degrees": list(self.degrees)}
 
 
-@dataclass(frozen=True)
-class ParameterVector:
-    """Per-vertex exact rational stability parameters (alpha_i)."""
+class ParameterVector(tuple):
+    """Per-vertex exact rational stability parameters (alpha_i): a tuple of Fractions."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(as_rational(v) for v in self.values))
+    def __new__(cls, values: Iterable[RationalLike]) -> "ParameterVector":
+        return tuple.__new__(cls, map(as_rational, values))
 
     @classmethod
     def of(cls, *values: RationalLike) -> "ParameterVector":
-        return cls(tuple(as_rational(v) for v in values))
+        return cls(values)
 
-    def __len__(self) -> int:
-        return len(self.values)
+    def __repr__(self) -> str:
+        return f"ParameterVector({tuple(self)!r})"
 
-    def __iter__(self):
-        return iter(self.values)
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(self)
 
     def shifted(self, constant: RationalLike) -> "ParameterVector":
         """Overall translation alpha -> alpha + a*(1,...,1)."""
         a = as_rational(constant)
-        return ParameterVector(tuple(v + a for v in self.values))
+        return ParameterVector(v + a for v in self)
 
     def to_json(self) -> dict:
-        return {"alpha": [format_rational(v) for v in self.values]}
+        return {"alpha": [format_rational(v) for v in self]}
 
 
-class BoundInterval(NamedTuple):
+class BoundInterval(namedtuple("BoundInterval", "lower upper regime_label", defaults=(None,))):
     """Closed interval [lower, upper] of exact rationals, or the infeasible state.
 
-    An empty interval is never stored as lower > upper; it is the distinct
-    infeasible state with both endpoints absent.  A plain record built by the
+    lower and upper are Fractions with lower <= upper, or both None in the
+    infeasible state (an empty interval is never stored as lower > upper);
+    regime_label is "i", "ii", "iii" or None.  A plain record built by the
     engine: values from outside go through `closed` or `infeasible`, which
     check them.
     """
 
-    lower: Fraction | None
-    upper: Fraction | None
-    regime_label: str | None = None
+    __slots__ = ()
 
     @classmethod
     def closed(
@@ -306,14 +307,15 @@ def slope(rank: int, degree: int) -> Fraction:
 
 def alpha_slope_quiver(e: QuiverNumericalType, alpha: ParameterVector | Sequence[RationalLike]) -> Fraction:
     """Parameter-weighted slope sum_i(deg E_i + alpha_i rk E_i) / sum_i rk E_i."""
-    values = alpha.values if isinstance(alpha, ParameterVector) else tuple(as_rational(v) for v in alpha)
-    if len(values) != e.vertex_count:
+    if not isinstance(alpha, ParameterVector):
+        alpha = ParameterVector(alpha)
+    if len(alpha) != e.vertex_count:
         raise ValueError(
-            f"parameter vector has {len(values)} entries for {e.vertex_count} vertices"
+            f"parameter vector has {len(alpha)} entries for {e.vertex_count} vertices"
         )
     # the sum as num/den over the product of the alpha denominators: one gcd, in the return
     num, den = e.total_degree, 1
-    for a, r in zip(values, e.ranks):
+    for a, r in zip(alpha, e.ranks):
         d = a.denominator
         num = num * d + a.numerator * r * den
         den *= d

@@ -8,8 +8,8 @@ Both return exact rational closed intervals.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .core import (
     BoundInterval,
@@ -87,20 +87,18 @@ def toledo_bounds(p: int, q: int, deg_l: int, alpha: RationalLike) -> BoundInter
     return BoundInterval(Fraction(lower_low, den), Fraction(upper_high, den), "ii")
 
 
-class MWVerdict(NamedTuple):
+class MWVerdict(namedtuple("MWVerdict", "passed side margin tau interval")):
     """Outcome of a Milnor-Wood membership check.
 
-    On failure `side` names the violated bound ("lower", "upper", or
-    "infeasible" when the interval itself is empty) and `margin` is the exact
-    distance to it (None only for an infeasible interval, which carries no
-    endpoints).  A plain record built by `mw_check`.
+    passed is a bool, tau the Fraction checked and interval the applicable
+    `BoundInterval`.  On failure `side` (a str, else None) names the violated
+    bound ("lower", "upper", or "infeasible" when the interval itself is
+    empty) and `margin` (a Fraction, else None) is the exact distance to it
+    (None only for an infeasible interval, which carries no endpoints).  A
+    plain record built by `mw_check`.
     """
 
-    passed: bool
-    side: str | None
-    margin: Fraction | None
-    tau: Fraction
-    interval: BoundInterval
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -13,8 +13,8 @@ Semistability is constant on the open chambers between consecutive walls.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .concurrency import ordered_map
 from .core import (
@@ -36,15 +36,13 @@ from .milnor_wood import toledo_bounds
 MAX_WITNESSES = 1_000_000
 
 
-class WallWitness(NamedTuple):
+class WallWitness(namedtuple("WallWitness", "p_sub q_sub d_sub")):
     """Sub-type ranks and total degree (p', q', d' = a' + b') witnessing a wall.
 
-    A plain integer triple: it compares, hashes and sorts as its tuple.
+    A plain triple of ints: it compares, hashes and sorts as its tuple.
     """
 
-    p_sub: int
-    q_sub: int
-    d_sub: int
+    __slots__ = ()
 
     def sort_key(self) -> tuple[int, int, int]:
         return tuple(self)
@@ -53,17 +51,17 @@ class WallWitness(NamedTuple):
         return list(self)
 
 
-class Wall(NamedTuple):
-    """A critical parameter value with every witnessing sub-type.
+class Wall(namedtuple("Wall", "alpha witnesses")):
+    """A critical parameter value (a Fraction) with every witnessing sub-type.
 
     A plain record: it compares, hashes and unpacks as its (alpha, witnesses)
-    tuple.  Its producers guarantee what it does not check: at least one
-    witness, distinct and in (p', q', d') order, as `enumerate_walls` emits
-    them and as `brute_force_walls` sorts them.
+    tuple, witnesses being a tuple of `WallWitness`.  Its producers guarantee
+    what it does not check: at least one witness, distinct and in (p', q', d')
+    order, as `enumerate_walls` emits them and as `brute_force_walls` sorts
+    them.
     """
 
-    alpha: Fraction
-    witnesses: tuple[WallWitness, ...]
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -72,18 +70,15 @@ class Wall(NamedTuple):
         }
 
 
-class Chamber(NamedTuple):
-    """A maximal wall-free segment of the queried interval.
+class Chamber(namedtuple("Chamber", "lo hi lo_closed hi_closed")):
+    """A maximal wall-free segment [lo, hi] (Fractions) of the queried interval.
 
-    The closed flags record whether the endpoint belongs to the chamber: an
-    endpoint is included only when it is an end of the queried interval and
-    not itself a wall.
+    The closed flags (bools) record whether the endpoint belongs to the
+    chamber: an endpoint is included only when it is an end of the queried
+    interval and not itself a wall.
     """
 
-    lo: Fraction
-    hi: Fraction
-    lo_closed: bool
-    hi_closed: bool
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -94,12 +89,14 @@ class Chamber(NamedTuple):
         }
 
 
-class ChamberReport(NamedTuple):
-    """Walls in an interval, in increasing alpha, plus the chambers between them."""
+class ChamberReport(namedtuple("ChamberReport", "interval walls chambers")):
+    """Walls in an interval, in increasing alpha, plus the chambers between them.
 
-    interval: tuple[Fraction, Fraction]
-    walls: tuple[Wall, ...]
-    chambers: tuple[Chamber, ...]
+    interval is the (lo, hi) pair of Fractions; walls and chambers are tuples
+    of `Wall` and `Chamber`.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         lo, hi = self.interval
@@ -296,39 +293,37 @@ def chamber_report(
     return ChamberReport((lo, hi), tuple(walls), tuple(chambers))
 
 
-class CertificateCondition(NamedTuple):
+class CertificateCondition(namedtuple("CertificateCondition", "holds alpha_window")):
     """One of the two one-sided parameter windows of the irreducibility check.
 
-    `alpha_window` records the window endpoints ([0, hi) for the first
-    condition, (lo, 0] for the second; one endpoint is open as noted).  An
-    empty window is the infeasible state.  `holds` additionally accounts for
-    the rank-order and slope-gap side conditions.
+    `alpha_window`, a `BoundInterval`, records the window endpoints ([0, hi)
+    for the first condition, (lo, 0] for the second; one endpoint is open as
+    noted).  An empty window is the infeasible state.  `holds`, a bool,
+    additionally accounts for the rank-order and slope-gap side conditions.
     """
 
-    holds: bool
-    alpha_window: BoundInterval
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"holds": self.holds, "alpha_window": self.alpha_window.to_json()}
 
 
-class IrreducibilityCertificate(NamedTuple):
+class IrreducibilityCertificate(namedtuple(
+    "IrreducibilityCertificate", "tau tau_bound_ok condition1 condition2 closure_irreducible fully_irreducible"
+)):
     """Checkable numerical hypotheses for irreducibility of the moduli space.
 
-    closure_irreducible asserts the closure of the stable locus is covered by
-    the hypotheses; fully_irreducible additionally requires
-    gcd(p+q, a+b) = 1 so that semistable = stable on total slope.  A plain
-    record: `irreducibility_certificate` sets closure_irreducible to
-    tau_bound_ok and (condition1.holds or condition2.holds), and
-    fully_irreducible only where closure_irreducible holds.
+    tau is a Fraction, condition1 and condition2 are `CertificateCondition`s
+    and the other fields are bools.  closure_irreducible asserts the closure
+    of the stable locus is covered by the hypotheses; fully_irreducible
+    additionally requires gcd(p+q, a+b) = 1 so that semistable = stable on
+    total slope.  A plain record: `irreducibility_certificate` sets
+    closure_irreducible to tau_bound_ok and (condition1.holds or
+    condition2.holds), and fully_irreducible only where closure_irreducible
+    holds.
     """
 
-    tau: Fraction
-    tau_bound_ok: bool
-    condition1: CertificateCondition
-    condition2: CertificateCondition
-    closure_irreducible: bool
-    fully_irreducible: bool
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -1,0 +1,135 @@
+"""Mutation gate: each listed fault, planted in a copy of `src`, must fail its tests.
+
+Run from anywhere with `python tests/mutants.py` (needs pytest).  Without a
+`test_` prefix the Tier-1 suite does not collect this file.
+
+For every mutant the script copies `src` to a temp dir, replaces the exact old
+text (which must occur once in the named file) with the new text, and runs
+the listed test files with `-x` against the copy.  The gate fails when a
+mutant survives, and also when an old text no longer matches, so a refactor
+must update this list rather than silently lose a mutant.  The listed test
+files are first run on an unmutated copy, which must pass.
+
+A change that adds a fast path or a check adds its mutant here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (name, file under src/upqstab, exact old text, new text, test files)
+MUTANTS = [
+    (
+        "MW window half width: 2 * scale -> scale",
+        "walls.py",
+        "narrow = 2 * scale if mw_twist_degree == 0 else 0",
+        "narrow = scale if mw_twist_degree == 0 else 0",
+        ["tests/test_kernel_differential.py"],
+    ),
+    (
+        "MW window rank: min(p', q') -> max(p', q')",
+        "walls.py",
+        "if min(w.p_sub, w.q_sub) * abs(key) >= narrow",
+        "if max(w.p_sub, w.q_sub) * abs(key) >= narrow",
+        ["tests/test_kernel_differential.py"],
+    ),
+    (
+        "witness cap: count > MAX_WITNESSES -> >=",
+        "walls.py",
+        "if count > MAX_WITNESSES:",
+        "if count >= MAX_WITNESSES:",
+        ["tests/test_walls.py"],
+    ),
+    (
+        "candidate count: degrees.stop - degrees.start -> len(degrees)",
+        "walls.py",
+        "max(0, degrees.stop - degrees.start)",
+        "max(0, len(degrees))",
+        ["tests/test_walls.py", "tests/test_cli.py"],
+    ),
+    (
+        "quiver slope kernel: a.numerator * r * den -> a.numerator * r",
+        "core.py",
+        "num = num * d + a.numerator * r * den",
+        "num = num * d + a.numerator * r",
+        ["tests/test_integer_kernels.py"],
+    ),
+    (
+        "regime i boundary: n < -deg_l * d -> <=",
+        "milnor_wood.py",
+        "if n < -deg_l * d:",
+        "if n <= -deg_l * d:",
+        ["tests/test_integer_kernels.py"],
+    ),
+    (
+        "input records: drop the validating _make override",
+        "core.py",
+        "    base._make = classmethod(lambda cls, iterable: cls(*iterable))\n",
+        "",
+        ["tests/test_core.py"],
+    ),
+    (
+        "HitchinPairType rank check: p < 1 -> p < 0",
+        "core.py",
+        "if p < 1 or q < 1:\n            raise ValueError(f\"ranks must satisfy",
+        "if p < 0 or q < 1:\n            raise ValueError(f\"ranks must satisfy",
+        ["tests/test_core.py"],
+    ),
+]
+
+
+def run_tests(src: Path, files: list[str]) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *files]
+    return subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def copy_src(into: Path) -> Path:
+    shutil.copytree(ROOT / "src", into / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    return into / "src"
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        every_file = sorted({f for *_, files in MUTANTS for f in files})
+        clean = run_tests(copy_src(Path(tmp) / "clean"), every_file)
+        if clean.returncode != 0:
+            print(clean.stdout[-2000:])
+            print("mutation gate: the listed tests fail on the unmutated source")
+            return 1
+        for index, (name, module, old, new, files) in enumerate(MUTANTS):
+            src = copy_src(Path(tmp) / str(index))
+            target = src / "upqstab" / module
+            text = target.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                failures.append(f"{name}: old text occurs {text.count(old)} times in {module}, expected once")
+                print(f"STALE     {name}")
+                continue
+            target.write_text(text.replace(old, new), encoding="utf-8")
+            started = time.perf_counter()
+            result = run_tests(src, files)
+            seconds = time.perf_counter() - started
+            if result.returncode == 0:
+                print(f"SURVIVED  {name} ({seconds:.1f} s)")
+                failures.append(f"{name}: survived {' '.join(files)}")
+                continue
+            # the first failing test, so a kill by a collection error shows as one
+            first = next((line for line in result.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))), "")
+            print(f"killed    {name} ({seconds:.1f} s): {first[:120]}")
+    for failure in failures:
+        print(f"mutation gate: {failure}")
+    print(f"mutation gate: {len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

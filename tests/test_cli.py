@@ -92,6 +92,7 @@ _USAGE_ERRORS = [
     (["chambers", "--type", "1,1,1,0", "--interval", "-2,2", "--canonical", "--genus", "3"],
      "only act with --mw-filter"),
     (["walls", "--type", "1,1,1,0", "--interval", "-2,2", "--genus", "4"], "only act with --mw-filter"),
+    (["toledo", "--type", "1,1,0,0", "--output", ""], "--output: expected a file path, got ''"),
 ]
 
 
@@ -356,6 +357,17 @@ def test_unwritable_output_path_is_an_engine_error(tmp_path, capsys):
     assert captured.err.startswith(f"upqstab: error: cannot write {target}")
     assert captured.err.count("\n") == 1
     assert not target.exists()
+
+
+def test_output_path_with_a_trailing_slash_is_an_engine_error(tmp_path, capsys):
+    # a trailing slash names a directory, as for open(); neither file is written
+    (tmp_path / "old.json").write_text("old report\n")
+    for name in ("new.json", "old.json"):
+        assert main(["toledo", "--type", "2,1,1,0", "--output", f"{tmp_path / name}/"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"upqstab: error: cannot write {tmp_path / name}/")
+    assert [path.name for path in tmp_path.iterdir()] == ["old.json"]
+    assert (tmp_path / "old.json").read_text() == "old report\n"
 
 
 def test_repeated_runs_are_byte_identical(capsys):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -250,6 +253,47 @@ def test_type_invariants_are_enforced():
         BoundInterval.infeasible("iv")
     with pytest.raises(ValueError):
         HiggsRankPair(-1, 0)
+
+
+@pytest.mark.parametrize(
+    "record, plain, bad",
+    [
+        (HitchinPairType(1, 1, 0, 0), (1, 1, 0, 0), {"p": 0}),
+        (GeometryContext(2, 2, True), (2, 2, True), {"twist_degree": 3}),
+        (HiggsRankPair(1, 0), (1, 0), {"rk_beta": -1}),
+        (QuiverNumericalType([1, 1], [1, 0]), ((1, 1), (1, 0)), {"ranks": (1,)}),
+    ],
+    ids=["type", "ctx", "ranks", "quiver"],
+)
+def test_inputs_are_validated_records(record, plain, bad):
+    cls = type(record)
+    assert record == plain and hash(record) == hash(plain) and tuple(record) == plain
+    assert pickle.loads(pickle.dumps(record)) == record and type(copy.copy(record)) is cls
+    fields = {**record._asdict(), **bad}
+    with pytest.raises(ValueError) as direct:
+        cls(**fields)
+    for build in (lambda: record._replace(**bad), lambda: cls._make(fields.values())):
+        with pytest.raises(ValueError, match=re.escape(str(direct.value))):
+            build()
+    # a record forged past __new__ is checked again when it is unpickled or copied
+    forged = tuple.__new__(cls, fields.values())
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(forged))
+    with pytest.raises(ValueError):
+        copy.copy(forged)
+
+
+def test_parameter_vector_is_a_validated_tuple():
+    alpha = ParameterVector.of(1, 0)
+    assert isinstance(alpha, tuple) and len(alpha) == 2 and alpha.values == (1, 0)
+    assert alpha == (Fraction(1), Fraction(0)) and hash(alpha) == hash((1, 0))
+    assert all(type(v) is Fraction for v in alpha) and type(alpha.values) is tuple
+    assert ParameterVector(["1/2", 3]) == (Fraction(1, 2), 3)
+    assert pickle.loads(pickle.dumps(alpha)) == alpha and type(copy.copy(alpha)) is ParameterVector
+    assert eval(repr(alpha), {"ParameterVector": ParameterVector, "Fraction": Fraction}) == alpha
+    forged = tuple.__new__(ParameterVector, (0.5,))
+    with pytest.raises(TypeError, match="floating point"):
+        pickle.loads(pickle.dumps(forged))
 
 
 def test_geometry_context_canonical_twist():
