@@ -27,6 +27,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .core import (
     GeometryContext,
@@ -343,51 +344,58 @@ def _execute(config: RunConfig) -> dict:
 # Chamber objects.  The templates reproduce, byte for byte, what
 # json.dumps(..., indent=2, sort_keys=True) writes for Wall.to_json and
 # ChamberReport.to_json at their depth in the report; the stdlib encoder's
-# pure-Python indent path costs more than the wall enumeration itself.
+# pure-Python indent path costs more than the wall enumeration itself.  Each
+# of the two members is rendered by one `%` over one flat argument list (a
+# wall's alpha string, [its witness count,] then its witnesses' ints).  A
+# wall's part of the template is its head, the witness template repeated once
+# per further witness, and its tail, so no string is built per witness, and
+# `_render_json` joins the members once.
 _WITNESS_JSON = "        [\n          %d,\n          %d,\n          %d\n        ]"
-_WALL_JSON = '    {\n      "alpha": "%s",\n      "witnesses": [\n%s\n      ]\n    }'
-_COUNTED_WALL_JSON = (
-    '    {\n      "alpha": "%s",\n      "witness_count": %d,\n      "witnesses": [\n%s\n      ]\n    }'
+_WITNESS_SEP = ",\n" + _WITNESS_JSON
+_WALL_HEAD = '    {\n      "alpha": "%s",\n      "witnesses": [\n' + _WITNESS_JSON
+_COUNTED_WALL_HEAD = (
+    '    {\n      "alpha": "%s",\n      "witness_count": %d,\n      "witnesses": [\n' + _WITNESS_JSON
 )
+_WALL_TAIL = "\n      ]\n    }"
 _CHAMBER_JSON = (
     '    {\n      "hi": "%s",\n      "hi_closed": %s,\n      "lo": "%s",\n      "lo_closed": %s\n    }'
 )
 _JSON_BOOL = {False: "false", True: "true"}
 
 
-def _witnesses_json(wall: Wall) -> str:
-    return ",\n".join([_WITNESS_JSON % w for w in wall.witnesses])
-
-
 def _json_list(items: list[str]) -> str:
-    """A top-level report member's list value, from its rendered items."""
+    """A top-level report member's list value, from its item templates."""
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def _walls_json(walls: Sequence[Wall], counted: bool) -> str:
-    if counted:
-        items = [
-            _COUNTED_WALL_JSON % (format_rational(w.alpha), len(w.witnesses), _witnesses_json(w))
-            for w in walls
-        ]
-    else:
-        items = [_WALL_JSON % (format_rational(w.alpha), _witnesses_json(w)) for w in walls]
-    return _json_list(items)
+    head = _COUNTED_WALL_HEAD if counted else _WALL_HEAD
+    template = _json_list([head + _WITNESS_SEP * (len(witnesses) - 1) + _WALL_TAIL for _, witnesses in walls])
+    args = []
+    for alpha, witnesses in walls:
+        args.append(format_rational(alpha))
+        if counted:
+            args.append(len(witnesses))
+        args += chain.from_iterable(witnesses)
+    return template % tuple(args)
 
 
 def _chambers_json(chambers: Sequence[Chamber]) -> str:
-    return _json_list([
-        _CHAMBER_JSON % (
-            format_rational(c.hi), _JSON_BOOL[c.hi_closed], format_rational(c.lo), _JSON_BOOL[c.lo_closed]
-        )
-        for c in chambers
-    ])
+    # chambers tile the interval (each hi is the next lo), so each boundary is formatted once
+    if not chambers:
+        return "[]"
+    bounds = [format_rational(c.lo) for c in chambers]
+    bounds.append(format_rational(chambers[-1].hi))
+    args = []
+    for lo, hi, c in zip(bounds, bounds[1:], chambers):
+        args += (hi, _JSON_BOOL[c.hi_closed], lo, _JSON_BOOL[c.lo_closed])
+    return _json_list([_CHAMBER_JSON] * len(chambers)) % tuple(args)
 
 
 def _render_json(report: dict) -> str:
     # only walls and chambers reports have "walls" and "chambers" members
     counted = report["command"] == "chambers"
-    members = []
+    parts = ["{\n"]
     for key in sorted(report):
         value = report[key]
         if key == "walls":
@@ -396,15 +404,16 @@ def _render_json(report: dict) -> str:
             text = _chambers_json(value)
         else:
             text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-        members.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(members) + "\n}\n"
+        parts += ("  ", json.dumps(key), ": ", text, ",\n")
+    parts[-1] = "\n}\n"
+    return "".join(parts)
 
 
 def _render_csv(report: dict) -> str:
     rows = ["alpha_num,alpha_den,p_sub,q_sub,d_sub\n"]
-    for wall in report["walls"]:
-        num, den = wall.alpha.numerator, wall.alpha.denominator
-        rows += ["%d,%d,%d,%d,%d\n" % (num, den, *w) for w in wall.witnesses]
+    for alpha, witnesses in report["walls"]:
+        prefix = "%d,%d," % (alpha.numerator, alpha.denominator)
+        rows.append(prefix + prefix.join(map("%d,%d,%d\n".__mod__, witnesses)))
     return "".join(rows)
 
 

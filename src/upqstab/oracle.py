@@ -319,12 +319,17 @@ _SUITES = (
 )
 
 
+# cases a suite draws and checks at a time, so memory does not grow with trials
+_CASE_BATCH = 1024
+
+
 def property_driver(seed: int, trials: int, jobs: int | None = 1) -> dict:
     """Run the randomized invariant suites; failures carry reproducing inputs.
 
     Case inputs are drawn sequentially from one seeded SplitMix64 stream in a
-    fixed suite order, then checked (pure) with optional fan-out, so the
-    report is identical for any jobs count.
+    fixed suite order, in batches of _CASE_BATCH, and each batch is checked
+    (pure) with optional fan-out, so the report is identical for any jobs
+    count and any batch size.
     """
     _require_int(seed, "seed")
     _require_int(trials, "trials")
@@ -333,13 +338,15 @@ def property_driver(seed: int, trials: int, jobs: int | None = 1) -> dict:
     rng = SplitMix64(seed)
     suite_reports = []
     for name, make_case, check_case in _SUITES:
-        cases = [make_case(rng) for _ in range(trials)]
-        results = ordered_map(check_case, cases, jobs)
-        failures = [
-            dict(trial=index, **result)
-            for index, result in enumerate(results)
-            if result is not None
-        ]
+        failures = []
+        for start in range(0, trials, _CASE_BATCH):
+            cases = [make_case(rng) for _ in range(min(_CASE_BATCH, trials - start))]
+            results = ordered_map(check_case, cases, jobs)
+            failures += [
+                dict(trial=index, **result)
+                for index, result in enumerate(results, start)
+                if result is not None
+            ]
         suite_reports.append(
             {"name": name, "cases": trials, "failures": failures, "passed": not failures}
         )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import repeat
 
 from .concurrency import ordered_map
 from .core import (
@@ -31,8 +32,9 @@ from .core import (
 from .milnor_wood import toledo_bounds
 
 # Candidate witnesses one query may build.  At the cap the engine takes about
-# 4 s and 240 MB peak RSS, and a JSON `walls` run about 7 s and 570 MB (one
-# core of a 2-vCPU VM); the largest test or benchmark query has about 49k.
+# 1.2 s and 210 MB peak RSS, a JSON `walls` run about 2 s and 450 MB and a CSV
+# run 250 MB (Python 3.11, one core of a 2-vCPU Xeon VM); the largest test or
+# benchmark query has about 49k.
 MAX_WITNESSES = 1_000_000
 
 
@@ -242,23 +244,30 @@ def enumerate_walls(
             f"the interval holds {count} candidate witnesses, more than the limit of "
             f"{MAX_WITNESSES}; query a narrower interval"
         )
+    # witnesses and walls are built by tuple.__new__, as their constructors would
+    # build them but without a Python-level call per object
     groups: dict[int, list[WallWitness]] = {}
     for p_sub, q_sub, degrees, keys in per_family:
-        for key, d_sub in zip(keys, degrees):
-            groups.setdefault(key, []).append(WallWitness(p_sub, q_sub, d_sub))
+        witnesses = map(tuple.__new__, repeat(WallWitness), zip(repeat(p_sub), repeat(q_sub), degrees))
+        for key, w in zip(keys, witnesses):
+            if key in groups:
+                groups[key].append(w)
+            else:
+                groups[key] = [w]
     # at deg L = 0 a witness can fail the filter only if min(p', q') |key| < 2 scale
     narrow = 2 * scale if mw_twist_degree == 0 else 0
     walls = []
     for key in sorted(groups):
         alpha = Fraction(key, scale)
-        witnesses = groups[key]
+        # popped, so each group's list is freed as its wall's tuple is built
+        witnesses = groups.pop(key)
         if -narrow < key < narrow:
             witnesses = [
                 w for w in witnesses
                 if min(w.p_sub, w.q_sub) * abs(key) >= narrow or _witness_survives_mw(w, 0, alpha)
             ]
         if witnesses:
-            walls.append(Wall(alpha, tuple(witnesses)))
+            walls.append(tuple.__new__(Wall, (alpha, tuple(witnesses))))
     return walls
 
 

@@ -83,6 +83,34 @@ MUTANTS = [
         "if p < 0 or q < 1:\n            raise ValueError(f\"ranks must satisfy",
         ["tests/test_core.py"],
     ),
+    (
+        "wall grouping: append to a key's witnesses -> overwrite them",
+        "walls.py",
+        "                groups[key].append(w)",
+        "                groups[key] = [w]",
+        ["tests/test_walls.py"],
+    ),
+    (
+        "chamber renderer: hi and lo boundaries swapped",
+        "cli.py",
+        "args += (hi, _JSON_BOOL[c.hi_closed], lo, _JSON_BOOL[c.lo_closed])",
+        "args += (lo, _JSON_BOOL[c.hi_closed], hi, _JSON_BOOL[c.lo_closed])",
+        ["tests/test_render_differential.py"],
+    ),
+    (
+        "CSV renderer: alpha numerator and denominator swapped in the row prefix",
+        "cli.py",
+        'prefix = "%d,%d," % (alpha.numerator, alpha.denominator)',
+        'prefix = "%d,%d," % (alpha.denominator, alpha.numerator)',
+        ["tests/test_render_differential.py"],
+    ),
+    (
+        "selftest batches: trial numbers restart at 0 in every batch",
+        "oracle.py",
+        "for index, result in enumerate(results, start)",
+        "for index, result in enumerate(results)",
+        ["tests/test_oracle.py"],
+    ),
 ]
 
 

@@ -18,6 +18,7 @@ from upqstab import (
     required_degree_bound,
     toledo_bounds,
 )
+from upqstab import oracle
 from upqstab.oracle import SplitMix64
 
 
@@ -135,6 +136,29 @@ def test_property_driver_is_deterministic():
 
 def test_property_driver_jobs_do_not_change_the_report():
     assert property_driver(seed=3, trials=30, jobs=1) == property_driver(seed=3, trials=30, jobs=4)
+
+
+def test_property_driver_batches_keep_draw_order_and_trial_numbers(monkeypatch):
+    def draw(rng):
+        return rng.randint(0, 99)
+
+    def check(value):
+        return {"reason": "multiple of 7", "value": value} if value % 7 == 0 else None
+
+    monkeypatch.setattr(oracle, "_SUITES", (("first", draw, check), ("second", draw, check)))
+    trials = 2 * oracle._CASE_BATCH + 5
+    rng = SplitMix64(11)
+    expected = []
+    for _ in range(2):
+        values = [draw(rng) for _ in range(trials)]
+        expected.append([{"trial": i, "reason": "multiple of 7", "value": v}
+                         for i, v in enumerate(values) if v % 7 == 0])
+    report = property_driver(seed=11, trials=trials)
+    assert [suite["failures"] for suite in report["suites"]] == expected
+    assert max(f["trial"] for f in expected[1]) >= 2 * oracle._CASE_BATCH
+    for batch in (1, 7, trials):
+        monkeypatch.setattr(oracle, "_CASE_BATCH", batch)
+        assert property_driver(seed=11, trials=trials, jobs=2) == report
 
 
 def test_property_driver_single_trial():

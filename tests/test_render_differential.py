@@ -5,7 +5,8 @@ rebuilt from the library's `to_json` trees and encoded with
 `json.dumps(..., indent=2, sort_keys=True)`, and every CSV with `csv.writer`,
 over seeded random types with p, q <= 7 and rational intervals: intervals
 with no walls, intervals with an end or both ends on a wall, and both
-Milnor-Wood filter twists.
+Milnor-Wood filter twists.  A second seeded set draws intervals 40 to 100
+wide, so reports reach over 1000 walls and single walls over 20 witnesses.
 """
 
 from __future__ import annotations
@@ -124,3 +125,27 @@ def test_rendered_reports_match_the_stdlib_encoders(capsys):
         shapes["degL_0"] += "--degL" in twist_args
         shapes["canonical"] += "--canonical" in twist_args
     assert min(shapes.values()) >= 20, shapes
+
+
+def test_wide_reports_match_the_stdlib_encoders(capsys):
+    rng = SplitMix64(9090)
+    most_walls = most_witnesses = filter_drops = 0
+    for index in range(20):
+        t = _random_type(rng)
+        lo = rng.rational(8)
+        hi = lo + Fraction(rng.randint(240, 600), 6)
+        twist_args, ctx = _TWISTS[index % 3]
+        report = chamber_report(t, (lo, hi), mw_twist_degree=None if ctx is None else ctx.twist_degree)
+        base = ["--type", f"{t.p},{t.q},{t.a},{t.b}",
+                "--interval", f"{format_rational(lo)},{format_rational(hi)}", *twist_args]
+        for command in ("walls", "chambers"):
+            out = _stdout([command, *base], capsys)
+            assert out == _expected_json(command, t, bool(twist_args), report), (command, base)
+        assert _stdout(["walls", *base, "--format", "csv"], capsys) == _expected_csv(report.walls), base
+
+        most_walls = max(most_walls, len(report.walls))
+        most_witnesses = max([most_witnesses, *(len(w.witnesses) for w in report.walls)])
+        if ctx is not None:
+            unfiltered = enumerate_walls(t, (lo, hi))
+            filter_drops += sum(len(w.witnesses) for w in unfiltered) > sum(len(w.witnesses) for w in report.walls)
+    assert most_walls > 1000 and most_witnesses > 20 and filter_drops >= 2, (most_walls, most_witnesses, filter_drops)
