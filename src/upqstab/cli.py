@@ -10,8 +10,8 @@ Commands:
 
 Rationals are printed as exact "num/den" strings and accepted as "num/den"
 or plain integer strings; decimals are rejected.  Exit codes: 0 success,
-1 engine error, 2 usage error.  The UPQSTAB_FORMAT environment variable
-sets the default output format (json or csv).
+1 engine error, 2 usage error.  Every command writes JSON; walls alone also
+writes CSV, with --format csv.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from .core import (
 from .milnor_wood import mw_check
 from .oracle import property_driver
 from .walls import Chamber, Wall, chamber_report, enumerate_walls, irreducibility_certificate
-
-FORMAT_ENV_VAR = "UPQSTAB_FORMAT"
 
 
 @dataclass(frozen=True)
@@ -123,12 +121,6 @@ def _add_common(sub: argparse.ArgumentParser, *, with_type: bool = True) -> None
             metavar="p,q,a,b",
             help="numerical type of the pair",
         )
-    sub.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default=None,
-        help=f"output format (default: ${FORMAT_ENV_VAR} or json)",
-    )
     sub.add_argument("--output", dest="output_path", default=None, help="write the report here instead of stdout")
 
 
@@ -196,6 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sub = commands.add_parser(name, help=help_text)
         _add_common(sub)
+        if name == "walls":
+            sub.add_argument(
+                "--format",
+                dest="output_format",
+                choices=("json", "csv"),
+                default="json",
+                help="output format (default: json)",
+            )
         _add_twist(sub)
         sub.add_argument(
             "--interval",
@@ -226,15 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_format(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> str:
-    fmt = ns.format if ns.format is not None else os.environ.get(FORMAT_ENV_VAR, "json")
-    if fmt not in ("json", "csv"):
-        parser.error(f"unknown output format {fmt!r} (from ${FORMAT_ENV_VAR})")
-    if fmt == "csv" and ns.command != "walls":
-        parser.error("csv output is only defined for the walls command")
-    return fmt
-
-
 def _resolve_ctx(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> GeometryContext:
     deg_l, genus = ns.deg_l, ns.genus
     if ns.canonical:
@@ -252,14 +243,9 @@ def parse_args(argv: list[str]) -> RunConfig:
     """Parse and cross-validate argv into a RunConfig; usage errors exit 2."""
     parser = build_parser()
     ns = parser.parse_args(_merge_value_flags(argv))
-    fmt = _resolve_format(parser, ns)
     if ns.output_path == "":
         parser.error("argument --output: expected a file path, got ''")
-    common = {
-        "command": ns.command,
-        "output_format": fmt,
-        "output_path": ns.output_path,
-    }
+    common = {"command": ns.command, "output_path": ns.output_path}
     if ns.command == "toledo":
         return RunConfig(type_spec=ns.type_spec, **common)
     if ns.command == "mw":
@@ -280,14 +266,14 @@ def parse_args(argv: list[str]) -> RunConfig:
             interval=ns.interval,
             mw_filter=ns.mw_filter,
             jobs=ns.jobs,
+            # only walls has --format; every other report is JSON
+            output_format=ns.output_format if ns.command == "walls" else "json",
             **common,
         )
     if ns.command == "certify":
         return RunConfig(type_spec=ns.type_spec, genus=ns.genus, alpha=ns.alpha, **common)
-    if ns.command == "selftest":
-        return RunConfig(seed=ns.seed, trials=ns.trials, jobs=ns.jobs, **common)
-    parser.error(f"unknown command {ns.command!r}")
-    raise AssertionError("unreachable")
+    # selftest: argparse admits no other command
+    return RunConfig(seed=ns.seed, trials=ns.trials, jobs=ns.jobs, **common)
 
 
 def _execute(config: RunConfig) -> dict:

@@ -83,6 +83,15 @@ def test_stdout_is_byte_identical(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("value", ["csv", "xml"])
+def test_stdout_ignores_the_environment(value, capsys, monkeypatch):
+    # the output format is set by walls' --format alone, never by an environment variable
+    monkeypatch.setenv("UPQSTAB_FORMAT", value)
+    for argv, digest in PINNED:
+        assert main(argv.split()) == 0, argv
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest, argv
+
+
 # sha256 of json.dumps(property_driver(seed, 200), sort_keys=True) for seeds 0..19
 SELFTEST_DIGESTS = [
     "3c5131641a88d10c03155ea2896dd10a9be2c58c906a52d3f6134cc4d4a32cdb",

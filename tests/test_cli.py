@@ -20,7 +20,7 @@ from upqstab import (
     irreducibility_certificate,
     parse_rational,
 )
-from upqstab.cli import FORMAT_ENV_VAR, main, parse_args
+from upqstab.cli import main, parse_args
 
 
 def test_parse_args_walls_example():
@@ -62,7 +62,7 @@ _USAGE_ERRORS = [
     (["walls", "--type", "1,1,1,0"], "required: --interval"),
     (["walls", "--type", "1,1", "--interval", "-2,2"], "--type: expected 'p,q,a,b' with four integers"),
     (["walls", "--type", "1,1,1,0", "--interval", "-2"], "--interval: expected 'lo,hi'"),
-    (["toledo", "--type", "1,1,1,0", "--format", "csv"], "only defined for the walls command"),
+    (["toledo", "--type", "1,1,1,0", "--format", "csv"], "unrecognized arguments"),
     (["toledo"], "required: --type"),
     (["frobnicate"], "invalid choice: 'frobnicate'"),
     (["walls", "--type", "1,1,1,0", "--interval", "0,1", "--alpha", "1"], "unrecognized arguments"),
@@ -93,6 +93,11 @@ _USAGE_ERRORS = [
      "only act with --mw-filter"),
     (["walls", "--type", "1,1,1,0", "--interval", "-2,2", "--genus", "4"], "only act with --mw-filter"),
     (["toledo", "--type", "1,1,0,0", "--output", ""], "--output: expected a file path, got ''"),
+    # --format is an option of walls alone; every other command writes JSON
+    (["mw", "--type", "1,1,1,0", "--degL", "2", "--alpha", "0", "--format", "json"], "unrecognized arguments"),
+    (["chambers", "--type", "1,1,1,0", "--interval", "-2,2", "--format", "json"], "unrecognized arguments"),
+    (["certify", "--type", "1,1,-1,0", "--genus", "2", "--alpha", "0", "--format", "json"], "unrecognized arguments"),
+    (["selftest", "--format", "json"], "unrecognized arguments"),
 ]
 
 
@@ -104,6 +109,15 @@ def test_usage_errors_exit_two(argv, capsys):
     assert captured.out == ""
     last = captured.err.splitlines()[-1]
     assert last.startswith("upqstab") and "error: " in last and reason in last, last
+
+
+@pytest.mark.parametrize("command", ["toledo", "mw", "walls", "chambers", "certify", "selftest"])
+def test_help_lists_format_on_walls_only(command, capsys):
+    # argparse expands help strings with %, so a stray % fails only when --help is asked for
+    assert main([command, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"usage: upqstab {command} ") and captured.err == ""
+    assert ("--format" in captured.out) == (command == "walls")
 
 
 def test_parse_args_calls_are_independent():
@@ -251,17 +265,6 @@ def test_mw_pass_report(capsys):
     assert main(["mw", "--type", "1,1,1,0", "--degL", "2", "--alpha", "0"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "pass" and report["side"] is None and report["margin"] is None
-
-
-def test_format_env_var_default(capsys, monkeypatch):
-    monkeypatch.setenv(FORMAT_ENV_VAR, "csv")
-    assert main(["walls", "--type", "1,1,1,0", "--interval", "-2,2"]) == 0
-    assert capsys.readouterr().out.startswith("alpha_num,")
-    # explicit flag still wins
-    assert main(["walls", "--type", "1,1,1,0", "--interval", "-2,2", "--format", "json"]) == 0
-    assert capsys.readouterr().out.startswith("{")
-    # the env default applies to every command, so csv elsewhere is a usage error
-    assert main(["toledo", "--type", "1,1,1,0"]) == 2
 
 
 def test_output_path_writes_file(tmp_path, capsys):
