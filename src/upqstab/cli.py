@@ -134,9 +134,10 @@ def _add_twist(sub: argparse.ArgumentParser) -> None:
     )
 
 
-# flags that take one value; their argument may itself start with "-"
-# (negative degrees, "-2,2" intervals), which bare argparse would read as an
-# option string, so parse_args splices flag and value into --flag=value form.
+# flags that take one value.  argparse reads a value that starts with "-"
+# (negative degrees, "-2,2" intervals) as an option string, so parse_args
+# splices such a flag and value into --flag=value form; any other value is
+# left as typed, so usage errors quote argv as the user wrote it.
 _VALUE_FLAGS = frozenset(
     {"--type", "--interval", "--alpha", "--degL", "--genus", "--ranks",
      "--format", "--output", "--jobs", "--seed", "--trials"}
@@ -148,7 +149,7 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
     index = 0
     while index < len(argv):
         token = argv[index]
-        if token in _VALUE_FLAGS and index + 1 < len(argv):
+        if token in _VALUE_FLAGS and index + 1 < len(argv) and argv[index + 1].startswith("-"):
             merged.append(f"{token}={argv[index + 1]}")
             index += 2
         else:
@@ -320,10 +321,9 @@ def _execute(config: RunConfig) -> dict:
             "alpha": format_rational(config.alpha),
             "certificate": certificate.to_json(),
         }
-    if config.command == "selftest":
-        report = property_driver(config.seed, config.trials, config.jobs)
-        return {"command": "selftest", **report}
-    raise ValueError(f"unknown command {config.command!r}")
+    # selftest: argparse admits no other command
+    report = property_driver(config.seed, config.trials, config.jobs)
+    return {"command": "selftest", **report}
 
 
 # walls and chambers reports are written straight from the engine's Wall and

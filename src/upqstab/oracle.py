@@ -8,7 +8,9 @@ scans every Higgs-field rank r in [0, min(p, q)] and takes the extreme
 rank-level bound, never the regime formulas of `toledo_bounds`; its per-rank
 bounds are integer numerators over one common denominator.
 `property_driver` runs the randomized invariant suites behind the `selftest`
-CLI command with a self-contained, platform-independent PRNG.
+CLI command with a self-contained, platform-independent PRNG.  A suite's check
+returns a reason or None; a failure is the trial number, the reason and the
+case's own inputs, never a value derived from them.
 """
 
 from __future__ import annotations
@@ -184,56 +186,38 @@ def _make_translation_case(rng: SplitMix64) -> dict:
     }
 
 
-def _check_translation_case(case: dict) -> dict | None:
+def _check_translation_case(case: dict) -> str | None:
     shifted = case["alpha"].shifted(case["shift"])
     for key in ("sub", "whole"):
         e = case[key]
         if alpha_slope_quiver(e, shifted) != alpha_slope_quiver(e, case["alpha"]) + case["shift"]:
-            return _translation_failure(case, f"slope shift identity broken on {key}")
+            return f"slope shift identity broken on {key}"
     if compare_at(case["sub"], case["whole"], shifted) != compare_at(
         case["sub"], case["whole"], case["alpha"]
     ):
-        return _translation_failure(case, "comparison sign changed under translation")
+        return "comparison sign changed under translation"
     return None
 
 
-def _translation_failure(case: dict, reason: str) -> dict:
-    return {
-        "reason": reason,
-        "sub": case["sub"].to_json(),
-        "whole": case["whole"].to_json(),
-        "alpha": case["alpha"].to_json(),
-        "shift": format_rational(case["shift"]),
-    }
-
-
 def _make_specialization_case(rng: SplitMix64) -> dict:
-    return {"t": _random_pair_type(rng), "alpha": rng.rational(6)}
+    return {"type": _random_pair_type(rng), "alpha": rng.rational(6)}
 
 
-def _check_specialization_case(case: dict) -> dict | None:
-    t, a = case["t"], case["alpha"]
-    scalar = alpha_slope_upq(t, a)
-    vector = alpha_slope_quiver(upq_quiver_type(t), upq_parameter_vector(a))
-    if scalar != vector:
-        return {
-            "reason": "scalar and quiver slopes disagree",
-            "type": t.to_json(),
-            "alpha": format_rational(a),
-            "scalar": format_rational(scalar),
-            "vector": format_rational(vector),
-        }
+def _check_specialization_case(case: dict) -> str | None:
+    t, a = case["type"], case["alpha"]
+    if alpha_slope_upq(t, a) != alpha_slope_quiver(upq_quiver_type(t), upq_parameter_vector(a)):
+        return "scalar and quiver slopes disagree"
     return None
 
 
 def _make_toledo_duality_case(rng: SplitMix64) -> dict:
-    return {"t": _random_pair_type(rng)}
+    return {"type": _random_pair_type(rng)}
 
 
-def _check_toledo_duality_case(case: dict) -> dict | None:
-    t = case["t"]
+def _check_toledo_duality_case(case: dict) -> str | None:
+    t = case["type"]
     if toledo(t) != -toledo(t.dual()):
-        return {"reason": "toledo duality broken", "type": t.to_json()}
+        return "toledo duality broken"
     return None
 
 
@@ -247,20 +231,12 @@ def _make_bounds_duality_case(rng: SplitMix64) -> dict:
     }
 
 
-def _check_bounds_duality_case(case: dict) -> dict | None:
+def _check_bounds_duality_case(case: dict) -> str | None:
     p, q, deg_l, a = case["p"], case["q"], case["deg_l"], case["alpha"]
     direct = toledo_bounds(p, q, deg_l, a)
     mirrored = toledo_bounds(q, p, deg_l, -a)
     if mirrored.lower != -direct.upper or mirrored.upper != -direct.lower:
-        return {
-            "reason": "bounds duality broken",
-            "p": p,
-            "q": q,
-            "deg_l": deg_l,
-            "alpha": format_rational(a),
-            "direct": direct.to_json(),
-            "mirrored": mirrored.to_json(),
-        }
+        return "bounds duality broken"
     return None
 
 
@@ -274,38 +250,24 @@ def _make_tau_gap_case(rng: SplitMix64) -> dict:
         genus = rng.randint(2, 5)
         t = HitchinPairType(p, q, rng.randint(-12, 12), rng.randint(-12, 12))
         if abs(toledo(t)) <= min(p, q) * (2 * genus - 2):
-            return {"t": t, "genus": genus}
+            return {"type": t, "genus": genus}
 
 
-def _check_tau_gap_case(case: dict) -> dict | None:
-    t, genus = case["t"], case["genus"]
-    deg_k = 2 * genus - 2
+def _check_tau_gap_case(case: dict) -> str | None:
+    t, deg_k = case["type"], 2 * case["genus"] - 2
     gap = slope(t.p, t.a) - slope(t.q, t.b)
     ok = gap > -deg_k if t.q < t.p else gap < deg_k
     if not ok:
-        return {
-            "reason": "tau bound did not force the slope-gap condition",
-            "type": t.to_json(),
-            "genus": genus,
-            "gap": format_rational(gap),
-        }
+        return "tau bound did not force the slope-gap condition"
     return None
 
 
-def _check_envelope_case(case: dict) -> dict | None:
+def _check_envelope_case(case: dict) -> str | None:
     p, q, deg_l, a = case["p"], case["q"], case["deg_l"], case["alpha"]
     closed_form = toledo_bounds(p, q, deg_l, a)
     scanned = envelope_toledo_bounds(p, q, deg_l, a)
     if closed_form.lower != scanned.lower or closed_form.upper != scanned.upper:
-        return {
-            "reason": "regime formulas disagree with the rank scan",
-            "p": p,
-            "q": q,
-            "deg_l": deg_l,
-            "alpha": format_rational(a),
-            "closed_form": closed_form.to_json(),
-            "scanned": scanned.to_json(),
-        }
+        return "regime formulas disagree with the rank scan"
     return None
 
 
@@ -323,13 +285,21 @@ _SUITES = (
 _CASE_BATCH = 1024
 
 
+def _input_json(value):
+    """A case input as a failure record carries it."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    return value if isinstance(value, int) else value.to_json()
+
+
 def property_driver(seed: int, trials: int, jobs: int | None = 1) -> dict:
     """Run the randomized invariant suites; failures carry reproducing inputs.
 
     Case inputs are drawn sequentially from one seeded SplitMix64 stream in a
     fixed suite order, in batches of _CASE_BATCH, and each batch is checked
     (pure) with optional fan-out, so the report is identical for any jobs
-    count and any batch size.
+    count and any batch size.  A check returns a reason or None; a failure is
+    its trial, its reason and the case's inputs ("num/den" or to_json form).
     """
     _require_int(seed, "seed")
     _require_int(trials, "trials")
@@ -341,12 +311,11 @@ def property_driver(seed: int, trials: int, jobs: int | None = 1) -> dict:
         failures = []
         for start in range(0, trials, _CASE_BATCH):
             cases = [make_case(rng) for _ in range(min(_CASE_BATCH, trials - start))]
-            results = ordered_map(check_case, cases, jobs)
-            failures += [
-                dict(trial=index, **result)
-                for index, result in enumerate(results, start)
-                if result is not None
-            ]
+            reasons = ordered_map(check_case, cases, jobs)
+            for index, (case, reason) in enumerate(zip(cases, reasons), start):
+                if reason is not None:
+                    inputs = {key: _input_json(value) for key, value in case.items()}
+                    failures.append({"trial": index, "reason": reason, **inputs})
         suite_reports.append(
             {"name": name, "cases": trials, "failures": failures, "passed": not failures}
         )

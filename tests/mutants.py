@@ -107,8 +107,15 @@ MUTANTS = [
     (
         "selftest batches: trial numbers restart at 0 in every batch",
         "oracle.py",
-        "for index, result in enumerate(results, start)",
-        "for index, result in enumerate(results)",
+        "for index, (case, reason) in enumerate(zip(cases, reasons), start)",
+        "for index, (case, reason) in enumerate(zip(cases, reasons))",
+        ["tests/test_oracle.py"],
+    ),
+    (
+        "selftest failure record: the case's inputs dropped",
+        "oracle.py",
+        'failures.append({"trial": index, "reason": reason, **inputs})',
+        'failures.append({"trial": index, "reason": reason})',
         ["tests/test_oracle.py"],
     ),
 ]

@@ -98,6 +98,10 @@ _USAGE_ERRORS = [
     (["chambers", "--type", "1,1,1,0", "--interval", "-2,2", "--format", "json"], "unrecognized arguments"),
     (["certify", "--type", "1,1,-1,0", "--genus", "2", "--alpha", "0", "--format", "json"], "unrecognized arguments"),
     (["selftest", "--format", "json"], "unrecognized arguments"),
+    # a value that does not start with "-" reaches argparse as typed
+    (["toledo", "--type", "1,1,1,0", "--format", "json"], "unrecognized arguments: --format json"),
+    (["selftest", "--trials", "x"], "--trials: expected an integer, got 'x'"),
+    (["mw", "--type", "1,1,0,0", "--degL", "2", "--genus", "x", "--alpha", "0"], "--genus: expected an integer, got 'x'"),
 ]
 
 

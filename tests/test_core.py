@@ -230,6 +230,13 @@ def test_floats_are_rejected():
         alpha_slope_upq(HitchinPairType(1, 1, 1, 0), 0.5)
 
 
+def test_bools_and_other_objects_are_not_rationals():
+    with pytest.raises(TypeError, match="got bool True"):
+        as_rational(True)
+    with pytest.raises(TypeError, match="cannot interpret"):
+        as_rational(object())
+
+
 def test_type_invariants_are_enforced():
     with pytest.raises(ValueError):
         HitchinPairType(0, 1, 0, 0)
@@ -239,6 +246,9 @@ def test_type_invariants_are_enforced():
         QuiverNumericalType(ranks=(0, 0), degrees=(1, 0))
     with pytest.raises(ValueError):
         QuiverNumericalType(ranks=(1,), degrees=(1, 0))
+    # the ranks sum to 1, so only the per-vertex check can refuse them
+    with pytest.raises(ValueError, match="vertex ranks must be non-negative"):
+        QuiverNumericalType((-1, 2), (0, 0))
     with pytest.raises(ValueError):
         GeometryContext(genus=-1, twist_degree=0)
     with pytest.raises(ValueError):

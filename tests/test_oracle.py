@@ -8,17 +8,21 @@ from fractions import Fraction
 import pytest
 
 from upqstab import (
+    BoundInterval,
     HitchinPairType,
     Wall,
     WallWitness,
+    alpha_slope_upq,
     brute_force_walls,
     enumerate_walls,
     envelope_toledo_bounds,
+    format_rational,
     property_driver,
     required_degree_bound,
     toledo_bounds,
 )
 from upqstab import oracle
+from upqstab.cli import main
 from upqstab.oracle import SplitMix64
 
 
@@ -40,6 +44,11 @@ def test_brute_force_refuses_insufficient_bound():
         brute_force_walls(t, (-6, 6), 2)
     # exactly the required bound is accepted
     assert brute_force_walls(t, (-6, 6), 3) == enumerate_walls(t, (-6, 6))
+
+
+def test_required_degree_bound_rejects_a_reversed_interval():
+    with pytest.raises(ValueError, match="empty interval direction"):
+        required_degree_bound(HitchinPairType(1, 1, 1, 0), (2, -2))
 
 
 def test_brute_force_rejects_nonpositive_bound():
@@ -140,17 +149,17 @@ def test_property_driver_jobs_do_not_change_the_report():
 
 def test_property_driver_batches_keep_draw_order_and_trial_numbers(monkeypatch):
     def draw(rng):
-        return rng.randint(0, 99)
+        return {"value": rng.randint(0, 99)}
 
-    def check(value):
-        return {"reason": "multiple of 7", "value": value} if value % 7 == 0 else None
+    def check(case):
+        return "multiple of 7" if case["value"] % 7 == 0 else None
 
     monkeypatch.setattr(oracle, "_SUITES", (("first", draw, check), ("second", draw, check)))
     trials = 2 * oracle._CASE_BATCH + 5
     rng = SplitMix64(11)
     expected = []
     for _ in range(2):
-        values = [draw(rng) for _ in range(trials)]
+        values = [draw(rng)["value"] for _ in range(trials)]
         expected.append([{"trial": i, "reason": "multiple of 7", "value": v}
                          for i, v in enumerate(values) if v % 7 == 0])
     report = property_driver(seed=11, trials=trials)
@@ -159,6 +168,65 @@ def test_property_driver_batches_keep_draw_order_and_trial_numbers(monkeypatch):
     for batch in (1, 7, trials):
         monkeypatch.setattr(oracle, "_CASE_BATCH", batch)
         assert property_driver(seed=11, trials=trials, jobs=2) == report
+
+
+def _input_json(value):
+    # the form a failure record gives a case input, spelled out apart from the driver
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, int):
+        return value
+    return value.to_json()
+
+
+def _replayed_cases(seed, trials):
+    """Every suite's cases, drawn again in the driver's order from SplitMix64(seed)."""
+    rng = SplitMix64(seed)
+    return {name: [make_case(rng) for _ in range(trials)] for name, make_case, _ in oracle._SUITES}
+
+
+# (suite, name patched in oracle, a replacement that breaks the suite's identity, the reason).
+# _make_tau_gap_case calls toledo until a case meets the tau bound, so that suite is broken
+# through slope: a gap of 1000 (q - p) is on the wrong side of +-deg K for every p != q.
+_BROKEN_SUITES = [
+    ("translation_invariance", "alpha_slope_quiver", lambda e, alpha: Fraction(0),
+     "slope shift identity broken on sub"),
+    ("translation_invariance", "compare_at", lambda sub, whole, alpha: alpha,
+     "comparison sign changed under translation"),
+    ("upq_specialization", "alpha_slope_upq", lambda t, alpha: alpha_slope_upq(t, alpha) + 1,
+     "scalar and quiver slopes disagree"),
+    ("toledo_duality", "toledo", lambda t: Fraction(1), "toledo duality broken"),
+    ("bounds_duality", "toledo_bounds", lambda p, q, deg_l, alpha: BoundInterval(Fraction(0), Fraction(p)),
+     "bounds duality broken"),
+    ("tau_bound_implies_slope_gap", "slope", lambda r, d: Fraction(-1000 * r),
+     "tau bound did not force the slope-gap condition"),
+    ("envelope_identity", "envelope_toledo_bounds", lambda p, q, deg_l, alpha: BoundInterval(None, None),
+     "regime formulas disagree with the rank scan"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, name, broken, reason", _BROKEN_SUITES, ids=[f"{s}-{n}" for s, n, *_ in _BROKEN_SUITES]
+)
+def test_failures_carry_trial_reason_and_the_drawn_inputs(suite, name, broken, reason, monkeypatch, capsys):
+    monkeypatch.setattr(oracle, name, broken)
+    seed, trials = 5, 40
+    report = property_driver(seed, trials)
+    cases = _replayed_cases(seed, trials)
+    failed = {s["name"]: s for s in report["suites"]}[suite]
+    assert not failed["passed"] and not report["all_passed"]
+    assert failed["failures"] and {f["reason"] for f in failed["failures"]} == {reason}
+    # a patch may break other suites too; every failure of every suite has the same form
+    for s in report["suites"]:
+        for failure in s["failures"]:
+            inputs = dict(failure)
+            trial, why = inputs.pop("trial"), inputs.pop("reason")
+            assert isinstance(why, str) and why
+            assert inputs == {key: _input_json(value) for key, value in cases[s["name"]][trial].items()}
+    main(["selftest", "--seed", str(seed), "--trials", str(trials)])
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["all_passed"] is False
+    assert printed["suites"] == report["suites"]
 
 
 def test_property_driver_single_trial():
