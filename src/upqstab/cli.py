@@ -10,7 +10,8 @@ Commands:
 
 Rationals are printed as exact "num/den" strings and accepted as "num/den"
 or plain integer strings; decimals are rejected.  Exit codes: 0 success,
-1 engine error, 2 usage error.  Every command writes JSON; walls alone also
+1 engine error or a failed selftest suite (its report is still written),
+2 usage error.  Every command writes JSON; walls alone also
 writes CSV, with --format csv.
 """
 
@@ -21,13 +22,15 @@ import contextlib
 import errno
 import functools
 import json
+import math
+import operator
 import os
 import stat
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 
 from .core import (
     GeometryContext,
@@ -39,7 +42,9 @@ from .core import (
 )
 from .milnor_wood import mw_check
 from .oracle import property_driver
-from .walls import Chamber, Wall, chamber_report, enumerate_walls, irreducibility_certificate
+# enumerate_walls and chamber_report are not called here, but stay bound:
+# perfbench/tracing.py patches them, and format_rational, by name in this module
+from .walls import _chamber_tiling, _wall_table, chamber_report, enumerate_walls, irreducibility_certificate
 
 
 @dataclass(frozen=True)
@@ -302,15 +307,11 @@ def _execute(config: RunConfig) -> dict:
             "interval": [format_rational(lo), format_rational(hi)],
             "mw_filter": config.mw_filter,
         }
-        if config.command == "walls":
-            report["walls"] = enumerate_walls(
-                config.type_spec, config.interval, mw_twist_degree=mw_twist_degree, jobs=config.jobs
-            )
-        else:
-            decomposition = chamber_report(
-                config.type_spec, config.interval, mw_twist_degree=mw_twist_degree, jobs=config.jobs
-            )
-            report["walls"], report["chambers"] = decomposition.walls, decomposition.chambers
+        # the renderers write both members from the integer wall table
+        table = _wall_table(config.type_spec, config.interval, mw_twist_degree, config.jobs)
+        report["walls"] = table
+        if config.command == "chambers":
+            report["chambers"] = table
         return report
     if config.command == "certify":
         certificate = irreducibility_certificate(config.type_spec, config.genus, config.alpha)
@@ -326,16 +327,19 @@ def _execute(config: RunConfig) -> dict:
     return {"command": "selftest", **report}
 
 
-# walls and chambers reports are written straight from the engine's Wall and
-# Chamber objects.  The templates reproduce, byte for byte, what
+# walls and chambers reports are written straight from the engine's integer
+# wall table (`walls._wall_table`): each wall alpha is "%d/%d" of its key and
+# the scale, both divided by their gcd, so no Fraction, Wall or Chamber is
+# built per wall.  The templates reproduce, byte for byte, what
 # json.dumps(..., indent=2, sort_keys=True) writes for Wall.to_json and
 # ChamberReport.to_json at their depth in the report; the stdlib encoder's
-# pure-Python indent path costs more than the wall enumeration itself.  Each
-# of the two members is rendered by one `%` over one flat argument list (a
-# wall's alpha string, [its witness count,] then its witnesses' ints).  A
-# wall's part of the template is its head, the witness template repeated once
-# per further witness, and its tail, so no string is built per witness, and
-# `_render_json` joins the members once.
+# pure-Python indent path costs more than the wall enumeration itself.  A JSON
+# report is one template and one `%` over one flat argument list (per wall
+# its alpha string, [its witness count,] then its witnesses' ints; per
+# chamber its boundary strings and closed flags).  A wall's part of the
+# template is its head, the witness template repeated once per further
+# witness, and its tail, built once per witness count, so no string is built
+# per witness or per wall.
 _WITNESS_JSON = "        [\n          %d,\n          %d,\n          %d\n        ]"
 _WITNESS_SEP = ",\n" + _WITNESS_JSON
 _WALL_HEAD = '    {\n      "alpha": "%s",\n      "witnesses": [\n' + _WITNESS_JSON
@@ -349,57 +353,101 @@ _CHAMBER_JSON = (
 _JSON_BOOL = {False: "false", True: "true"}
 
 
-def _json_list(items: list[str]) -> str:
-    """A top-level report member's list value, from its item templates."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+def _json_list(parts: list[str], items: Iterator[str]) -> None:
+    """Append a top-level report member's list value to parts, from its item templates.
+
+    The separators go in as parts of their own, so no item string is copied
+    before the one join of the whole report.
+    """
+    first = next(items, None)
+    if first is None:
+        parts.append("[]")
+        return
+    parts += ("[\n", first)
+    parts += chain.from_iterable(zip(repeat(",\n"), items))
+    parts.append("\n  ]")
 
 
-def _walls_json(walls: Sequence[Wall], counted: bool) -> str:
+def _reduced(keys: list[int], scale: int) -> tuple[list[int], list[int]]:
+    """Numerators and denominators of the wall alphas key/scale in lowest terms."""
+    gcds = list(map(math.gcd, keys, repeat(scale)))
+    return list(map(operator.floordiv, keys, gcds)), list(map(operator.floordiv, repeat(scale), gcds))
+
+
+def _walls_json(parts: list[str], table: tuple, alphas: list[str], counted: bool) -> Iterable:
+    """Append the walls member's template to parts; return its `%` arguments."""
+    groups = table[4]
+    counts = list(map(len, groups))
     head = _COUNTED_WALL_HEAD if counted else _WALL_HEAD
-    template = _json_list([head + _WITNESS_SEP * (len(witnesses) - 1) + _WALL_TAIL for _, witnesses in walls])
-    args = []
-    for alpha, witnesses in walls:
-        args.append(format_rational(alpha))
-        if counted:
-            args.append(len(witnesses))
-        args += chain.from_iterable(witnesses)
-    return template % tuple(args)
+    templates = {count: head + _WITNESS_SEP * (count - 1) + _WALL_TAIL for count in set(counts)}
+    _json_list(parts, map(templates.__getitem__, counts))
+    # each wall's arguments: its head tuple (alpha[, count]) then its witness triples
+    heads = zip(alphas, counts) if counted else zip(alphas)
+    return chain.from_iterable(chain.from_iterable(map(operator.add, zip(heads), groups)))
 
 
-def _chambers_json(chambers: Sequence[Chamber]) -> str:
+def _chambers_json(parts: list[str], table: tuple, alphas: list[str]) -> list[str]:
+    """Append the chambers member's template to parts; return its `%` arguments."""
+    lo, hi, scale, keys, _ = table
+    tiling = _chamber_tiling(lo * scale, hi * scale, keys)
+    if tiling is None:
+        parts.append("[]")
+        return []
+    inner, lo_closed, hi_closed = tiling
     # chambers tile the interval (each hi is the next lo), so each boundary is formatted once
-    if not chambers:
-        return "[]"
-    bounds = [format_rational(c.lo) for c in chambers]
-    bounds.append(format_rational(chambers[-1].hi))
-    args = []
-    for lo, hi, c in zip(bounds, bounds[1:], chambers):
-        args += (hi, _JSON_BOOL[c.hi_closed], lo, _JSON_BOOL[c.lo_closed])
-    return _json_list([_CHAMBER_JSON] * len(chambers)) % tuple(args)
+    bounds = [format_rational(lo), *alphas[inner], format_rational(hi)]
+    count = len(bounds) - 1
+    _json_list(parts, repeat(_CHAMBER_JSON, count))
+    # per chamber: hi, hi_closed, lo, lo_closed; only the ends of the interval can be closed
+    args = [_JSON_BOOL[False]] * (4 * count)
+    args[0::4] = bounds[1:]
+    args[2::4] = bounds[:-1]
+    args[3] = _JSON_BOOL[lo_closed]
+    args[-3] = _JSON_BOOL[hi_closed]
+    return args
 
 
 def _render_json(report: dict) -> str:
-    # only walls and chambers reports have "walls" and "chambers" members
-    counted = report["command"] == "chambers"
+    """The report as one template and one `%` over its arguments.
+
+    Every member but walls and chambers goes in as a "%s" of its json.dumps
+    text.  Only walls and chambers reports have those two members, and both
+    hold the same wall table.
+    """
+    table = report.get("walls")
+    alphas = None if table is None else list(map("%d/%d".__mod__, zip(*_reduced(table[3], table[2]))))
     parts = ["{\n"]
+    args = []
     for key in sorted(report):
         value = report[key]
+        parts += ("  ", json.dumps(key), ": ")
         if key == "walls":
-            text = _walls_json(value, counted)
+            args.append(_walls_json(parts, table, alphas, report["command"] == "chambers"))
         elif key == "chambers":
-            text = _chambers_json(value)
+            args.append(_chambers_json(parts, table, alphas))
         else:
-            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-        parts += ("  ", json.dumps(key), ": ", text, ",\n")
+            parts.append("%s")
+            args.append((json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "),))
+        parts.append(",\n")
     parts[-1] = "\n}\n"
-    return "".join(parts)
+    return "".join(parts) % tuple(chain.from_iterable(args))
+
+
+# walls per `%` of the CSV renderer, so that its argument tuple stays small at the witness cap
+_CSV_CHUNK = 4096
 
 
 def _render_csv(report: dict) -> str:
+    _, _, scale, keys, groups = report["walls"]
+    nums, dens = _reduced(keys, scale)
     rows = ["alpha_num,alpha_den,p_sub,q_sub,d_sub\n"]
-    for alpha, witnesses in report["walls"]:
-        prefix = "%d,%d," % (alpha.numerator, alpha.denominator)
-        rows.append(prefix + prefix.join(map("%d,%d,%d\n".__mod__, witnesses)))
+    for start in range(0, len(keys), _CSV_CHUNK):
+        part = slice(start, start + _CSV_CHUNK)
+        chunk = groups[part]
+        # one row template per wall, "num,den,%d,%d,%d\n", repeated once per witness
+        prefixes = map("%d,%d,%%d,%%d,%%d\n".__mod__, zip(nums[part], dens[part]))
+        template = "".join(map(operator.mul, prefixes, map(len, chunk)))
+        rows.append(template % tuple(chain.from_iterable(chain.from_iterable(chunk))))
     return "".join(rows)
 
 
@@ -410,7 +458,7 @@ def render(config: RunConfig, report: dict) -> str:
 
 
 def run(config: RunConfig) -> int:
-    """Execute the configured command; engine failures exit 1."""
+    """Execute the configured command; engine failures and failed selftest suites exit 1."""
     try:
         report = _execute(config)
         text = render(config, report)
@@ -429,6 +477,10 @@ def run(config: RunConfig) -> int:
             return 1
     else:
         sys.stdout.write(text)
+    if config.command == "selftest" and not report["all_passed"]:
+        failed = ", ".join(suite["name"] for suite in report["suites"] if not suite["passed"])
+        print(f"upqstab: error: selftest suites failed: {failed}", file=sys.stderr)
+        return 1
     return 0
 
 

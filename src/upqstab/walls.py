@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 
 from .concurrency import ordered_map
@@ -31,10 +32,13 @@ from .core import (
 )
 from .milnor_wood import toledo_bounds
 
-# Candidate witnesses one query may build.  At the cap the engine takes about
-# 1.2 s and 210 MB peak RSS, a JSON `walls` run about 2 s and 450 MB and a CSV
-# run 250 MB (Python 3.11, one core of a 2-vCPU Xeon VM); the largest test or
-# benchmark query has about 49k.
+# Candidate witnesses one query may build.  At the cap ((7,5,3,-2) over
+# [-9250, 9250]) the integer table `_wall_table` takes about 1 s and 177 MB
+# peak RSS and `enumerate_walls` about 4 s and 212 MB, most of it cyclic GC
+# passes over the new records.  A JSON `walls` run takes about 3 s and 365 MB,
+# a `chambers` run 3 s and 471 MB and a CSV run 1.8 s and 225 MB (CPU time,
+# Python 3.11.7, one core of a 2-vCPU Xeon VM); the largest test or benchmark
+# query has about 49k.
 MAX_WITNESSES = 1_000_000
 
 
@@ -171,8 +175,8 @@ def _family_walls(
     return p_sub, q_sub, degrees, keys
 
 
-def _witness_survives_mw(w: WallWitness, deg_l: int, alpha: Fraction) -> bool:
-    """Is some split a' + b' = d' of the witness Milnor-Wood feasible at alpha?
+def _witness_survives_mw(w: tuple[int, int, int], deg_l: int, alpha: Fraction) -> bool:
+    """Is some split a' + b' = d' of the witness (p', q', d') Milnor-Wood feasible at alpha?
 
     tau' = 2a' - 2 p' d'/r' is affine in a', so the admissible a' form a
     rational interval; feasibility is exactly the existence of an integer in
@@ -184,42 +188,32 @@ def _witness_survives_mw(w: WallWitness, deg_l: int, alpha: Fraction) -> bool:
     m' (l + |alpha|) / 2 where |alpha| > l (regimes i and iii).  A closed
     interval of length >= 1 holds an integer, so every witness survives at
     l >= 1, and at l = 0 only a witness with m' |alpha| < 2 can fail.
-    `enumerate_walls` calls this check only for those.
+    `_wall_table` calls this check only for those.
     """
-    if w.p_sub == 0 or w.q_sub == 0:
+    p_sub, q_sub, d_sub = w
+    if p_sub == 0 or q_sub == 0:
         return True
-    bounds = toledo_bounds(w.p_sub, w.q_sub, deg_l, alpha)
-    r_sub = w.p_sub + w.q_sub
-    shift = Fraction(2 * w.p_sub * w.d_sub, r_sub)
+    bounds = toledo_bounds(p_sub, q_sub, deg_l, alpha)
+    shift = Fraction(2 * p_sub * d_sub, p_sub + q_sub)
     a_lo = (bounds.lower + shift) / 2
     a_hi = (bounds.upper + shift) / 2
     return math.ceil(a_lo) <= math.floor(a_hi)
 
 
-def enumerate_walls(
+def _wall_table(
     t: HitchinPairType,
     interval: tuple[RationalLike, RationalLike],
-    *,
-    mw_twist_degree: int | None = None,
-    jobs: int | None = None,
-) -> list[Wall]:
-    """Every critical value in the closed interval, with merged witness lists.
+    mw_twist_degree: int | None,
+    jobs: int | None,
+) -> tuple[Fraction, Fraction, int, list[int], list[tuple[tuple[int, int, int], ...]]]:
+    """The walls of `enumerate_walls` as plain ints: (lo, hi, scale, keys, groups).
 
-    Walls landing exactly on an interval end are included.  With
-    mw_twist_degree = l (an int >= 0; None means no filter) a witness is kept
-    only if some integer degree split of it satisfies the rank-free
-    Milnor-Wood bounds at that wall for deg L = l.  By the width argument of
-    `_witness_survives_mw` that keeps every witness when l >= 1; at l = 0
-    only a witness with both ranks >= 1 and min(p', q') |alpha| < 2 is
-    checked, so only walls with |alpha| < 2 can lose witnesses.
-
-    The witnesses of every family are counted before any is built; more than
-    MAX_WITNESSES candidates (unfiltered, as they bound the work) is a
-    ValueError naming the count.
-
-    Every family's walls are scaled by L = lcm(|coeff|) to integer keys, so
-    candidates are grouped and sorted as plain ints and one Fraction is built
-    per distinct wall.
+    lo and hi are the interval ends as Fractions.  Every family's walls are
+    scaled by scale = lcm(|coeff|) to integer keys, so keys[i] = alpha_i *
+    scale for the walls in increasing alpha, and groups[i] is the tuple of
+    the (p', q', d') triples witnessing wall i, in (p', q', d') order and
+    never empty.  No Fraction is built per wall, except the alpha of each
+    wall the Milnor-Wood filter checks.
     """
     lo = as_rational(interval[0])
     hi = as_rational(interval[1])
@@ -244,31 +238,83 @@ def enumerate_walls(
             f"the interval holds {count} candidate witnesses, more than the limit of "
             f"{MAX_WITNESSES}; query a narrower interval"
         )
-    # witnesses and walls are built by tuple.__new__, as their constructors would
-    # build them but without a Python-level call per object
-    groups: dict[int, list[WallWitness]] = {}
+    groups: dict[int, list[tuple[int, int, int]]] = {}
     for p_sub, q_sub, degrees, keys in per_family:
-        witnesses = map(tuple.__new__, repeat(WallWitness), zip(repeat(p_sub), repeat(q_sub), degrees))
-        for key, w in zip(keys, witnesses):
+        for key, w in zip(keys, zip(repeat(p_sub), repeat(q_sub), degrees)):
             if key in groups:
                 groups[key].append(w)
             else:
                 groups[key] = [w]
     # at deg L = 0 a witness can fail the filter only if min(p', q') |key| < 2 scale
     narrow = 2 * scale if mw_twist_degree == 0 else 0
-    walls = []
+    kept_keys = []
+    kept_groups = []
     for key in sorted(groups):
-        alpha = Fraction(key, scale)
-        # popped, so each group's list is freed as its wall's tuple is built
+        # popped, so each group's list is freed as its tuple is built
         witnesses = groups.pop(key)
         if -narrow < key < narrow:
+            alpha = Fraction(key, scale)
             witnesses = [
                 w for w in witnesses
-                if min(w.p_sub, w.q_sub) * abs(key) >= narrow or _witness_survives_mw(w, 0, alpha)
+                if min(w[0], w[1]) * abs(key) >= narrow or _witness_survives_mw(w, 0, alpha)
             ]
-        if witnesses:
-            walls.append(tuple.__new__(Wall, (alpha, tuple(witnesses))))
-    return walls
+            if not witnesses:
+                continue
+        kept_keys.append(key)
+        kept_groups.append(tuple(witnesses))
+    return lo, hi, scale, kept_keys, kept_groups
+
+
+def enumerate_walls(
+    t: HitchinPairType,
+    interval: tuple[RationalLike, RationalLike],
+    *,
+    mw_twist_degree: int | None = None,
+    jobs: int | None = None,
+) -> list[Wall]:
+    """Every critical value in the closed interval, with merged witness lists.
+
+    Walls landing exactly on an interval end are included.  With
+    mw_twist_degree = l (an int >= 0; None means no filter) a witness is kept
+    only if some integer degree split of it satisfies the rank-free
+    Milnor-Wood bounds at that wall for deg L = l.  By the width argument of
+    `_witness_survives_mw` that keeps every witness when l >= 1; at l = 0
+    only a witness with both ranks >= 1 and min(p', q') |alpha| < 2 is
+    checked, so only walls with |alpha| < 2 can lose witnesses.
+
+    The witnesses of every family are counted before any is built; more than
+    MAX_WITNESSES candidates (unfiltered, as they bound the work) is a
+    ValueError naming the count.
+
+    The walls are those of the integer table `_wall_table`, one Fraction per
+    wall.
+    """
+    _, _, scale, keys, groups = _wall_table(t, interval, mw_twist_degree, jobs)
+    # records are built by tuple.__new__, as their constructors would build
+    # them but without a Python-level call per object; each group is popped,
+    # so its triples are freed as its record is built
+    witness = partial(tuple.__new__, WallWitness)
+    groups.reverse()
+    return [tuple.__new__(Wall, (Fraction(key, scale), tuple(map(witness, groups.pop())))) for key in keys]
+
+
+def _chamber_tiling(lo, hi, alphas):
+    """How the sorted walls alphas inside [lo, hi] cut it into chambers.
+
+    Works on any ordered values: Fractions, or ints and Fractions scaled
+    alike.  Returns None when [lo, hi] is one point on a wall, which leaves no
+    chamber.  Otherwise returns (inner, lo_closed, hi_closed): the chamber
+    boundaries are lo, the walls alphas[inner] and hi, and chamber i lies
+    between boundaries i and i + 1.  Only the first chamber's lo and the last
+    one's hi can be closed, as lo_closed and hi_closed say: an interval end
+    belongs to its chamber unless a wall sits on it.  Walls come sorted, so
+    only the first and last can sit on an interval end.
+    """
+    lo_closed = not alphas or alphas[0] != lo
+    hi_closed = not alphas or alphas[-1] != hi
+    if lo == hi and not lo_closed:
+        return None
+    return slice(not lo_closed, len(alphas) - (not hi_closed)), lo_closed, hi_closed
 
 
 def chamber_report(
@@ -286,14 +332,12 @@ def chamber_report(
     lo = as_rational(interval[0])
     hi = as_rational(interval[1])
     walls = enumerate_walls(t, (lo, hi), mw_twist_degree=mw_twist_degree, jobs=jobs)
-    if lo == hi:
-        chambers = [] if walls else [Chamber(lo, hi, True, True)]
-    else:
-        # walls come sorted, so only the first and last can sit on an interval end
-        alphas = [w.alpha for w in walls]
-        lo_closed = not alphas or alphas[0] != lo
-        hi_closed = not alphas or alphas[-1] != hi
-        points = [lo, *alphas[(not lo_closed):len(alphas) - (not hi_closed)], hi]
+    alphas = [w.alpha for w in walls]
+    tiling = _chamber_tiling(lo, hi, alphas)
+    chambers = []
+    if tiling is not None:
+        inner, lo_closed, hi_closed = tiling
+        points = [lo, *alphas[inner], hi]
         last = len(points) - 2
         chambers = [
             Chamber(x, y, i == 0 and lo_closed, i == last and hi_closed)

@@ -37,8 +37,8 @@ MUTANTS = [
     (
         "MW window rank: min(p', q') -> max(p', q')",
         "walls.py",
-        "if min(w.p_sub, w.q_sub) * abs(key) >= narrow",
-        "if max(w.p_sub, w.q_sub) * abs(key) >= narrow",
+        "if min(w[0], w[1]) * abs(key) >= narrow",
+        "if max(w[0], w[1]) * abs(key) >= narrow",
         ["tests/test_kernel_differential.py"],
     ),
     (
@@ -93,15 +93,43 @@ MUTANTS = [
     (
         "chamber renderer: hi and lo boundaries swapped",
         "cli.py",
-        "args += (hi, _JSON_BOOL[c.hi_closed], lo, _JSON_BOOL[c.lo_closed])",
-        "args += (lo, _JSON_BOOL[c.hi_closed], hi, _JSON_BOOL[c.lo_closed])",
+        "args[0::4] = bounds[1:]\n    args[2::4] = bounds[:-1]",
+        "args[0::4] = bounds[:-1]\n    args[2::4] = bounds[1:]",
         ["tests/test_render_differential.py"],
     ),
     (
         "CSV renderer: alpha numerator and denominator swapped in the row prefix",
         "cli.py",
-        'prefix = "%d,%d," % (alpha.numerator, alpha.denominator)',
-        'prefix = "%d,%d," % (alpha.denominator, alpha.numerator)',
+        "zip(nums[part], dens[part])",
+        "zip(dens[part], nums[part])",
+        ["tests/test_render_differential.py"],
+    ),
+    (
+        "CSV renderer: each chunk of walls loses its last wall",
+        "cli.py",
+        "part = slice(start, start + _CSV_CHUNK)",
+        "part = slice(start, start + _CSV_CHUNK - 1)",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "wall alphas: key/scale not divided by their gcd",
+        "cli.py",
+        "gcds = list(map(math.gcd, keys, repeat(scale)))",
+        "gcds = [1] * len(keys)",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "wall template: one witness template too many per wall",
+        "cli.py",
+        "head + _WITNESS_SEP * (count - 1) + _WALL_TAIL",
+        "head + _WITNESS_SEP * count + _WALL_TAIL",
+        ["tests/test_render_differential.py"],
+    ),
+    (
+        "chamber renderer: the interval ends' closed flags swapped",
+        "cli.py",
+        "args[3] = _JSON_BOOL[lo_closed]\n    args[-3] = _JSON_BOOL[hi_closed]",
+        "args[3] = _JSON_BOOL[hi_closed]\n    args[-3] = _JSON_BOOL[lo_closed]",
         ["tests/test_render_differential.py"],
     ),
     (

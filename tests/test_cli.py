@@ -20,6 +20,7 @@ from upqstab import (
     irreducibility_certificate,
     parse_rational,
 )
+from upqstab import cli
 from upqstab.cli import main, parse_args
 
 
@@ -174,6 +175,59 @@ def test_chambers_report_round_trips(capsys):
     engine = chamber_report(HitchinPairType(1, 1, 1, 0), (-2, 2)).to_json()
     assert {key: report[key] for key in engine} == engine
     assert [w["witness_count"] for w in report["walls"]] == [2, 2]
+
+
+def test_integer_alpha_path_matches_the_library_fractions(capsys):
+    # (2,3,1,-1) has total degree 0, so every d' = 0 witness sits on alpha = 0; its
+    # walls are keyed by alpha * 12, and both interval ends are walls of smaller
+    # denominator: -5/3 (witness (1,0,1)) and 5/2 (witness (0,1,1))
+    t = HitchinPairType(2, 3, 1, -1)
+    lo, hi = Fraction(-5, 3), Fraction(5, 2)
+    base = ["--type", "2,3,1,-1", "--interval", "-5/3,5/2"]
+    walls = enumerate_walls(t, (lo, hi))
+    alphas = [w.alpha for w in walls]
+    assert alphas[0] == lo and alphas[-1] == hi and Fraction(0) in alphas
+    assert sum(alpha < 0 for alpha in alphas) >= 3
+    assert {alpha.denominator for alpha in alphas} >= {1, 2, 3, 4}
+    texts = [f"{alpha.numerator}/{alpha.denominator}" for alpha in alphas]
+    witnesses = [[list(w) for w in wall.witnesses] for wall in walls]
+
+    assert main(["walls", *base]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [w["alpha"] for w in report["walls"]] == texts and "0/1" in texts
+    assert [w["witnesses"] for w in report["walls"]] == witnesses
+
+    assert main(["walls", *base, "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows == [
+        f"{alpha.numerator},{alpha.denominator},{p_sub},{q_sub},{d_sub}"
+        for alpha, wall in zip(alphas, walls)
+        for p_sub, q_sub, d_sub in wall.witnesses
+    ]
+    assert any(row.startswith("0,1,") for row in rows)
+
+    assert main(["chambers", *base]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [w["alpha"] for w in report["walls"]] == texts
+    assert [w["witness_count"] for w in report["walls"]] == list(map(len, witnesses))
+    # both ends are walls, so the chambers are the open gaps between consecutive walls
+    assert report["chambers"] == [
+        {"lo": x, "hi": y, "lo_closed": False, "hi_closed": False} for x, y in zip(texts, texts[1:])
+    ]
+    assert report["chambers"] == [c.to_json() for c in chamber_report(t, (lo, hi)).chambers]
+
+
+def test_csv_rows_past_the_renderers_chunk_of_walls(capsys):
+    # the CSV renderer formats a chunk of walls per `%`; this query spans three chunks
+    t = HitchinPairType(7, 5, 3, -2)
+    walls = enumerate_walls(t, (-270, 270))
+    assert len(walls) > 2 * cli._CSV_CHUNK
+    assert main(["walls", "--type", "7,5,3,-2", "--interval", "-270,270", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"{wall.alpha.numerator},{wall.alpha.denominator},{p_sub},{q_sub},{d_sub}"
+        for wall in walls
+        for p_sub, q_sub, d_sub in wall.witnesses
+    ]
 
 
 def test_walls_with_filter_flag(capsys):

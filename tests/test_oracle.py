@@ -223,10 +223,14 @@ def test_failures_carry_trial_reason_and_the_drawn_inputs(suite, name, broken, r
             trial, why = inputs.pop("trial"), inputs.pop("reason")
             assert isinstance(why, str) and why
             assert inputs == {key: _input_json(value) for key, value in cases[s["name"]][trial].items()}
-    main(["selftest", "--seed", str(seed), "--trials", str(trials)])
-    printed = json.loads(capsys.readouterr().out)
+    # a failed suite exits 1, and the report is still written
+    assert main(["selftest", "--seed", str(seed), "--trials", str(trials)]) == 1
+    captured = capsys.readouterr()
+    printed = json.loads(captured.out)
     assert printed["all_passed"] is False
     assert printed["suites"] == report["suites"]
+    names = ", ".join(s["name"] for s in report["suites"] if not s["passed"])
+    assert captured.err == f"upqstab: error: selftest suites failed: {names}\n"
 
 
 def test_property_driver_single_trial():
