@@ -59,6 +59,7 @@ class RunConfig:
     mw_filter: bool = False
     output_format: str = "json"
     output_path: str | None = None
+    # set only by perfbench/probes.py:at_one_job; passed on to property_driver
     jobs: int | None = None
     seed: int = 0
     trials: int = 1000
@@ -110,12 +111,6 @@ def _int_at_least(minimum: int):
     return parse
 
 
-_positive_int = _int_at_least(1)
-
-
-_JOBS_HELP = "worker threads (default: 1, inline; a thread pool runs only for N > 1)"
-
-
 def _add_common(sub: argparse.ArgumentParser, *, with_type: bool = True) -> None:
     if with_type:
         sub.add_argument(
@@ -145,7 +140,7 @@ def _add_twist(sub: argparse.ArgumentParser) -> None:
 # left as typed, so usage errors quote argv as the user wrote it.
 _VALUE_FLAGS = frozenset(
     {"--type", "--interval", "--alpha", "--degL", "--genus", "--ranks",
-     "--format", "--output", "--jobs", "--seed", "--trials"}
+     "--format", "--output", "--seed", "--trials"}
 )
 
 
@@ -216,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="drop witnesses with no Milnor-Wood-feasible degree split (needs --degL or --canonical)",
         )
-        sub.add_argument("--jobs", type=_positive_int, default=None, help=_JOBS_HELP)
 
     sub = commands.add_parser("certify", help="irreducibility certificate (canonical twist)")
     _add_common(sub)
@@ -226,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("selftest", help="randomized invariant suites")
     _add_common(sub, with_type=False)
     sub.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    sub.add_argument("--trials", type=_positive_int, default=1000, help="cases per suite")
-    sub.add_argument("--jobs", type=_positive_int, default=None, help=_JOBS_HELP)
+    sub.add_argument("--trials", type=_int_at_least(1), default=1000, help="cases per suite")
 
     return parser
 
@@ -271,7 +264,6 @@ def parse_args(argv: list[str]) -> RunConfig:
             ctx=ctx,
             interval=ns.interval,
             mw_filter=ns.mw_filter,
-            jobs=ns.jobs,
             # only walls has --format; every other report is JSON
             output_format=ns.output_format if ns.command == "walls" else "json",
             **common,
@@ -279,7 +271,7 @@ def parse_args(argv: list[str]) -> RunConfig:
     if ns.command == "certify":
         return RunConfig(type_spec=ns.type_spec, genus=ns.genus, alpha=ns.alpha, **common)
     # selftest: argparse admits no other command
-    return RunConfig(seed=ns.seed, trials=ns.trials, jobs=ns.jobs, **common)
+    return RunConfig(seed=ns.seed, trials=ns.trials, **common)
 
 
 def _execute(config: RunConfig) -> dict:
@@ -308,7 +300,7 @@ def _execute(config: RunConfig) -> dict:
             "mw_filter": config.mw_filter,
         }
         # the renderers write both members from the integer wall table
-        table = _wall_table(config.type_spec, config.interval, mw_twist_degree, config.jobs)
+        table = _wall_table(config.type_spec, config.interval, mw_twist_degree)
         report["walls"] = table
         if config.command == "chambers":
             report["chambers"] = table

@@ -32,13 +32,16 @@ from .core import (
 )
 from .milnor_wood import toledo_bounds
 
-# Candidate witnesses one query may build.  At the cap ((7,5,3,-2) over
+# Candidate witnesses one query may build, and rank families one type may
+# have: both are counted before any is built.  At the family cap a query takes
+# seconds and a few hundred MB even where it has no wall ((998,998,0,1) over
+# [0, 0]: 3.4 s and 192 MB).  At the witness cap ((7,5,3,-2) over
 # [-9250, 9250]) the integer table `_wall_table` takes about 1 s and 177 MB
 # peak RSS and `enumerate_walls` about 4 s and 212 MB, most of it cyclic GC
 # passes over the new records.  A JSON `walls` run takes about 3 s and 365 MB,
 # a `chambers` run 3 s and 471 MB and a CSV run 1.8 s and 225 MB (CPU time,
 # Python 3.11.7, one core of a 2-vCPU Xeon VM); the largest test or benchmark
-# query has about 49k.
+# query has about 49k witnesses.
 MAX_WITNESSES = 1_000_000
 
 
@@ -150,16 +153,12 @@ def _wall_families(t: HitchinPairType) -> list[tuple[int, int, int]]:
     return families
 
 
-def _family_walls(
-    t: HitchinPairType, family: tuple[int, int, int], lo: Fraction, hi: Fraction, scale: int
-) -> tuple[int, int, range, range]:
-    """Every wall of one rank family in [lo, hi], with no degree cutoff.
+def _family_degrees(t: HitchinPairType, family: tuple[int, int, int], lo: Fraction, hi: Fraction) -> range:
+    """The d' of every wall of one rank family in [lo, hi], with no degree cutoff.
 
     The wall of (p', q', d') is alpha = (D r' - d' r)/coeff, so slope equality
     pins d' as an affine function of alpha and inverting it at the interval
-    ends yields the complete d'-range.  Returns (p', q', degrees, keys), where
-    keys[i] = alpha * scale is the integer key of the wall witnessed by
-    degrees[i]; both are arithmetic progressions, so no Fraction is built.
+    ends yields the complete d'-range.
     """
     p_sub, q_sub, coeff = family
     r = t.total_rank
@@ -167,15 +166,10 @@ def _family_walls(
     # d' at alpha = n/m is (base m - n coeff)/(r m); it falls as alpha rises iff coeff > 0
     ends = [(base * x.denominator - x.numerator * coeff, r * x.denominator) for x in (lo, hi)]
     (num_min, den_min), (num_max, den_max) = ends if coeff < 0 else ends[::-1]
-    d_min = -(-num_min // den_min)
-    d_max = num_max // den_max
-    unit = scale // coeff
-    degrees = range(d_min, d_max + 1)
-    keys = range((base - d_min * r) * unit, (base - (d_max + 1) * r) * unit, -r * unit)
-    return p_sub, q_sub, degrees, keys
+    return range(-(-num_min // den_min), num_max // den_max + 1)
 
 
-def _witness_survives_mw(w: tuple[int, int, int], deg_l: int, alpha: Fraction) -> bool:
+def _witness_survives_mw(w: tuple[int, int, int], alpha: Fraction) -> bool:
     """Is some split a' + b' = d' of the witness (p', q', d') Milnor-Wood feasible at alpha?
 
     tau' = 2a' - 2 p' d'/r' is affine in a', so the admissible a' form a
@@ -188,12 +182,12 @@ def _witness_survives_mw(w: tuple[int, int, int], deg_l: int, alpha: Fraction) -
     m' (l + |alpha|) / 2 where |alpha| > l (regimes i and iii).  A closed
     interval of length >= 1 holds an integer, so every witness survives at
     l >= 1, and at l = 0 only a witness with m' |alpha| < 2 can fail.
-    `_wall_table` calls this check only for those.
+    `_wall_table` calls this check, with the bounds of l = 0, only for those.
     """
     p_sub, q_sub, d_sub = w
     if p_sub == 0 or q_sub == 0:
         return True
-    bounds = toledo_bounds(p_sub, q_sub, deg_l, alpha)
+    bounds = toledo_bounds(p_sub, q_sub, 0, alpha)
     shift = Fraction(2 * p_sub * d_sub, p_sub + q_sub)
     a_lo = (bounds.lower + shift) / 2
     a_hi = (bounds.upper + shift) / 2
@@ -204,16 +198,17 @@ def _wall_table(
     t: HitchinPairType,
     interval: tuple[RationalLike, RationalLike],
     mw_twist_degree: int | None,
-    jobs: int | None,
 ) -> tuple[Fraction, Fraction, int, list[int], list[tuple[tuple[int, int, int], ...]]]:
     """The walls of `enumerate_walls` as plain ints: (lo, hi, scale, keys, groups).
 
-    lo and hi are the interval ends as Fractions.  Every family's walls are
-    scaled by scale = lcm(|coeff|) to integer keys, so keys[i] = alpha_i *
-    scale for the walls in increasing alpha, and groups[i] is the tuple of
-    the (p', q', d') triples witnessing wall i, in (p', q', d') order and
-    never empty.  No Fraction is built per wall, except the alpha of each
-    wall the Milnor-Wood filter checks.
+    lo and hi are the interval ends as Fractions.  The walls are scaled by
+    scale = lcm(|coeff|) over the families with a wall in the interval (1 when
+    none has one) to integer keys, so keys[i] = alpha_i * scale for the walls
+    in increasing alpha, and groups[i] is the tuple of the (p', q', d')
+    triples witnessing wall i, in (p', q', d') order and never empty.  No
+    Fraction is built per wall, except the alpha of each wall the Milnor-Wood
+    filter checks.  More than MAX_WITNESSES rank families, or candidate
+    witnesses, is refused before any is listed, or any key is built.
     """
     lo = as_rational(interval[0])
     hi = as_rational(interval[1])
@@ -226,20 +221,33 @@ def _wall_table(
                 f"mw_twist_degree (deg L of the Milnor-Wood filter) must be >= 0, got {mw_twist_degree}"
             )
 
+    # of the (p+1)(q+1) sub-ranks (p', q'), the gcd(p, q) + 1 multiples of
+    # (p, q)/gcd(p, q), from (0, 0) to (p, q), are not families
+    family_count = (t.p + 1) * (t.q + 1) - math.gcd(t.p, t.q) - 1
+    if family_count > MAX_WITNESSES:
+        raise ValueError(
+            f"the type has {family_count} rank families, more than the limit of "
+            f"{MAX_WITNESSES}; query a type of lower rank"
+        )
     families = _wall_families(t)
-    scale = math.lcm(*(abs(coeff) for _, _, coeff in families))
-    per_family = ordered_map(
-        lambda family: _family_walls(t, family, lo, hi, scale), families, jobs
-    )
+    # perfbench/tracing.py wraps walls.ordered_map by name; it runs the map inline
+    per_family = ordered_map(lambda family: _family_degrees(t, family, lo, hi), families)
     # len() of a range longer than sys.maxsize raises OverflowError
-    count = sum(max(0, degrees.stop - degrees.start) for _, _, degrees, _ in per_family)
+    count = sum(max(0, degrees.stop - degrees.start) for degrees in per_family)
     if count > MAX_WITNESSES:
         raise ValueError(
             f"the interval holds {count} candidate witnesses, more than the limit of "
             f"{MAX_WITNESSES}; query a narrower interval"
         )
+    held = [(family, degrees) for family, degrees in zip(families, per_family) if degrees]
+    scale = math.lcm(*(abs(coeff) for (_, _, coeff), _ in held))
+    r = t.total_rank
     groups: dict[int, list[tuple[int, int, int]]] = {}
-    for p_sub, q_sub, degrees, keys in per_family:
+    for (p_sub, q_sub, coeff), degrees in held:
+        # the wall of d' is alpha = (base - d' r)/coeff, so its keys fall by r unit per degree
+        base = t.total_degree * (p_sub + q_sub)
+        unit = scale // coeff
+        keys = range((base - degrees.start * r) * unit, (base - degrees.stop * r) * unit, -r * unit)
         for key, w in zip(keys, zip(repeat(p_sub), repeat(q_sub), degrees)):
             if key in groups:
                 groups[key].append(w)
@@ -256,7 +264,7 @@ def _wall_table(
             alpha = Fraction(key, scale)
             witnesses = [
                 w for w in witnesses
-                if min(w[0], w[1]) * abs(key) >= narrow or _witness_survives_mw(w, 0, alpha)
+                if min(w[0], w[1]) * abs(key) >= narrow or _witness_survives_mw(w, alpha)
             ]
             if not witnesses:
                 continue
@@ -270,7 +278,6 @@ def enumerate_walls(
     interval: tuple[RationalLike, RationalLike],
     *,
     mw_twist_degree: int | None = None,
-    jobs: int | None = None,
 ) -> list[Wall]:
     """Every critical value in the closed interval, with merged witness lists.
 
@@ -283,13 +290,13 @@ def enumerate_walls(
     checked, so only walls with |alpha| < 2 can lose witnesses.
 
     The witnesses of every family are counted before any is built; more than
-    MAX_WITNESSES candidates (unfiltered, as they bound the work) is a
-    ValueError naming the count.
+    MAX_WITNESSES candidates (unfiltered, as they bound the work), or rank
+    families, is a ValueError naming the count.
 
     The walls are those of the integer table `_wall_table`, one Fraction per
     wall.
     """
-    _, _, scale, keys, groups = _wall_table(t, interval, mw_twist_degree, jobs)
+    _, _, scale, keys, groups = _wall_table(t, interval, mw_twist_degree)
     # records are built by tuple.__new__, as their constructors would build
     # them but without a Python-level call per object; each group is popped,
     # so its triples are freed as its record is built
@@ -322,7 +329,6 @@ def chamber_report(
     interval: tuple[RationalLike, RationalLike],
     *,
     mw_twist_degree: int | None = None,
-    jobs: int | None = None,
 ) -> ChamberReport:
     """Walls plus the open chambers between them, in deterministic order.
 
@@ -331,7 +337,7 @@ def chamber_report(
     """
     lo = as_rational(interval[0])
     hi = as_rational(interval[1])
-    walls = enumerate_walls(t, (lo, hi), mw_twist_degree=mw_twist_degree, jobs=jobs)
+    walls = enumerate_walls(t, (lo, hi), mw_twist_degree=mw_twist_degree)
     alphas = [w.alpha for w in walls]
     tiling = _chamber_tiling(lo, hi, alphas)
     chambers = []

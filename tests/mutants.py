@@ -49,6 +49,20 @@ MUTANTS = [
         ["tests/test_walls.py"],
     ),
     (
+        "family cap: the family count misses the gcd(p, q) - 1 proportional sub-ranks",
+        "walls.py",
+        "family_count = (t.p + 1) * (t.q + 1) - math.gcd(t.p, t.q) - 1",
+        "family_count = (t.p + 1) * (t.q + 1) - 2",
+        ["tests/test_walls.py"],
+    ),
+    (
+        "key scale: lcm over every family, not only those with a wall",
+        "walls.py",
+        "scale = math.lcm(*(abs(coeff) for (_, _, coeff), _ in held))",
+        "scale = math.lcm(*(abs(coeff) for _, _, coeff in families))",
+        ["tests/test_walls.py"],
+    ),
+    (
         "candidate count: degrees.stop - degrees.start -> len(degrees)",
         "walls.py",
         "max(0, degrees.stop - degrees.start)",

@@ -5,8 +5,8 @@ rational interval, both Milnor-Wood filter twists, degenerate intervals on and
 off a wall, an interval with no walls, and a wide interval on a (7, 5) type.
 toledo, mw (rank-free and with ranks) and certify (fully irreducible, closure
 irreducible only, and neither) pin the reports rendered by the stdlib encoder;
-selftest is pinned with and without a thread pool, and its report over
-twenty more seeds is pinned as the sorted-key JSON of `property_driver`.
+selftest is pinned, and its report over twenty more seeds is pinned as the
+sorted-key JSON of `property_driver`.
 """
 
 from __future__ import annotations
@@ -71,8 +71,6 @@ PINNED = [
     ("certify --type 2,2,1,1 --genus 2 --alpha 0",  # 532 bytes, both windows empty
      "9e8e4da60ab2b7b2055ea62df0b0a0e0bc4dd1134e2bfa2a0fc56d8982a842c6"),
     ("selftest --seed 0 --trials 120",  # 774 bytes
-     "d20af443d9647ad1aaf153490b76a0f31dbb496a42916b4458933c8d3ecd3127"),
-    ("selftest --seed 0 --trials 120 --jobs 2",  # 774 bytes
      "d20af443d9647ad1aaf153490b76a0f31dbb496a42916b4458933c8d3ecd3127"),
 ]
 

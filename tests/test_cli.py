@@ -21,6 +21,7 @@ from upqstab import (
     parse_rational,
 )
 from upqstab import cli
+from upqstab import walls as walls_module
 from upqstab.cli import main, parse_args
 
 
@@ -67,8 +68,8 @@ _USAGE_ERRORS = [
     (["toledo"], "required: --type"),
     (["frobnicate"], "invalid choice: 'frobnicate'"),
     (["walls", "--type", "1,1,1,0", "--interval", "0,1", "--alpha", "1"], "unrecognized arguments"),
-    (["walls", "--type", "1,1,1,0", "--interval", "0,1", "--jobs", "0"], "--jobs: must be at least 1"),
-    (["selftest", "--jobs", "0"], "--jobs: must be at least 1"),
+    (["walls", "--type", "1,1,1,0", "--interval", "0,1", "--jobs", "0"], "unrecognized arguments: --jobs 0"),
+    (["selftest", "--jobs", "0"], "unrecognized arguments: --jobs 0"),
     (["selftest", "--trials", "0"], "--trials: must be at least 1"),
     (["walls", "--type", "1,1,1,0", "--interval", "1/0,1"], "--interval: zero denominator"),
     (["certify", "--type", "1,1,-1,0", "--genus", "2", "--alpha", "1/0"], "--alpha: zero denominator"),
@@ -123,6 +124,21 @@ def test_help_lists_format_on_walls_only(command, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith(f"usage: upqstab {command} ") and captured.err == ""
     assert ("--format" in captured.out) == (command == "walls")
+
+
+def test_jobs_is_no_option(capsys):
+    # the engine is exact Fraction arithmetic, which a thread pool only slowed down
+    for argv in (
+        ["walls", "--type", "1,1,1,0", "--interval", "-2,2"],
+        ["chambers", "--type", "1,1,1,0", "--interval", "-2,2"],
+        ["selftest", "--trials", "1"],
+    ):
+        assert main([*argv, "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --jobs 2" in captured.err
+    for command in ("toledo", "mw", "walls", "chambers", "certify", "selftest"):
+        assert main([command, "--help"]) == 0
+        assert "--jobs" not in capsys.readouterr().out
 
 
 def test_parse_args_calls_are_independent():
@@ -277,6 +293,25 @@ def test_wide_query_is_refused_with_its_witness_count(command, twist, interval, 
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("upqstab: error: ") and f" {count} candidate witnesses" in line
+
+
+@pytest.mark.parametrize(
+    "type_spec, count",
+    [("1000,1000,0,1", 1001000), ("1000000000,1,0,0", 2000000000)],
+    ids=["1000x1000", "1e9x1"],
+)
+def test_high_rank_type_is_refused_with_its_family_count(type_spec, count, capsys, monkeypatch):
+    # refused before the families are listed, even where the interval holds no wall;
+    # listing them would take seconds and a gigabyte at (1000, 1000), unbounded memory at (1e9, 1)
+    def no_listing(t):
+        raise AssertionError("the rank families were listed")
+
+    monkeypatch.setattr(walls_module, "_wall_families", no_listing)
+    assert main(["walls", "--type", type_spec, "--interval", "0,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("upqstab: error: ") and f" {count} rank families" in line
 
 
 # the longest integer parse_rational accepts; walls there have witness degrees

@@ -136,11 +136,6 @@ def test_reversed_interval_is_an_error():
         enumerate_walls(T110, (2, -2))
 
 
-def test_jobs_do_not_change_output():
-    t = HitchinPairType(2, 3, 1, -2)
-    assert enumerate_walls(t, (-4, 4), jobs=1) == enumerate_walls(t, (-4, 4), jobs=4)
-
-
 def test_walls_match_brute_force_on_mixed_types():
     rng = SplitMix64(101)
     for _ in range(25):
@@ -206,6 +201,29 @@ def test_witness_limit_counts_unfiltered_candidates(monkeypatch):
     ):
         with pytest.raises(ValueError, match=r"holds 18 candidate witnesses, more than the limit of 17"):
             query()
+
+
+def test_family_limit_counts_the_rank_families(monkeypatch):
+    rng = SplitMix64(107)
+    for _ in range(40):
+        t = HitchinPairType(rng.randint(1, 12), rng.randint(1, 12), rng.randint(-3, 3), rng.randint(-3, 3))
+        families = len(walls_module._wall_families(t))
+        monkeypatch.setattr(walls_module, "MAX_WITNESSES", families)
+        walls_module._wall_table(t, (0, 0), None)
+        monkeypatch.setattr(walls_module, "MAX_WITNESSES", families - 1)
+        with pytest.raises(ValueError, match=rf"has {families} rank families, more than the limit of {families - 1}"):
+            walls_module._wall_table(t, (0, 0), None)
+
+
+def test_scale_spans_only_the_families_with_a_wall():
+    # over [0, 0] none of the 160400 families of (400,400,0,1) has a wall; all of them scale by a 583-bit lcm
+    assert walls_module._wall_table(HitchinPairType(400, 400, 0, 1), (0, 0), None) == (0, 0, 1, [], [])
+    # (3,2,0,0) has coefficients +-1, ..., +-6 (lcm 12); only those of +-3 and +-6 have a wall at 5/3
+    t = HitchinPairType(3, 2, 0, 0)
+    assert walls_module._wall_table(t, (Fraction(5, 3), Fraction(5, 3)), None)[2:] == (
+        6, [10], [((0, 1, 1), (0, 2, 2), (3, 0, -2), (3, 1, -1))]
+    )
+    assert walls_module._wall_table(t, (-3, 3), None)[2] == 12
 
 
 def test_mw_filter_drops_witness_without_integral_split():
