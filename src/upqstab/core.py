@@ -9,7 +9,10 @@ function of these integers and of exact rational stability parameters.
 
 The inputs are named tuples (`ParameterVector` a tuple of Fractions) that
 check their fields in `__new__`; `_make` and `_replace` go through it, so no
-path builds an invalid input.  Each compares equal to its plain tuple.
+path builds an invalid input.  Each compares equal to its plain tuple.  A
+value built here from values that are already valid (`dual`, `shifted`,
+`upq_quiver_type`, `upq_parameter_vector`) is built by `tuple.__new__`,
+without checking again what cannot fail.
 
 All arithmetic is arbitrary-precision exact rational via fractions.Fraction,
 which stores values in lowest terms with positive denominator.  Floats are
@@ -77,10 +80,6 @@ def _require_label(label: str | None) -> str | None:
     return label
 
 
-def sign(value: Fraction) -> int:
-    return (value > 0) - (value < 0)
-
-
 def _input_record(name: str, fields: str) -> type:
     """A namedtuple base whose `_make`, and with it `_replace`, calls the subclass's `__new__`."""
     base = namedtuple(name, fields)
@@ -95,8 +94,9 @@ class HitchinPairType(_input_record("HitchinPairType", "p q a b")):
     __slots__ = ()
 
     def __new__(cls, p: int, q: int, a: int, b: int) -> "HitchinPairType":
-        for value, name in ((p, "p"), (q, "q"), (a, "a"), (b, "b")):
-            _require_int(value, name)
+        if not (type(p) is int and type(q) is int and type(a) is int and type(b) is int):  # exact ints need no check
+            for value, name in ((p, "p"), (q, "q"), (a, "a"), (b, "b")):
+                _require_int(value, name)
         if p < 1 or q < 1:
             raise ValueError(f"ranks must satisfy p >= 1 and q >= 1, got p={p}, q={q}")
         return tuple.__new__(cls, (p, q, a, b))
@@ -115,7 +115,7 @@ class HitchinPairType(_input_record("HitchinPairType", "p q a b")):
 
     def dual(self) -> "HitchinPairType":
         """Swap the two bundles: (p, q, a, b) -> (q, p, b, a)."""
-        return HitchinPairType(self.q, self.p, self.b, self.a)
+        return tuple.__new__(HitchinPairType, (self.q, self.p, self.b, self.a))
 
     def to_json(self) -> dict:
         return {"p": self.p, "q": self.q, "a": self.a, "b": self.b}
@@ -184,11 +184,13 @@ class QuiverNumericalType(_input_record("QuiverNumericalType", "ranks degrees"))
     __slots__ = ()
 
     def __new__(cls, ranks: Iterable[int], degrees: Iterable[int]) -> "QuiverNumericalType":
-        ranks = tuple(_require_int(r, "rank") for r in ranks)
-        degrees = tuple(_require_int(d, "degree") for d in degrees)
+        # tuples of exact ints need no conversion
+        if not (type(ranks) is tuple and type(degrees) is tuple and all(type(x) is int for x in ranks + degrees)):
+            ranks = tuple(_require_int(r, "rank") for r in ranks)
+            degrees = tuple(_require_int(d, "degree") for d in degrees)
         if len(ranks) != len(degrees):
             raise ValueError(f"rank/degree length mismatch: {len(ranks)} vs {len(degrees)}")
-        if any(r < 0 for r in ranks):
+        if min(ranks, default=0) < 0:
             raise ValueError(f"vertex ranks must be non-negative, got {ranks}")
         if sum(ranks) < 1:
             raise ValueError("total rank must be at least 1")
@@ -232,7 +234,7 @@ class ParameterVector(tuple):
     def shifted(self, constant: RationalLike) -> "ParameterVector":
         """Overall translation alpha -> alpha + a*(1,...,1)."""
         a = as_rational(constant)
-        return ParameterVector(v + a for v in self)
+        return tuple.__new__(ParameterVector, [v + a for v in self])
 
     def to_json(self) -> dict:
         return {"alpha": [format_rational(v) for v in self]}
@@ -288,12 +290,16 @@ class BoundInterval(namedtuple("BoundInterval", "lower upper regime_label", defa
 
 def upq_quiver_type(t: HitchinPairType) -> QuiverNumericalType:
     """Numerical type of t viewed as a bundle over the two-vertex quiver."""
-    return QuiverNumericalType(ranks=(t.p, t.q), degrees=(t.a, t.b))
+    p, q, a, b = t
+    return tuple.__new__(QuiverNumericalType, ((p, q), (a, b)))
+
+
+_ZERO = Fraction(0)
 
 
 def upq_parameter_vector(alpha: RationalLike) -> ParameterVector:
     """The scalar parameter as a vector (alpha, 0): the weight sits on the V-vertex."""
-    return ParameterVector.of(alpha, 0)
+    return tuple.__new__(ParameterVector, (as_rational(alpha), _ZERO))
 
 
 def slope(rank: int, degree: int) -> Fraction:
@@ -305,21 +311,27 @@ def slope(rank: int, degree: int) -> Fraction:
     return Fraction(degree, rank)
 
 
-def alpha_slope_quiver(e: QuiverNumericalType, alpha: ParameterVector | Sequence[RationalLike]) -> Fraction:
-    """Parameter-weighted slope sum_i(deg E_i + alpha_i rk E_i) / sum_i rk E_i."""
-    if not isinstance(alpha, ParameterVector):
-        alpha = ParameterVector(alpha)
+def _slope_terms(e: QuiverNumericalType, alpha: ParameterVector) -> tuple[int, int]:
+    """mu_alpha(e) as (num, den) with den > 0, not in lowest terms."""
     if len(alpha) != e.vertex_count:
         raise ValueError(
             f"parameter vector has {len(alpha)} entries for {e.vertex_count} vertices"
         )
-    # the sum as num/den over the product of the alpha denominators: one gcd, in the return
+    # the sum as num/den over the product of the alpha denominators
     num, den = e.total_degree, 1
     for a, r in zip(alpha, e.ranks):
         d = a.denominator
         num = num * d + a.numerator * r * den
         den *= d
-    return Fraction(num, den * e.total_rank)
+    return num, den * e.total_rank
+
+
+def alpha_slope_quiver(e: QuiverNumericalType, alpha: ParameterVector | Sequence[RationalLike]) -> Fraction:
+    """Parameter-weighted slope sum_i(deg E_i + alpha_i rk E_i) / sum_i rk E_i."""
+    if not isinstance(alpha, ParameterVector):
+        alpha = ParameterVector(alpha)
+    # one gcd, in the Fraction
+    return Fraction(*_slope_terms(e, alpha))
 
 
 def alpha_slope_upq(t: HitchinPairType, alpha: RationalLike) -> Fraction:
@@ -350,12 +362,22 @@ def compare_at(
     whole: QuiverNumericalType,
     alpha: ParameterVector | Sequence[RationalLike],
 ) -> int:
-    """Exact sign of mu_alpha(sub) - mu_alpha(whole) in {-1, 0, +1}."""
+    """Exact sign of mu_alpha(sub) - mu_alpha(whole) in {-1, 0, +1}.
+
+    Compares the two slopes as num/den pairs cross-multiplied in integers,
+    with no Fraction built.
+    """
     if sub.vertex_count != whole.vertex_count:
         raise ValueError(
             f"vertex count mismatch: sub has {sub.vertex_count}, whole has {whole.vertex_count}"
         )
-    return sign(alpha_slope_quiver(sub, alpha) - alpha_slope_quiver(whole, alpha))
+    if not isinstance(alpha, ParameterVector):
+        alpha = ParameterVector(alpha)
+    n1, d1 = _slope_terms(sub, alpha)
+    n2, d2 = _slope_terms(whole, alpha)
+    # both denominators are positive, so cross-multiplying keeps the sign
+    diff = n1 * d2 - n2 * d1
+    return (diff > 0) - (diff < 0)
 
 
 def gcd_rank_degree(t: HitchinPairType) -> int:

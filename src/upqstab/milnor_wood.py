@@ -62,9 +62,10 @@ def toledo_bounds(p: int, q: int, deg_l: int, alpha: RationalLike) -> BoundInter
     Every bound is an integer numerator over the common denominator
     (p+q) * den(alpha), so each returned endpoint costs one Fraction.
     """
-    _require_int(p, "p")
-    _require_int(q, "q")
-    _require_int(deg_l, "deg_l")
+    if not (type(p) is int and type(q) is int and type(deg_l) is int):  # exact ints need no check
+        _require_int(p, "p")
+        _require_int(q, "q")
+        _require_int(deg_l, "deg_l")
     if p < 1 or q < 1:
         raise ValueError(f"ranks must satisfy p >= 1 and q >= 1, got p={p}, q={q}")
     if deg_l < 0:

@@ -134,39 +134,39 @@ class SplitMix64:
     """splitmix64 generator: fixed public mixing constants, 64-bit state.
 
     Chosen over random.Random so that selftest reports are byte-identical
-    across platforms and Python versions.
+    across platforms and Python versions.  The step lives in `randint`, so a
+    draw costs one call; `next_u64` is the draw over the full 64-bit range.
     """
 
     _MASK = (1 << 64) - 1
-    _GAMMA = 0x9E3779B97F4A7C15
-    _MIX1 = 0xBF58476D1CE4E5B9
-    _MIX2 = 0x94D049BB133111EB
 
     def __init__(self, seed: int) -> None:
         self._state = seed & self._MASK
 
     def next_u64(self) -> int:
-        self._state = (self._state + self._GAMMA) & self._MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * self._MIX1) & self._MASK
-        z = ((z ^ (z >> 27)) * self._MIX2) & self._MASK
-        return z ^ (z >> 31)
+        return self.randint(0, self._MASK)
 
     def randint(self, lo: int, hi: int) -> int:
         """Integer in [lo, hi]; modulo reduction (bias immaterial for testing)."""
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
-        return lo + self.next_u64() % (hi - lo + 1)
+        # the splitmix64 step
+        z = self._state = (self._state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        return lo + (z ^ (z >> 31)) % (hi - lo + 1)
 
     def rational(self, span: int, max_den: int = 6) -> Fraction:
-        return Fraction(self.randint(-span * max_den, span * max_den), self.randint(1, max_den))
+        randint = self.randint
+        return Fraction(randint(-span * max_den, span * max_den), randint(1, max_den))
 
 
 def _random_quiver_type(rng: SplitMix64, n: int) -> QuiverNumericalType:
-    ranks = [rng.randint(0, 3) for _ in range(n)]
+    randint = rng.randint
+    ranks = [randint(0, 3) for _ in range(n)]
     if sum(ranks) == 0:
-        ranks[rng.randint(0, n - 1)] = rng.randint(1, 3)
-    degrees = [rng.randint(-5, 5) for _ in range(n)]
+        ranks[randint(0, n - 1)] = randint(1, 3)
+    degrees = [randint(-5, 5) for _ in range(n)]
     return QuiverNumericalType(tuple(ranks), tuple(degrees))
 
 

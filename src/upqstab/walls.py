@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
 
+# perfbench/tracing.py patches walls.ordered_map by name, so the name stays bound
 from .concurrency import ordered_map
 from .core import (
     BoundInterval,
@@ -33,15 +35,16 @@ from .core import (
 from .milnor_wood import toledo_bounds
 
 # Candidate witnesses one query may build, and rank families one type may
-# have: both are counted before any is built.  At the family cap a query takes
-# seconds and a few hundred MB even where it has no wall ((998,998,0,1) over
-# [0, 0]: 3.4 s and 192 MB).  At the witness cap ((7,5,3,-2) over
-# [-9250, 9250]) the integer table `_wall_table` takes about 1 s and 177 MB
-# peak RSS and `enumerate_walls` about 4 s and 212 MB, most of it cyclic GC
-# passes over the new records.  A JSON `walls` run takes about 3 s and 365 MB,
-# a `chambers` run 3 s and 471 MB and a CSV run 1.8 s and 225 MB (CPU time,
-# Python 3.11.7, one core of a 2-vCPU Xeon VM); the largest test or benchmark
-# query has about 49k witnesses.
+# have: both are counted before any is built.  Near the family cap a query
+# scans every family even where it has no wall, and keeps only those with one:
+# a `walls` run of (998,998,0,1) over [0, 0] takes about 0.4 s and 16 MB peak
+# RSS.  At the witness cap ((7,5,3,-2) over [-9250, 9250]) the integer table
+# `_wall_table` takes about 1 s and 177 MB peak RSS and `enumerate_walls`
+# about 4 s and 212 MB, most of it cyclic GC passes over the new records.  A
+# JSON `walls` run takes about 3 s and 365 MB, a `chambers` run 3 s and
+# 471 MB and a CSV run 1.8 s and 225 MB (CPU time, Python 3.11.7, one core of
+# a 2-vCPU Xeon VM); the largest test or benchmark query has about 49k
+# witnesses.
 MAX_WITNESSES = 1_000_000
 
 
@@ -137,36 +140,18 @@ def wall_alpha(t: HitchinPairType, w: WallWitness) -> Fraction | None:
     return Fraction(t.total_degree * r_sub - w.d_sub * r, coeff)
 
 
-def _wall_families(t: HitchinPairType) -> list[tuple[int, int, int]]:
+def _wall_families(t: HitchinPairType) -> Iterator[tuple[int, int, int]]:
     """Sub-ranks (p', q') that can witness a wall, with coeff = p' r - p r' != 0.
 
-    Listed in (p', q') order, which is also the witness order inside a wall.
+    Yielded in (p', q') order, which is also the witness order inside a wall.
     """
     r = t.total_rank
-    families = []
     for p_sub in range(t.p + 1):
         for q_sub in range(t.q + 1):
             r_sub = p_sub + q_sub
             coeff = p_sub * r - t.p * r_sub
             if 1 <= r_sub <= r - 1 and coeff:
-                families.append((p_sub, q_sub, coeff))
-    return families
-
-
-def _family_degrees(t: HitchinPairType, family: tuple[int, int, int], lo: Fraction, hi: Fraction) -> range:
-    """The d' of every wall of one rank family in [lo, hi], with no degree cutoff.
-
-    The wall of (p', q', d') is alpha = (D r' - d' r)/coeff, so slope equality
-    pins d' as an affine function of alpha and inverting it at the interval
-    ends yields the complete d'-range.
-    """
-    p_sub, q_sub, coeff = family
-    r = t.total_rank
-    base = t.total_degree * (p_sub + q_sub)
-    # d' at alpha = n/m is (base m - n coeff)/(r m); it falls as alpha rises iff coeff > 0
-    ends = [(base * x.denominator - x.numerator * coeff, r * x.denominator) for x in (lo, hi)]
-    (num_min, den_min), (num_max, den_max) = ends if coeff < 0 else ends[::-1]
-    return range(-(-num_min // den_min), num_max // den_max + 1)
+                yield p_sub, q_sub, coeff
 
 
 def _witness_survives_mw(w: tuple[int, int, int], alpha: Fraction) -> bool:
@@ -229,23 +214,39 @@ def _wall_table(
             f"the type has {family_count} rank families, more than the limit of "
             f"{MAX_WITNESSES}; query a type of lower rank"
         )
-    families = _wall_families(t)
-    # perfbench/tracing.py wraps walls.ordered_map by name; it runs the map inline
-    per_family = ordered_map(lambda family: _family_degrees(t, family, lo, hi), families)
-    # len() of a range longer than sys.maxsize raises OverflowError
-    count = sum(max(0, degrees.stop - degrees.start) for degrees in per_family)
+    # The wall of (p', q', d') is alpha = (D r' - d' r)/coeff with D = a + b,
+    # so d' at alpha = n/m is (D r' m - n coeff)/(r m): inverting it at the
+    # interval ends gives each family's whole d'-range, with no degree cutoff.
+    # Only the families with a wall in the interval are kept.
+    r, total_degree = t.total_rank, t.total_degree
+    lo_num, lo_den, lo_rden = lo.numerator, lo.denominator, r * lo.denominator
+    hi_num, hi_den, hi_rden = hi.numerator, hi.denominator, r * hi.denominator
+    held = []
+    count = 0
+    for p_sub, q_sub, coeff in _wall_families(t):
+        base = total_degree * (p_sub + q_sub)
+        at_lo = base * lo_den - lo_num * coeff  # d' at lo, over lo_rden
+        at_hi = base * hi_den - hi_num * coeff
+        # d' rises with alpha iff coeff < 0
+        if coeff < 0:
+            first, last = -(-at_lo // lo_rden), at_hi // hi_rden
+        else:
+            first, last = -(-at_hi // hi_rden), at_lo // lo_rden
+        if first <= last:
+            degrees = range(first, last + 1)
+            held.append((p_sub, q_sub, coeff, degrees))
+            # len() of a range longer than sys.maxsize raises OverflowError
+            count += degrees.stop - degrees.start
     if count > MAX_WITNESSES:
         raise ValueError(
             f"the interval holds {count} candidate witnesses, more than the limit of "
             f"{MAX_WITNESSES}; query a narrower interval"
         )
-    held = [(family, degrees) for family, degrees in zip(families, per_family) if degrees]
-    scale = math.lcm(*(abs(coeff) for (_, _, coeff), _ in held))
-    r = t.total_rank
+    scale = math.lcm(*(abs(coeff) for _, _, coeff, _ in held))
     groups: dict[int, list[tuple[int, int, int]]] = {}
-    for (p_sub, q_sub, coeff), degrees in held:
+    for p_sub, q_sub, coeff, degrees in held:
         # the wall of d' is alpha = (base - d' r)/coeff, so its keys fall by r unit per degree
-        base = t.total_degree * (p_sub + q_sub)
+        base = total_degree * (p_sub + q_sub)
         unit = scale // coeff
         keys = range((base - degrees.start * r) * unit, (base - degrees.stop * r) * unit, -r * unit)
         for key, w in zip(keys, zip(repeat(p_sub), repeat(q_sub), degrees)):

@@ -58,16 +58,23 @@ MUTANTS = [
     (
         "key scale: lcm over every family, not only those with a wall",
         "walls.py",
-        "scale = math.lcm(*(abs(coeff) for (_, _, coeff), _ in held))",
-        "scale = math.lcm(*(abs(coeff) for _, _, coeff in families))",
+        "scale = math.lcm(*(abs(coeff) for _, _, coeff, _ in held))",
+        "scale = math.lcm(*(abs(coeff) for _, _, coeff in _wall_families(t)))",
         ["tests/test_walls.py"],
     ),
     (
         "candidate count: degrees.stop - degrees.start -> len(degrees)",
         "walls.py",
-        "max(0, degrees.stop - degrees.start)",
-        "max(0, len(degrees))",
+        "count += degrees.stop - degrees.start",
+        "count += len(degrees)",
         ["tests/test_walls.py", "tests/test_cli.py"],
+    ),
+    (
+        "family scan: each family's d'-range loses its last degree",
+        "walls.py",
+        "degrees = range(first, last + 1)",
+        "degrees = range(first, last)",
+        ["tests/test_walls.py"],
     ),
     (
         "quiver slope kernel: a.numerator * r * den -> a.numerator * r",
@@ -75,6 +82,34 @@ MUTANTS = [
         "num = num * d + a.numerator * r * den",
         "num = num * d + a.numerator * r",
         ["tests/test_integer_kernels.py"],
+    ),
+    (
+        "compare_at: equal slopes compare as +1",
+        "core.py",
+        "return (diff > 0) - (diff < 0)",
+        "return (diff >= 0) - (diff < 0)",
+        ["tests/test_integer_kernels.py"],
+    ),
+    (
+        "SplitMix64.randint: the step's last shift >> 31 -> >> 30",
+        "oracle.py",
+        "return lo + (z ^ (z >> 31)) % (hi - lo + 1)",
+        "return lo + (z ^ (z >> 30)) % (hi - lo + 1)",
+        ["tests/test_integer_kernels.py", "tests/test_oracle.py"],
+    ),
+    (
+        "HitchinPairType exact-int guard: type(p) is int -> isinstance(p, int)",
+        "core.py",
+        "if not (type(p) is int and",
+        "if not (isinstance(p, int) and",
+        ["tests/test_core.py"],
+    ),
+    (
+        "QuiverNumericalType rank check: min(ranks, default=0) -> min(ranks)",
+        "core.py",
+        "if min(ranks, default=0) < 0:",
+        "if min(ranks) < 0:",
+        ["tests/test_core.py"],
     ),
     (
         "regime i boundary: n < -deg_l * d -> <=",

@@ -293,6 +293,97 @@ def test_inputs_are_validated_records(record, plain, bad):
         copy.copy(forged)
 
 
+class _Int(int):
+    """A valid int that is not exactly an int, so the constructors check its type."""
+
+
+def _require_int_before(value, name):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _pair_type_before(p, q, a, b):
+    """HitchinPairType's checks as they were before exact ints skipped the type checks."""
+    for value, name in ((p, "p"), (q, "q"), (a, "a"), (b, "b")):
+        _require_int_before(value, name)
+    if p < 1 or q < 1:
+        raise ValueError(f"ranks must satisfy p >= 1 and q >= 1, got p={p}, q={q}")
+    return (p, q, a, b)
+
+
+def _quiver_type_before(ranks, degrees):
+    """QuiverNumericalType's checks as they were before exact-int tuples skipped the conversion."""
+    ranks = tuple(_require_int_before(r, "rank") for r in ranks)
+    degrees = tuple(_require_int_before(d, "degree") for d in degrees)
+    if len(ranks) != len(degrees):
+        raise ValueError(f"rank/degree length mismatch: {len(ranks)} vs {len(degrees)}")
+    if any(r < 0 for r in ranks):
+        raise ValueError(f"vertex ranks must be non-negative, got {ranks}")
+    if sum(ranks) < 1:
+        raise ValueError("total rank must be at least 1")
+    return (ranks, degrees)
+
+
+def _typed(value):
+    """value with the exact type of every leaf, so 1, True and _Int(1) differ."""
+    if isinstance(value, tuple):
+        return tuple(_typed(v) for v in value)
+    return type(value), value
+
+
+def _outcome(build, args):
+    try:
+        return "built", _typed(tuple(build(*args)))
+    except (TypeError, ValueError) as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1, 1, 0, 0), (2, 3, -5, 10**30), (_Int(2), 1, 0, _Int(-1)),
+        (True, 1, 0, 0), (1, 1, False, 0), (1.0, 1, 0, 0), (1, 1, 0, 0.5), ("1", 1, 0, 0),
+        (0, 1, 0, 0), (1, 0, 0, 0), (1, -2, 0, 0), (-1, -1, 0, 0), (_Int(0), 1, 0, 0),
+    ],
+)
+def test_pair_type_constructor_keeps_its_checks(args):
+    assert _outcome(HitchinPairType, args) == _outcome(_pair_type_before, args)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ((1, 1), (1, 0)), ([1, 0, 2], [0, 0, -3]), ((_Int(1), 0), (0, _Int(2))), ((3,), (10**30,)),
+        ((True, 1), (0, 0)), ((1, 1), (0, False)), ((1.0, 1), (0, 0)), ((1, 1), (0.5, 0)),
+        ((1,), (1, 0)), ((1, 1), (0,)), ((), ()), ((), (1,)), ((0, 0), (1, 0)), ((0,), (0,)),
+        ((-1, 2), (0, 0)), ((-1,), (0,)), ((_Int(-1), 2), (0, 0)), ((1, 2), None),
+    ],
+)
+def test_quiver_type_constructor_keeps_its_checks(args):
+    assert _outcome(QuiverNumericalType, args) == _outcome(_quiver_type_before, args)
+
+
+def test_values_built_from_valid_ones_equal_their_checked_forms():
+    rng = SplitMix64(71)
+    for _ in range(200):
+        t = _random_pair_type(rng)
+        alpha = ParameterVector(tuple(rng.rational(4) for _ in range(rng.randint(1, 4))))
+        shift = rng.rational(6) if rng.randint(0, 1) else rng.randint(-6, 6)
+        for built, checked in (
+            (t.dual(), HitchinPairType(t.q, t.p, t.b, t.a)),
+            (upq_quiver_type(t), QuiverNumericalType([t.p, t.q], [t.a, t.b])),
+            (upq_parameter_vector(shift), ParameterVector([shift, 0])),
+            (alpha.shifted(shift), ParameterVector([v + shift for v in alpha])),
+        ):
+            assert type(built) is type(checked) and _typed(tuple(built)) == _typed(tuple(checked))
+    assert upq_parameter_vector("-3/6") == (Fraction(-1, 2), 0)
+    with pytest.raises(TypeError, match="floating point"):
+        upq_parameter_vector(0.5)
+    with pytest.raises(TypeError, match="floating point"):
+        ParameterVector.of(1).shifted(0.5)
+
+
 def test_parameter_vector_is_a_validated_tuple():
     alpha = ParameterVector.of(1, 0)
     assert isinstance(alpha, tuple) and len(alpha) == 2 and alpha.values == (1, 0)

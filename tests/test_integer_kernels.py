@@ -2,12 +2,15 @@
 
 `alpha_slope_quiver`, `toledo_bounds`, `toledo_bounds_for_ranks` and
 `envelope_toledo_bounds` sum integer numerators over one common denominator
-and build one Fraction per returned value.  The reference functions below are
-the earlier Fraction-arithmetic bodies, kept verbatim, and every kernel must
+and build one Fraction per returned value; `compare_at` cross-multiplies two
+such num/den pairs and builds none.  The reference functions below are the
+earlier Fraction-arithmetic bodies, kept verbatim, and every kernel must
 return equal values, the same regime label and the same infeasible state on
 seeded random inputs: alpha numerators up to 10^12 in size over denominators
-up to 10^6, quiver vertices of rank 0, negative degrees, p and q in 1..8, and
-alpha exactly at the regime joints -deg(L) and deg(L), where the label is "ii".
+up to 10^6, quiver vertices of rank 0, negative degrees, equal slopes, p and q
+in 1..8, and alpha exactly at the regime joints -deg(L) and deg(L), where the
+label is "ii".  `SplitMix64.randint` over spans up to 10^12, lo == hi included,
+must draw exactly lo + next_u64() % (hi - lo + 1), stream for stream.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from upqstab import (
     QuiverNumericalType,
     alpha_slope_quiver,
     as_rational,
+    compare_at,
     envelope_toledo_bounds,
     toledo_bounds,
     toledo_bounds_for_ranks,
@@ -39,6 +43,15 @@ def _reference_alpha_slope_quiver(e, alpha):
         (a * r for a, r in zip(values, e.ranks)), Fraction(0)
     )
     return numerator / e.total_rank
+
+
+def _reference_compare_at(sub, whole, alpha):
+    if sub.vertex_count != whole.vertex_count:
+        raise ValueError(
+            f"vertex count mismatch: sub has {sub.vertex_count}, whole has {whole.vertex_count}"
+        )
+    difference = _reference_alpha_slope_quiver(sub, alpha) - _reference_alpha_slope_quiver(whole, alpha)
+    return (difference > 0) - (difference < 0)
 
 
 def _reference_toledo_bounds_for_ranks(t, deg_l, alpha, ranks):
@@ -107,6 +120,48 @@ def test_alpha_slope_quiver_matches_fraction_sum():
         assert got == _reference_alpha_slope_quiver(e, alpha)
         assert type(got) is Fraction
     assert zero_rank_vertices > 500
+
+
+def _quiver_type(rng: SplitMix64, n: int) -> QuiverNumericalType:
+    ranks = [rng.randint(0, 3) for _ in range(n)]
+    if sum(ranks) == 0:
+        ranks[rng.randint(0, n - 1)] = rng.randint(1, 3)
+    return QuiverNumericalType(tuple(ranks), tuple(rng.randint(-40, 20) for _ in range(n)))
+
+
+def test_compare_at_matches_the_sign_of_the_fraction_difference():
+    rng = SplitMix64(905)
+    signs = {-1: 0, 0: 0, 1: 0}
+    zero_rank_vertices = 0
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        sub = _quiver_type(rng, n)
+        shape = rng.randint(0, 3)
+        if shape == 0:  # a multiple of sub: equal slopes at every alpha
+            k = rng.randint(1, 3)
+            whole = QuiverNumericalType(tuple(k * r for r in sub.ranks), tuple(k * d for d in sub.degrees))
+        elif shape == 1:
+            whole = sub
+        else:
+            whole = _quiver_type(rng, n)
+        zero_rank_vertices += sub.ranks.count(0)
+        values = [_alpha(rng, rng.randint(0, 5)) for _ in range(n)]
+        alpha = ParameterVector.of(*values) if rng.randint(0, 1) else values
+        got = compare_at(sub, whole, alpha)
+        assert got == _reference_compare_at(sub, whole, alpha)
+        signs[got] += 1
+    assert min(signs.values()) > 500 and zero_rank_vertices > 500, (signs, zero_rank_vertices)
+
+
+def test_randint_draws_the_modulo_of_next_u64_stream_for_stream():
+    for seed in (0, 907, 2**64 - 1):
+        fast, slow, shapes = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed + 1)
+        for _ in range(3000):
+            lo = shapes.randint(-10**12, 10**12)
+            shape = shapes.randint(0, 2)
+            hi = lo if shape == 0 else lo + shapes.randint(0, 10 if shape == 1 else 10**12)
+            assert fast.randint(lo, hi) == lo + slow.next_u64() % (hi - lo + 1)
+        assert fast.next_u64() == slow.next_u64()
 
 
 def test_toledo_bounds_matches_fraction_regimes():

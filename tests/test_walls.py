@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -207,7 +208,7 @@ def test_family_limit_counts_the_rank_families(monkeypatch):
     rng = SplitMix64(107)
     for _ in range(40):
         t = HitchinPairType(rng.randint(1, 12), rng.randint(1, 12), rng.randint(-3, 3), rng.randint(-3, 3))
-        families = len(walls_module._wall_families(t))
+        families = len(list(walls_module._wall_families(t)))
         monkeypatch.setattr(walls_module, "MAX_WITNESSES", families)
         walls_module._wall_table(t, (0, 0), None)
         monkeypatch.setattr(walls_module, "MAX_WITNESSES", families - 1)
@@ -216,8 +217,15 @@ def test_family_limit_counts_the_rank_families(monkeypatch):
 
 
 def test_scale_spans_only_the_families_with_a_wall():
-    # over [0, 0] none of the 160400 families of (400,400,0,1) has a wall; all of them scale by a 583-bit lcm
-    assert walls_module._wall_table(HitchinPairType(400, 400, 0, 1), (0, 0), None) == (0, 0, 1, [], [])
+    # over [0, 0] none of the 160400 families of (400,400,0,1) has a wall; all of them scale by a 583-bit lcm.
+    # The scan keeps nothing: a list of every family with a range each peaked at about 28 MB
+    tracemalloc.start()
+    try:
+        assert walls_module._wall_table(HitchinPairType(400, 400, 0, 1), (0, 0), None) == (0, 0, 1, [], [])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
     # (3,2,0,0) has coefficients +-1, ..., +-6 (lcm 12); only those of +-3 and +-6 have a wall at 5/3
     t = HitchinPairType(3, 2, 0, 0)
     assert walls_module._wall_table(t, (Fraction(5, 3), Fraction(5, 3)), None)[2:] == (
