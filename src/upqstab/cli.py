@@ -30,7 +30,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, count, islice, repeat
 
 from .core import (
     GeometryContext,
@@ -44,7 +44,7 @@ from .milnor_wood import mw_check
 from .oracle import property_driver
 # enumerate_walls and chamber_report are not called here, but stay bound:
 # perfbench/tracing.py patches them, and format_rational, by name in this module
-from .walls import _chamber_tiling, _wall_table, chamber_report, enumerate_walls, irreducibility_certificate
+from .walls import _chamber_tiling, _periodic_wall_table, chamber_report, enumerate_walls, irreducibility_certificate
 
 
 @dataclass(frozen=True)
@@ -299,8 +299,8 @@ def _execute(config: RunConfig) -> dict:
             "interval": [format_rational(lo), format_rational(hi)],
             "mw_filter": config.mw_filter,
         }
-        # the renderers write both members from the integer wall table
-        table = _wall_table(config.type_spec, config.interval, mw_twist_degree)
+        # the renderers write both members from the periodic wall table
+        table = _periodic_wall_table(config.type_spec, config.interval, mw_twist_degree)
         report["walls"] = table
         if config.command == "chambers":
             report["chambers"] = table
@@ -319,38 +319,84 @@ def _execute(config: RunConfig) -> dict:
     return {"command": "selftest", **report}
 
 
-# walls and chambers reports are written straight from the engine's integer
-# wall table (`walls._wall_table`): each wall alpha is "%d/%d" of its key and
-# the scale, both divided by their gcd, so no Fraction, Wall or Chamber is
-# built per wall.  The templates reproduce, byte for byte, what
-# json.dumps(..., indent=2, sort_keys=True) writes for Wall.to_json and
-# ChamberReport.to_json at their depth in the report; the stdlib encoder's
-# pure-Python indent path costs more than the wall enumeration itself.  A JSON
-# report is one template and one `%` over one flat argument list (per wall
-# its alpha string, [its witness count,] then its witnesses' ints; per
-# chamber its boundary strings and closed flags).  A wall's part of the
-# template is its head, the witness template repeated once per further
-# witness, and its tail, built once per witness count, so no string is built
-# per witness or per wall.
-_WITNESS_JSON = "        [\n          %d,\n          %d,\n          %d\n        ]"
+# walls and chambers reports are written straight from the engine's periodic
+# wall table (`walls._periodic_wall_table`): the walls of one period, how many
+# copies of that period the interval holds, and how many walls of one more
+# copy it ends with.  Each wall alpha is "%d/%d" of its key and the scale,
+# both divided by their gcd, so no Fraction, Wall or Chamber is built per
+# wall.  The templates reproduce, byte for byte, what json.dumps(...,
+# indent=2, sort_keys=True) writes for Wall.to_json and ChamberReport.to_json
+# at their depth in the report, and what csv.writer writes per witness; the
+# stdlib encoder's pure-Python indent path costs more than the walls
+# themselves.
+#
+# Each renderer lays one period out as a list of item templates (one per
+# wall, witness row or pair of neighbouring walls) and one flat list of their
+# `%` arguments.  A wall's part of a template is its head, the witness
+# template repeated once per further witness, and its tail, built once per
+# witness count.  An argument that moves from one copy of the period to the
+# next is a "%i": a wall's alpha numerator moves by P times its denominator
+# (P the period) and a witness's d' by p0 q' - q0 p' ((p0, q0) = (p, q)/g).
+# Every other argument is a "%d" and stays.  `_periodic_text` writes a
+# single copy with one `%` over the period's template.  For more copies it
+# writes the constants into the template once, with one `%`, and fills each
+# copy's "%i"s from one arithmetic progression per argument (`count`s,
+# zipped), so no per-witness Python code runs after the first copy.  The
+# interval's last, partial copy is one `%` over the templates of its walls.
+_WITNESS_JSON = "        [\n          %d,\n          %d,\n          %i\n        ]"
 _WITNESS_SEP = ",\n" + _WITNESS_JSON
-_WALL_HEAD = '    {\n      "alpha": "%s",\n      "witnesses": [\n' + _WITNESS_JSON
+_WALL_HEAD = '    {\n      "alpha": "%i/%d",\n      "witnesses": [\n' + _WITNESS_JSON
 _COUNTED_WALL_HEAD = (
-    '    {\n      "alpha": "%s",\n      "witness_count": %d,\n      "witnesses": [\n' + _WITNESS_JSON
+    '    {\n      "alpha": "%i/%d",\n      "witness_count": %d,\n      "witnesses": [\n' + _WITNESS_JSON
 )
 _WALL_TAIL = "\n      ]\n    }"
 _CHAMBER_JSON = (
     '    {\n      "hi": "%s",\n      "hi_closed": %s,\n      "lo": "%s",\n      "lo_closed": %s\n    }'
 )
+# a chamber between two neighbouring walls: (hi num, hi den, lo num, lo den)
+_INNER_CHAMBER_JSON = (
+    '    {\n      "hi": "%i/%d",\n      "hi_closed": false,\n      "lo": "%i/%d",\n      "lo_closed": false\n    }'
+)
+_CSV_ROW = "%i,%d,%d,%d,%i\n"
 _JSON_BOOL = {False: "false", True: "true"}
 
 
-def _json_list(parts: list[str], items: Iterator[str]) -> None:
-    """Append a top-level report member's list value to parts, from its item templates.
+def _periodic_text(period: list[str], args: list[int], steps: list[int], total: int, sep: str) -> list[str]:
+    """The first `total` items of a periodic sequence, as pieces to join with sep.
+
+    period holds the item templates of one period and args their `%`
+    arguments in order.  In copy j of the period, argument i is args[i] +
+    j * steps[i]; steps[i] is nonzero exactly at the "%i" arguments, and
+    steps may be empty when total is at most one period.
+    """
+    if not total:
+        return []
+    copies, rest = divmod(total, len(period))
+    template = sep.join(period)
+    pieces = []
+    if copies == 1:
+        pieces.append(template % tuple(args))
+    elif copies > 1:
+        # the constants written in once; then one progression per moving argument, zipped per copy
+        literal = template.replace("%i", "%%i") % tuple(compress(args, map(operator.not_, steps)))
+        moving = zip(*map(count, compress(args, steps), compress(steps, steps)))
+        pieces += map(literal.__mod__, islice(moving, copies))
+    if rest:
+        head = sep.join(period[:rest])
+        args = args[: head.count("%")]
+        if copies:
+            args = map(operator.add, args, map(operator.mul, steps, repeat(copies)))
+        pieces.append(head % tuple(args))
+    return pieces
+
+
+def _json_list(parts: list[str], items: Iterable[str]) -> None:
+    """Append a top-level report member's list value to parts, from its items' text.
 
     The separators go in as parts of their own, so no item string is copied
     before the one join of the whole report.
     """
+    items = iter(items)
     first = next(items, None)
     if first is None:
         parts.append("[]")
@@ -366,81 +412,117 @@ def _reduced(keys: list[int], scale: int) -> tuple[list[int], list[int]]:
     return list(map(operator.floordiv, keys, gcds)), list(map(operator.floordiv, repeat(scale), gcds))
 
 
-def _walls_json(parts: list[str], table: tuple, alphas: list[str], counted: bool) -> Iterable:
-    """Append the walls member's template to parts; return its `%` arguments."""
-    groups = table[4]
+def _d_steps(table, witnesses: list[tuple[int, int, int]]) -> Iterator[int]:
+    """How far each witness's d' moves per period: p0 q' - q0 p'."""
+    p_moves = map(operator.mul, repeat(table.q0), map(operator.itemgetter(0), witnesses))
+    q_moves = map(operator.mul, repeat(table.p0), map(operator.itemgetter(1), witnesses))
+    return map(operator.sub, q_moves, p_moves)
+
+
+def _walls_json(parts: list[str], table, nums: list[int], dens: list[int], counted: bool) -> None:
+    """Append the walls member's text to parts."""
+    groups = table.groups
     counts = list(map(len, groups))
     head = _COUNTED_WALL_HEAD if counted else _WALL_HEAD
-    templates = {count: head + _WITNESS_SEP * (count - 1) + _WALL_TAIL for count in set(counts)}
-    _json_list(parts, map(templates.__getitem__, counts))
-    # each wall's arguments: its head tuple (alpha[, count]) then its witness triples
-    heads = zip(alphas, counts) if counted else zip(alphas)
-    return chain.from_iterable(chain.from_iterable(map(operator.add, zip(heads), groups)))
+    templates = {n: head + _WITNESS_SEP * (n - 1) + _WALL_TAIL for n in set(counts)}
+    # each wall's arguments: its head tuple (num, den[, count]) then its witness triples
+    heads = zip(nums, dens, counts) if counted else zip(nums, dens)
+    args = list(chain.from_iterable(chain.from_iterable(map(operator.add, zip(heads), groups))))
+    steps = []
+    if table.copies:
+        # the same layout: (P den, 0[, 0]) then (0, 0, d' step) per witness
+        num_steps = map(operator.mul, dens, repeat(table.p0 + table.q0))
+        step_heads = zip(num_steps, repeat(0), repeat(0)) if counted else zip(num_steps, repeat(0))
+        witness_steps = zip(repeat(0), repeat(0), _d_steps(table, list(chain.from_iterable(groups))))
+        # islice takes each wall's witnesses in turn from the one shared iterator
+        step_groups = map(tuple, map(islice, repeat(witness_steps), counts))
+        steps = list(chain.from_iterable(chain.from_iterable(map(operator.add, zip(step_heads), step_groups))))
+    total = table.copies * len(groups) + table.prefix
+    _json_list(parts, _periodic_text(list(map(templates.__getitem__, counts)), args, steps, total, ",\n"))
 
 
-def _chambers_json(parts: list[str], table: tuple, alphas: list[str]) -> list[str]:
-    """Append the chambers member's template to parts; return its `%` arguments."""
-    lo, hi, scale, keys, _ = table
-    tiling = _chamber_tiling(lo * scale, hi * scale, keys)
+def _chambers_json(parts: list[str], table, nums: list[int], dens: list[int]) -> None:
+    """Append the chambers member's text to parts."""
+    n = len(table.keys)
+    walls = table.copies * n + table.prefix
+    period = table.p0 + table.q0
+    # the keys of the interval's first and last walls; the last is in copy (walls - 1) // n
+    ends = [table.keys[0], table.keys[(walls - 1) % n] + (walls - 1) // n * period * table.scale] if walls else []
+    tiling = _chamber_tiling(table.lo * table.scale, table.hi * table.scale, ends)
     if tiling is None:
         parts.append("[]")
-        return []
-    inner, lo_closed, hi_closed = tiling
-    # chambers tile the interval (each hi is the next lo), so each boundary is formatted once
-    bounds = [format_rational(lo), *alphas[inner], format_rational(hi)]
-    count = len(bounds) - 1
-    _json_list(parts, repeat(_CHAMBER_JSON, count))
-    # per chamber: hi, hi_closed, lo, lo_closed; only the ends of the interval can be closed
-    args = [_JSON_BOOL[False]] * (4 * count)
-    args[0::4] = bounds[1:]
-    args[2::4] = bounds[:-1]
-    args[3] = _JSON_BOOL[lo_closed]
-    args[-3] = _JSON_BOOL[hi_closed]
-    return args
+        return
+    _, lo_closed, hi_closed = tiling
+    lo_text, hi_text = format_rational(table.lo), format_rational(table.hi)
+    # the chambers' inner boundaries are the walls first, ..., last; only the ends of the interval can be closed
+    first, last = int(not lo_closed), walls - 1 - (not hi_closed)
+    if first > last:
+        _json_list(parts, [_CHAMBER_JSON % (hi_text, _JSON_BOOL[hi_closed], lo_text, _JSON_BOOL[lo_closed])])
+        return
+
+    def wall(index: int) -> tuple[int, int]:
+        copy, index = divmod(index, n)
+        return nums[index] + copy * period * dens[index], dens[index]
+
+    # walls first, ..., first + n, the last one or two from the next copy
+    later = list(map(wall, range(n, first + n + 1)))
+    bound_nums = nums[first:] + [num for num, _ in later]
+    bound_dens = dens[first:] + [den for _, den in later]
+    # chamber i lies between walls first + i and first + i + 1: (hi num, hi den, lo num, lo den)
+    args = list(chain.from_iterable(zip(bound_nums[1:], bound_dens[1:], bound_nums, bound_dens)))
+    steps = []
+    if table.copies:
+        bound_steps = list(map(operator.mul, bound_dens, repeat(period)))
+        steps = list(chain.from_iterable(zip(bound_steps[1:], repeat(0), bound_steps, repeat(0))))
+    inner = _periodic_text([_INNER_CHAMBER_JSON] * n, args, steps, last - first, ",\n")
+    first_wall = "%d/%d" % (bound_nums[0], bound_dens[0])
+    last_wall = "%d/%d" % wall(last)
+    _json_list(parts, chain(
+        [_CHAMBER_JSON % (first_wall, "false", lo_text, _JSON_BOOL[lo_closed])],
+        inner,
+        [_CHAMBER_JSON % (hi_text, _JSON_BOOL[hi_closed], last_wall, "false")],
+    ))
 
 
 def _render_json(report: dict) -> str:
-    """The report as one template and one `%` over its arguments.
+    """The report's text, each member at its place in sorted-key order.
 
-    Every member but walls and chambers goes in as a "%s" of its json.dumps
-    text.  Only walls and chambers reports have those two members, and both
-    hold the same wall table.
+    Every member but walls and chambers is its json.dumps text.  Only walls
+    and chambers reports have those two members, and both hold the same
+    periodic wall table.
     """
     table = report.get("walls")
-    alphas = None if table is None else list(map("%d/%d".__mod__, zip(*_reduced(table[3], table[2]))))
+    if table is not None:
+        nums, dens = _reduced(table.keys, table.scale)
     parts = ["{\n"]
-    args = []
     for key in sorted(report):
-        value = report[key]
         parts += ("  ", json.dumps(key), ": ")
         if key == "walls":
-            args.append(_walls_json(parts, table, alphas, report["command"] == "chambers"))
+            _walls_json(parts, table, nums, dens, report["command"] == "chambers")
         elif key == "chambers":
-            args.append(_chambers_json(parts, table, alphas))
+            _chambers_json(parts, table, nums, dens)
         else:
-            parts.append("%s")
-            args.append((json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "),))
+            parts.append(json.dumps(report[key], indent=2, sort_keys=True).replace("\n", "\n  "))
         parts.append(",\n")
     parts[-1] = "\n}\n"
-    return "".join(parts) % tuple(chain.from_iterable(args))
-
-
-# walls per `%` of the CSV renderer, so that its argument tuple stays small at the witness cap
-_CSV_CHUNK = 4096
+    return "".join(parts)
 
 
 def _render_csv(report: dict) -> str:
-    _, _, scale, keys, groups = report["walls"]
-    nums, dens = _reduced(keys, scale)
-    rows = ["alpha_num,alpha_den,p_sub,q_sub,d_sub\n"]
-    for start in range(0, len(keys), _CSV_CHUNK):
-        part = slice(start, start + _CSV_CHUNK)
-        chunk = groups[part]
-        # one row template per wall, "num,den,%d,%d,%d\n", repeated once per witness
-        prefixes = map("%d,%d,%%d,%%d,%%d\n".__mod__, zip(nums[part], dens[part]))
-        template = "".join(map(operator.mul, prefixes, map(len, chunk)))
-        rows.append(template % tuple(chain.from_iterable(chain.from_iterable(chunk))))
-    return "".join(rows)
+    table = report["walls"]
+    nums, dens = _reduced(table.keys, table.scale)
+    counts = list(map(len, table.groups))
+    witnesses = list(chain.from_iterable(table.groups))
+    # each witness's row arguments: its wall's (num, den), then its (p', q', d')
+    heads = zip(chain.from_iterable(map(repeat, nums, counts)), chain.from_iterable(map(repeat, dens, counts)))
+    args = list(chain.from_iterable(map(operator.add, heads, witnesses)))
+    steps = []
+    if table.copies:
+        num_steps = chain.from_iterable(map(repeat, map(operator.mul, dens, repeat(table.p0 + table.q0)), counts))
+        steps = list(chain.from_iterable(zip(num_steps, repeat(0), repeat(0), repeat(0), _d_steps(table, witnesses))))
+    rows = table.copies * len(witnesses) + sum(counts[: table.prefix])
+    pieces = _periodic_text([_CSV_ROW] * len(witnesses), args, steps, rows, "")
+    return "".join(["alpha_num,alpha_den,p_sub,q_sub,d_sub\n", *pieces])
 
 
 def render(config: RunConfig, report: dict) -> str:

@@ -8,6 +8,15 @@ witnesses are stored in that collapsed form; the split (a', b') is
 reconstructed only inside the optional Milnor-Wood feasibility filter.
 
 Semistability is constant on the open chambers between consecutive walls.
+
+The walls repeat with period P = (p + q)/g, g = gcd(p, q).  The wall of
+(p', q', d') is alpha = (D r' - d' r)/coeff with D = a + b, r = p + q,
+r' = p' + q' and coeff = p' q - p q', a multiple of g.  So alpha + P is the
+wall of (p', q', d' - coeff/g), a witness of the same family, and since P is
+an integer the shift keeps alpha's denominator in lowest terms.  The
+Milnor-Wood filter breaks the period only where it can drop a witness: at
+deg L = 0, where |alpha| < 2 (see `_witness_survives_mw`).
+`_periodic_wall_table` builds one period and counts its copies.
 """
 
 from __future__ import annotations
@@ -40,10 +49,12 @@ from .milnor_wood import toledo_bounds
 # a `walls` run of (998,998,0,1) over [0, 0] takes about 0.4 s and 16 MB peak
 # RSS.  At the witness cap ((7,5,3,-2) over [-9250, 9250]) the integer table
 # `_wall_table` takes about 1 s and 177 MB peak RSS and `enumerate_walls`
-# about 4 s and 212 MB, most of it cyclic GC passes over the new records.  A
-# JSON `walls` run takes about 3 s and 365 MB, a `chambers` run 3 s and
-# 471 MB and a CSV run 1.8 s and 225 MB (CPU time, Python 3.11.7, one core of
-# a 2-vCPU Xeon VM); the largest test or benchmark query has about 49k
+# about 4 s and 212 MB, most of it cyclic GC passes over the new records.
+# The CLI builds one period (`_periodic_wall_table`, 648 of the 999,004
+# witnesses there): a JSON `walls` run takes about 0.65 s and 174 MB, a
+# `chambers` run 0.86 s and 281 MB and a CSV run 0.49 s and 68 MB, most of
+# the memory being the report text (CPU time, Python 3.11.7, one core of a
+# 2-vCPU Xeon VM); the largest test or benchmark query has about 49k
 # witnesses.
 MAX_WITNESSES = 1_000_000
 
@@ -179,21 +190,16 @@ def _witness_survives_mw(w: tuple[int, int, int], alpha: Fraction) -> bool:
     return math.ceil(a_lo) <= math.floor(a_hi)
 
 
-def _wall_table(
+def _held_families(
     t: HitchinPairType,
     interval: tuple[RationalLike, RationalLike],
     mw_twist_degree: int | None,
-) -> tuple[Fraction, Fraction, int, list[int], list[tuple[tuple[int, int, int], ...]]]:
-    """The walls of `enumerate_walls` as plain ints: (lo, hi, scale, keys, groups).
+) -> tuple[Fraction, Fraction, list[tuple[int, int, int, range]]]:
+    """The interval ends as Fractions, and each family with a wall in the interval.
 
-    lo and hi are the interval ends as Fractions.  The walls are scaled by
-    scale = lcm(|coeff|) over the families with a wall in the interval (1 when
-    none has one) to integer keys, so keys[i] = alpha_i * scale for the walls
-    in increasing alpha, and groups[i] is the tuple of the (p', q', d')
-    triples witnessing wall i, in (p', q', d') order and never empty.  No
-    Fraction is built per wall, except the alpha of each wall the Milnor-Wood
-    filter checks.  More than MAX_WITNESSES rank families, or candidate
-    witnesses, is refused before any is listed, or any key is built.
+    Families come in (p', q') order as (p', q', coeff, degrees), degrees being
+    the range of d' whose wall lies in the interval.  More than MAX_WITNESSES
+    rank families, or candidate witnesses, is refused before any is listed.
     """
     lo = as_rational(interval[0])
     hi = as_rational(interval[1])
@@ -242,6 +248,27 @@ def _wall_table(
             f"the interval holds {count} candidate witnesses, more than the limit of "
             f"{MAX_WITNESSES}; query a narrower interval"
         )
+    return lo, hi, held
+
+
+def _wall_table(
+    t: HitchinPairType,
+    interval: tuple[RationalLike, RationalLike],
+    mw_twist_degree: int | None,
+) -> tuple[Fraction, Fraction, int, list[int], list[tuple[tuple[int, int, int], ...]]]:
+    """The walls of `enumerate_walls` as plain ints: (lo, hi, scale, keys, groups).
+
+    lo and hi are the interval ends as Fractions.  The walls are scaled by
+    scale = lcm(|coeff|) over the families with a wall in the interval (1 when
+    none has one) to integer keys, so keys[i] = alpha_i * scale for the walls
+    in increasing alpha, and groups[i] is the tuple of the (p', q', d')
+    triples witnessing wall i, in (p', q', d') order and never empty.  No
+    Fraction is built per wall, except the alpha of each wall the Milnor-Wood
+    filter checks.  More than MAX_WITNESSES rank families, or candidate
+    witnesses, is refused before any is listed, or any key is built.
+    """
+    lo, hi, held = _held_families(t, interval, mw_twist_degree)
+    r, total_degree = t.total_rank, t.total_degree
     scale = math.lcm(*(abs(coeff) for _, _, coeff, _ in held))
     groups: dict[int, list[tuple[int, int, int]]] = {}
     for p_sub, q_sub, coeff, degrees in held:
@@ -272,6 +299,59 @@ def _wall_table(
         kept_keys.append(key)
         kept_groups.append(tuple(witnesses))
     return lo, hi, scale, kept_keys, kept_groups
+
+
+class _PeriodicWallTable(namedtuple("_PeriodicWallTable", "lo hi scale keys groups p0 q0 copies prefix")):
+    """The walls of `_wall_table` over [lo, hi] as one period of them.
+
+    lo, hi, scale, keys and groups are as in `_wall_table`, but keys and
+    groups hold only the walls of the window [lo, lo + P), P = p0 + q0 with
+    (p0, q0) = (p, q)/gcd(p, q).  The interval holds `copies` shifted copies
+    of the window, then copy number `copies` of its first `prefix` walls.
+    Copy j of a wall has key + j P scale, and each of its witnesses (p', q',
+    d') becomes (p', q', d' + j (p0 q' - q0 p')).  With copies = 0 the window
+    is the whole interval and prefix is its wall count.
+    """
+
+    __slots__ = ()
+
+
+def _periodic_wall_table(
+    t: HitchinPairType,
+    interval: tuple[RationalLike, RationalLike],
+    mw_twist_degree: int | None,
+) -> _PeriodicWallTable:
+    """The walls of `_wall_table(t, interval, mw_twist_degree)`, built from one period.
+
+    The candidates are counted, and refused, over the whole interval before
+    any is built, with the limits and messages of `_wall_table`.  The window
+    is the whole interval when it is shorter than a period, and when the
+    Milnor-Wood filter can drop a witness: at deg L = 0 on an interval that
+    meets |alpha| < 2.
+    """
+    lo = as_rational(interval[0])
+    hi = as_rational(interval[1])
+    g = math.gcd(t.p, t.q)
+    p0, q0 = t.p // g, t.q // g
+    period = p0 + q0
+    copies = math.floor((hi - lo) / period)
+    if mw_twist_degree == 0 and lo < 2 and hi > -2:
+        copies = 0
+    if copies < 1:
+        _, _, scale, keys, groups = _wall_table(t, (lo, hi), mw_twist_degree)
+        return _PeriodicWallTable(lo, hi, scale, keys, groups, p0, q0, 0, len(keys))
+    # counted, and refused, over the whole interval before the window is built
+    _held_families(t, (lo, hi), mw_twist_degree)
+    # every family has a wall in every period (its walls are r/|coeff| <= P
+    # apart), so the window has walls and its scale is the interval's
+    _, _, scale, keys, groups = _wall_table(t, (lo, lo + period), mw_twist_degree)
+    if keys[-1] == (lo + period) * scale:
+        keys.pop()
+        groups.pop()
+    # copy number `copies` of the window starts at lo + copies P and is cut at hi
+    bound = math.floor((hi - copies * period) * scale)
+    prefix = sum(key <= bound for key in keys)
+    return _PeriodicWallTable(lo, hi, scale, keys, groups, p0, q0, copies, prefix)
 
 
 def enumerate_walls(

@@ -142,22 +142,22 @@ MUTANTS = [
     (
         "chamber renderer: hi and lo boundaries swapped",
         "cli.py",
-        "args[0::4] = bounds[1:]\n    args[2::4] = bounds[:-1]",
-        "args[0::4] = bounds[:-1]\n    args[2::4] = bounds[1:]",
+        "zip(bound_nums[1:], bound_dens[1:], bound_nums, bound_dens)",
+        "zip(bound_nums, bound_dens, bound_nums[1:], bound_dens[1:])",
         ["tests/test_render_differential.py"],
     ),
     (
-        "CSV renderer: alpha numerator and denominator swapped in the row prefix",
+        "CSV renderer: alpha numerator and denominator swapped in the row arguments",
         "cli.py",
-        "zip(nums[part], dens[part])",
-        "zip(dens[part], nums[part])",
+        "heads = zip(chain.from_iterable(map(repeat, nums, counts)), chain.from_iterable(map(repeat, dens, counts)))",
+        "heads = zip(chain.from_iterable(map(repeat, dens, counts)), chain.from_iterable(map(repeat, nums, counts)))",
         ["tests/test_render_differential.py"],
     ),
     (
-        "CSV renderer: each chunk of walls loses its last wall",
+        "periodic renderer: the last whole copy of the period is dropped",
         "cli.py",
-        "part = slice(start, start + _CSV_CHUNK)",
-        "part = slice(start, start + _CSV_CHUNK - 1)",
+        "pieces += map(literal.__mod__, islice(moving, copies))",
+        "pieces += map(literal.__mod__, islice(moving, copies - 1))",
         ["tests/test_cli.py"],
     ),
     (
@@ -170,16 +170,44 @@ MUTANTS = [
     (
         "wall template: one witness template too many per wall",
         "cli.py",
-        "head + _WITNESS_SEP * (count - 1) + _WALL_TAIL",
-        "head + _WITNESS_SEP * count + _WALL_TAIL",
+        "head + _WITNESS_SEP * (n - 1) + _WALL_TAIL",
+        "head + _WITNESS_SEP * n + _WALL_TAIL",
         ["tests/test_render_differential.py"],
     ),
     (
         "chamber renderer: the interval ends' closed flags swapped",
         "cli.py",
-        "args[3] = _JSON_BOOL[lo_closed]\n    args[-3] = _JSON_BOOL[hi_closed]",
-        "args[3] = _JSON_BOOL[hi_closed]\n    args[-3] = _JSON_BOOL[lo_closed]",
+        "_JSON_BOOL[lo_closed])],\n        inner,\n        [_CHAMBER_JSON % (hi_text, _JSON_BOOL[hi_closed],",
+        "_JSON_BOOL[hi_closed])],\n        inner,\n        [_CHAMBER_JSON % (hi_text, _JSON_BOOL[lo_closed],",
         ["tests/test_render_differential.py"],
+    ),
+    (
+        "wall period: r instead of r/g",
+        "walls.py",
+        "    period = p0 + q0\n    copies =",
+        "    period = t.p + t.q\n    copies =",
+        ["tests/test_periodic_table.py"],
+    ),
+    (
+        "periodic renderer: the d' shift per period has the wrong sign",
+        "cli.py",
+        "return map(operator.sub, q_moves, p_moves)",
+        "return map(operator.sub, p_moves, q_moves)",
+        ["tests/test_render_differential.py"],
+    ),
+    (
+        "periodic table: the last copy's walls at or below hi -> strictly below hi",
+        "walls.py",
+        "prefix = sum(key <= bound for key in keys)",
+        "prefix = sum(key < bound for key in keys)",
+        ["tests/test_periodic_table.py"],
+    ),
+    (
+        "periodic table: the deg L = 0, |alpha| < 2 window check dropped",
+        "walls.py",
+        "    if mw_twist_degree == 0 and lo < 2 and hi > -2:\n        copies = 0\n",
+        "",
+        ["tests/test_periodic_table.py"],
     ),
     (
         "selftest batches: trial numbers restart at 0 in every batch",

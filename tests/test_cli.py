@@ -20,7 +20,6 @@ from upqstab import (
     irreducibility_certificate,
     parse_rational,
 )
-from upqstab import cli
 from upqstab import walls as walls_module
 from upqstab.cli import main, parse_args
 
@@ -234,10 +233,10 @@ def test_integer_alpha_path_matches_the_library_fractions(capsys):
 
 
 def test_csv_rows_past_the_renderers_chunk_of_walls(capsys):
-    # the CSV renderer formats a chunk of walls per `%`; this query spans three chunks
+    # the CSV renderer formats one period of walls per `%`; this query spans 45 periods
     t = HitchinPairType(7, 5, 3, -2)
     walls = enumerate_walls(t, (-270, 270))
-    assert len(walls) > 2 * cli._CSV_CHUNK
+    assert walls_module._periodic_wall_table(t, (-270, 270), None).copies == 45
     assert main(["walls", "--type", "7,5,3,-2", "--interval", "-270,270", "--format", "csv"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
         f"{wall.alpha.numerator},{wall.alpha.denominator},{p_sub},{q_sub},{d_sub}"
