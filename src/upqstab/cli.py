@@ -30,7 +30,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, count, islice, repeat
 
 from .core import (
     GeometryContext,
@@ -330,80 +330,71 @@ def _execute(config: RunConfig) -> dict:
 # stdlib encoder's pure-Python indent path costs more than the walls
 # themselves.
 #
-# Each renderer lays one period out as a list of item templates (one per
-# wall, witness row or pair of neighbouring walls) and one flat list of their
-# `%` arguments.  A wall's part of a template is its head, the witness
-# template repeated once per further witness, and its tail, built once per
-# witness count.  An argument that moves from one copy of the period to the
-# next is a "%i": a wall's alpha numerator moves by P times its denominator
-# (P the period) and a witness's d' by p0 q' - q0 p' ((p0, q0) = (p, q)/g).
-# Every other argument is a "%d" and stays.  `_periodic_text` writes a
-# single copy with one `%` over the period's template.  For more copies it
-# writes the constants into the template once, with one `%`, and fills each
-# copy's "%i"s from one arithmetic progression per argument (`count`s,
-# zipped), so no per-witness Python code runs after the first copy.  The
-# interval's last, partial copy is one `%` over the templates of its walls.
-_WITNESS_JSON = "        [\n          %d,\n          %d,\n          %i\n        ]"
-_WITNESS_SEP = ",\n" + _WITNESS_JSON
-_WALL_HEAD = '    {\n      "alpha": "%i/%d",\n      "witnesses": [\n' + _WITNESS_JSON
+# Each renderer lays one period out as byte templates, one per item (a wall,
+# a witness row or a pair of neighbouring walls), each ending in the
+# separator that follows it.  A number that is the same in every copy of the
+# period is a "%d" slot and comes from a tuple of the period's constants.  A
+# number that moves from one copy to the next is a "%%d" slot with a base
+# (its value in the first copy) and a step: a wall's alpha numerator moves by
+# P times its denominator (P the period) and a witness's d' by p0 q' - q0 p'
+# ((p0, q0) = (p, q)/g).  `_periodic_pieces` fills the constants in with one
+# `%`, which leaves one "%d" per moving number, then writes each copy with
+# one more `%` over its moving numbers, taken from one arithmetic progression
+# per slot.  Bytes `%` finds its slots with memchr, where str `%` steps
+# through the long literals one character at a time.  The pieces are written
+# out as they are, never joined, so the report is held once.
+_WITNESS_JSON = b"        [\n          %d,\n          %d,\n          %%d\n        ]"
+_WITNESS_SEP = b",\n" + _WITNESS_JSON
+# a wall's head has two constant slots in both reports, so `_walls_json` lays
+# their numbers out alike: in a walls report the second is "%s" of b"", which
+# prints nothing
+_WALL_HEAD = b'    {\n      "alpha": "%%d/%d%s",\n      "witnesses": [\n' + _WITNESS_JSON
 _COUNTED_WALL_HEAD = (
-    '    {\n      "alpha": "%i/%d",\n      "witness_count": %d,\n      "witnesses": [\n' + _WITNESS_JSON
+    b'    {\n      "alpha": "%%d/%d",\n      "witness_count": %d,\n      "witnesses": [\n' + _WITNESS_JSON
 )
-_WALL_TAIL = "\n      ]\n    }"
+_WALL_TAIL = b"\n      ]\n    },\n"
 _CHAMBER_JSON = (
-    '    {\n      "hi": "%s",\n      "hi_closed": %s,\n      "lo": "%s",\n      "lo_closed": %s\n    }'
+    b'    {\n      "hi": "%s",\n      "hi_closed": %s,\n      "lo": "%s",\n      "lo_closed": %s\n    }'
 )
-# a chamber between two neighbouring walls: (hi num, hi den, lo num, lo den)
+# a chamber between two neighbouring walls, (hi num, lo num) moving and (hi den, lo den) constant
 _INNER_CHAMBER_JSON = (
-    '    {\n      "hi": "%i/%d",\n      "hi_closed": false,\n      "lo": "%i/%d",\n      "lo_closed": false\n    }'
+    b'    {\n      "hi": "%%d/%d",\n      "hi_closed": false,\n      "lo": "%%d/%d",\n      "lo_closed": false\n    },\n'
 )
-_CSV_ROW = "%i,%d,%d,%d,%i\n"
-_JSON_BOOL = {False: "false", True: "true"}
+_CSV_ROW = b"%%d,%d,%d,%d,%%d\n"
+_JSON_BOOL = {False: b"false", True: b"true"}
 
 
-def _periodic_text(period: list[str], args: list[int], steps: list[int], total: int, sep: str) -> list[str]:
-    """The first `total` items of a periodic sequence, as pieces to join with sep.
+def _periodic_pieces(period: list[bytes], constants: tuple, bases: list[int], steps: list[int], total: int) -> list[bytes]:
+    """The first `total` items of a periodic sequence, as byte pieces.
 
-    period holds the item templates of one period and args their `%`
-    arguments in order.  In copy j of the period, argument i is args[i] +
-    j * steps[i]; steps[i] is nonzero exactly at the "%i" arguments, and
-    steps may be empty when total is at most one period.
+    period holds the item templates of one period.  Its "%d" slots are the
+    same in every copy and take constants in order; in copy j its i-th
+    "%%d" slot is bases[i] + j * steps[i].  The period has at least one
+    "%%d" slot, and steps may be empty when total is at most one period.
+    The pieces are one per whole copy, then one for the items of the last,
+    partial copy.
     """
     if not total:
         return []
     copies, rest = divmod(total, len(period))
-    template = sep.join(period)
+    # the partial copy is the period's first `rest` items: its text, with its constants filled in
+    head = b"".join(period[:rest])
+    moving = head.count(b"%%")
+    split = head.count(b"%") - 2 * moving
+    head %= constants[:split]
     pieces = []
-    if copies == 1:
-        pieces.append(template % tuple(args))
-    elif copies > 1:
-        # the constants written in once; then one progression per moving argument, zipped per copy
-        literal = template.replace("%i", "%%i") % tuple(compress(args, map(operator.not_, steps)))
-        moving = zip(*map(count, compress(args, steps), compress(steps, steps)))
-        pieces += map(literal.__mod__, islice(moving, copies))
+    if copies:
+        literal = head + b"".join(period[rest:]) % constants[split:]
+        if copies == 1:
+            pieces.append(literal % tuple(bases))
+        else:
+            pieces += map(literal.__mod__, islice(zip(*map(count, bases, steps)), copies))
     if rest:
-        head = sep.join(period[:rest])
-        args = args[: head.count("%")]
+        values = bases[:moving]
         if copies:
-            args = map(operator.add, args, map(operator.mul, steps, repeat(copies)))
-        pieces.append(head % tuple(args))
+            values = map(operator.add, values, map(operator.mul, steps[:moving], repeat(copies)))
+        pieces.append(head % tuple(values))
     return pieces
-
-
-def _json_list(parts: list[str], items: Iterable[str]) -> None:
-    """Append a top-level report member's list value to parts, from its items' text.
-
-    The separators go in as parts of their own, so no item string is copied
-    before the one join of the whole report.
-    """
-    items = iter(items)
-    first = next(items, None)
-    if first is None:
-        parts.append("[]")
-        return
-    parts += ("[\n", first)
-    parts += chain.from_iterable(zip(repeat(",\n"), items))
-    parts.append("\n  ]")
 
 
 def _reduced(keys: list[int], scale: int) -> tuple[list[int], list[int]]:
@@ -412,37 +403,55 @@ def _reduced(keys: list[int], scale: int) -> tuple[list[int], list[int]]:
     return list(map(operator.floordiv, keys, gcds)), list(map(operator.floordiv, repeat(scale), gcds))
 
 
-def _d_steps(table, witnesses: list[tuple[int, int, int]]) -> Iterator[int]:
+def _columns(table) -> tuple[list[int], list[int], list[int]]:
+    """The p', q' and d' of the period's witnesses, wall by wall, as three columns."""
+    flat = list(chain.from_iterable(chain.from_iterable(table.groups)))
+    return flat[0::3], flat[1::3], flat[2::3]
+
+
+def _d_steps(table, ps: list[int], qs: list[int]) -> Iterator[int]:
     """How far each witness's d' moves per period: p0 q' - q0 p'."""
-    p_moves = map(operator.mul, repeat(table.q0), map(operator.itemgetter(0), witnesses))
-    q_moves = map(operator.mul, repeat(table.p0), map(operator.itemgetter(1), witnesses))
-    return map(operator.sub, q_moves, p_moves)
+    return map(operator.sub, map(operator.mul, repeat(table.p0), qs), map(operator.mul, repeat(table.q0), ps))
 
 
-def _walls_json(parts: list[str], table, nums: list[int], dens: list[int], counted: bool) -> None:
-    """Append the walls member's text to parts."""
-    groups = table.groups
-    counts = list(map(len, groups))
+def _per_row(values: Iterable[int], counts: list[int]) -> Iterator[int]:
+    """Each wall's value, once per witness of the wall."""
+    return chain.from_iterable(map(repeat, values, counts))
+
+
+def _walls_json(parts: list[bytes], table, nums: list[int], dens: list[int], counted: bool) -> None:
+    """Append the walls member's pieces to parts."""
+    counts = list(map(len, table.groups))
     head = _COUNTED_WALL_HEAD if counted else _WALL_HEAD
     templates = {n: head + _WITNESS_SEP * (n - 1) + _WALL_TAIL for n in set(counts)}
-    # each wall's arguments: its head tuple (num, den[, count]) then its witness triples
-    heads = zip(nums, dens, counts) if counted else zip(nums, dens)
-    args = list(chain.from_iterable(chain.from_iterable(map(operator.add, zip(heads), groups))))
+    # each wall as (den, witness count or b"", alpha numerator), then its
+    # witnesses' (p', q', d'): every third number moves, the rest are constants
+    heads = zip(dens, counts if counted else repeat(b""), nums)
+    flat = list(chain.from_iterable(chain.from_iterable(map(operator.add, zip(heads), table.groups))))
+    bases = flat[2::3]
+    del flat[2::3]
     steps = []
     if table.copies:
-        # the same layout: (P den, 0[, 0]) then (0, 0, d' step) per witness
+        ps, qs, _ = _columns(table)
         num_steps = map(operator.mul, dens, repeat(table.p0 + table.q0))
-        step_heads = zip(num_steps, repeat(0), repeat(0)) if counted else zip(num_steps, repeat(0))
-        witness_steps = zip(repeat(0), repeat(0), _d_steps(table, list(chain.from_iterable(groups))))
-        # islice takes each wall's witnesses in turn from the one shared iterator
-        step_groups = map(tuple, map(islice, repeat(witness_steps), counts))
-        steps = list(chain.from_iterable(chain.from_iterable(map(operator.add, zip(step_heads), step_groups))))
-    total = table.copies * len(groups) + table.prefix
-    _json_list(parts, _periodic_text(list(map(templates.__getitem__, counts)), args, steps, total, ",\n"))
+        # per wall: its numerator's step, then its witnesses' d' steps, each
+        # wall's islice taking them in turn from the one shared iterator
+        d_steps = map(islice, repeat(_d_steps(table, ps, qs)), counts)
+        steps = list(chain.from_iterable(map(chain, zip(num_steps), d_steps)))
+    total = table.copies * len(counts) + table.prefix
+    pieces = _periodic_pieces(list(map(templates.__getitem__, counts)), tuple(flat), bases, steps, total)
+    if not pieces:
+        parts.append(b"[]")
+        return
+    # the last wall takes no separator
+    pieces[-1] = pieces[-1][:-2]
+    parts.append(b"[\n")
+    parts += pieces
+    parts.append(b"\n  ]")
 
 
-def _chambers_json(parts: list[str], table, nums: list[int], dens: list[int]) -> None:
-    """Append the chambers member's text to parts."""
+def _chambers_json(parts: list[bytes], table, nums: list[int], dens: list[int]) -> None:
+    """Append the chambers member's pieces to parts."""
     n = len(table.keys)
     walls = table.copies * n + table.prefix
     period = table.p0 + table.q0
@@ -450,14 +459,15 @@ def _chambers_json(parts: list[str], table, nums: list[int], dens: list[int]) ->
     ends = [table.keys[0], table.keys[(walls - 1) % n] + (walls - 1) // n * period * table.scale] if walls else []
     tiling = _chamber_tiling(table.lo * table.scale, table.hi * table.scale, ends)
     if tiling is None:
-        parts.append("[]")
+        parts.append(b"[]")
         return
     _, lo_closed, hi_closed = tiling
-    lo_text, hi_text = format_rational(table.lo), format_rational(table.hi)
+    lo_text, hi_text = format_rational(table.lo).encode(), format_rational(table.hi).encode()
     # the chambers' inner boundaries are the walls first, ..., last; only the ends of the interval can be closed
     first, last = int(not lo_closed), walls - 1 - (not hi_closed)
+    parts.append(b"[\n")
     if first > last:
-        _json_list(parts, [_CHAMBER_JSON % (hi_text, _JSON_BOOL[hi_closed], lo_text, _JSON_BOOL[lo_closed])])
+        parts += (_CHAMBER_JSON % (hi_text, _JSON_BOOL[hi_closed], lo_text, _JSON_BOOL[lo_closed]), b"\n  ]")
         return
 
     def wall(index: int) -> tuple[int, int]:
@@ -468,74 +478,79 @@ def _chambers_json(parts: list[str], table, nums: list[int], dens: list[int]) ->
     later = list(map(wall, range(n, first + n + 1)))
     bound_nums = nums[first:] + [num for num, _ in later]
     bound_dens = dens[first:] + [den for _, den in later]
-    # chamber i lies between walls first + i and first + i + 1: (hi num, hi den, lo num, lo den)
-    args = list(chain.from_iterable(zip(bound_nums[1:], bound_dens[1:], bound_nums, bound_dens)))
+    # chamber i lies between walls first + i and first + i + 1
+    constants = tuple(chain.from_iterable(zip(bound_dens[1:], bound_dens)))
+    bases = list(chain.from_iterable(zip(bound_nums[1:], bound_nums)))
     steps = []
     if table.copies:
         bound_steps = list(map(operator.mul, bound_dens, repeat(period)))
-        steps = list(chain.from_iterable(zip(bound_steps[1:], repeat(0), bound_steps, repeat(0))))
-    inner = _periodic_text([_INNER_CHAMBER_JSON] * n, args, steps, last - first, ",\n")
-    first_wall = "%d/%d" % (bound_nums[0], bound_dens[0])
-    last_wall = "%d/%d" % wall(last)
-    _json_list(parts, chain(
-        [_CHAMBER_JSON % (first_wall, "false", lo_text, _JSON_BOOL[lo_closed])],
-        inner,
-        [_CHAMBER_JSON % (hi_text, _JSON_BOOL[hi_closed], last_wall, "false")],
-    ))
+        steps = list(chain.from_iterable(zip(bound_steps[1:], bound_steps)))
+    first_wall = b"%d/%d" % (bound_nums[0], bound_dens[0])
+    last_wall = b"%d/%d" % wall(last)
+    parts += (_CHAMBER_JSON % (first_wall, b"false", lo_text, _JSON_BOOL[lo_closed]), b",\n")
+    parts += _periodic_pieces([_INNER_CHAMBER_JSON] * n, constants, bases, steps, last - first)
+    parts += (_CHAMBER_JSON % (hi_text, _JSON_BOOL[hi_closed], last_wall, b"false"), b"\n  ]")
 
 
-def _render_json(report: dict) -> str:
-    """The report's text, each member at its place in sorted-key order.
+def _render_json(report: dict) -> list[bytes]:
+    """The report's pieces, each member at its place in sorted-key order.
 
-    Every member but walls and chambers is its json.dumps text.  Only walls
-    and chambers reports have those two members, and both hold the same
-    periodic wall table.
+    A report without walls is its json.dumps text, in one piece.  Only walls
+    and chambers reports have walls and chambers members, and both hold the
+    same periodic wall table; every other member of theirs is its json.dumps
+    text.
     """
     table = report.get("walls")
-    if table is not None:
-        nums, dens = _reduced(table.keys, table.scale)
-    parts = ["{\n"]
+    if table is None:
+        return [(json.dumps(report, indent=2, sort_keys=True) + "\n").encode("ascii")]
+    nums, dens = _reduced(table.keys, table.scale)
+    parts = [b"{\n"]
     for key in sorted(report):
-        parts += ("  ", json.dumps(key), ": ")
+        parts.append(b'  "%s": ' % key.encode("ascii"))
         if key == "walls":
             _walls_json(parts, table, nums, dens, report["command"] == "chambers")
         elif key == "chambers":
             _chambers_json(parts, table, nums, dens)
         else:
-            parts.append(json.dumps(report[key], indent=2, sort_keys=True).replace("\n", "\n  "))
-        parts.append(",\n")
-    parts[-1] = "\n}\n"
-    return "".join(parts)
+            parts.append(json.dumps(report[key], indent=2, sort_keys=True).replace("\n", "\n  ").encode("ascii"))
+        parts.append(b",\n")
+    parts[-1] = b"\n}\n"
+    return parts
 
 
-def _render_csv(report: dict) -> str:
+def _render_csv(report: dict) -> list[bytes]:
     table = report["walls"]
     nums, dens = _reduced(table.keys, table.scale)
     counts = list(map(len, table.groups))
-    witnesses = list(chain.from_iterable(table.groups))
-    # each witness's row arguments: its wall's (num, den), then its (p', q', d')
-    heads = zip(chain.from_iterable(map(repeat, nums, counts)), chain.from_iterable(map(repeat, dens, counts)))
-    args = list(chain.from_iterable(map(operator.add, heads, witnesses)))
+    ps, qs, ds = _columns(table)
+    # a row's constants are its wall's alpha den and its p', q'; its alpha numerator and d' move
+    constants = tuple(chain.from_iterable(zip(_per_row(dens, counts), ps, qs)))
+    bases = list(chain.from_iterable(zip(_per_row(nums, counts), ds)))
     steps = []
     if table.copies:
-        num_steps = chain.from_iterable(map(repeat, map(operator.mul, dens, repeat(table.p0 + table.q0)), counts))
-        steps = list(chain.from_iterable(zip(num_steps, repeat(0), repeat(0), repeat(0), _d_steps(table, witnesses))))
-    rows = table.copies * len(witnesses) + sum(counts[: table.prefix])
-    pieces = _periodic_text([_CSV_ROW] * len(witnesses), args, steps, rows, "")
-    return "".join(["alpha_num,alpha_den,p_sub,q_sub,d_sub\n", *pieces])
+        num_steps = map(operator.mul, dens, repeat(table.p0 + table.q0))
+        steps = list(chain.from_iterable(zip(_per_row(num_steps, counts), _d_steps(table, ps, qs))))
+    rows = table.copies * len(ds) + sum(counts[: table.prefix])
+    pieces = _periodic_pieces([_CSV_ROW] * len(ds), constants, bases, steps, rows)
+    return [b"alpha_num,alpha_den,p_sub,q_sub,d_sub\n", *pieces]
 
 
-def render(config: RunConfig, report: dict) -> str:
+def render(config: RunConfig, report: dict) -> list[bytes]:
+    """The report as ASCII byte pieces, to be written out in order."""
     if config.output_format == "csv":
         return _render_csv(report)
     return _render_json(report)
 
 
 def run(config: RunConfig) -> int:
-    """Execute the configured command; engine failures and failed selftest suites exit 1."""
+    """Execute the configured command; engine failures, failed writes and failed selftest suites exit 1.
+
+    Every piece of the report is built before the first byte is written, so
+    an engine error leaves stdout empty.
+    """
     try:
         report = _execute(config)
-        text = render(config, report)
+        pieces = render(config, report)
     except (ValueError, TypeError) as exc:
         reason = str(exc)
         # results are unbounded integers, and str() refuses one past the interpreter's digit limit
@@ -543,14 +558,15 @@ def run(config: RunConfig) -> int:
             reason = f"a result is too long to print: it has an integer of more than {sys.get_int_max_str_digits()} digits"
         print(f"upqstab: error: {reason}", file=sys.stderr)
         return 1
-    if config.output_path is not None:
-        try:
-            _write_report(config.output_path, text)
-        except OSError as exc:
-            print(f"upqstab: error: cannot write {config.output_path}: {exc.strerror or exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
+    try:
+        if config.output_path is None:
+            _write_stdout(pieces)
+        else:
+            _write_report(config.output_path, pieces)
+    except OSError as exc:
+        target = "stdout" if config.output_path is None else config.output_path
+        print(f"upqstab: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     if config.command == "selftest" and not report["all_passed"]:
         failed = ", ".join(suite["name"] for suite in report["suites"] if not suite["passed"])
         print(f"upqstab: error: selftest suites failed: {failed}", file=sys.stderr)
@@ -558,8 +574,28 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _write_report(target: str, text: str) -> None:
-    """Write the report to target.
+def _write_stdout(pieces: list[bytes]) -> None:
+    """Write the pieces to sys.stdout as text, then flush it.
+
+    Text, so that a sys.stdout replaced by an io.StringIO gets the report
+    too.  When the process's own stdout fails, the rest of it is sent to the
+    null device before the OSError goes on: the interpreter flushes stdout
+    again at exit and would report the failure a second time.
+    """
+    try:
+        for piece in pieces:
+            sys.stdout.write(piece.decode("ascii"))
+        sys.stdout.flush()
+    except OSError:
+        if sys.stdout is sys.__stdout__:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise
+
+
+def _write_report(target: str, pieces: list[bytes]) -> None:
+    """Write the report's pieces to target.
 
     A new path or an existing regular file is written to a temp file in the
     same directory and renamed over it, so readers see the old file or the whole
@@ -577,8 +613,8 @@ def _write_report(target: str, text: str) -> None:
         mode = None
     else:
         if not stat.S_ISREG(st.st_mode):
-            with open(target, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            with open(target, "wb") as handle:
+                handle.writelines(pieces)
             return
         if not os.access(target, os.W_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
@@ -589,10 +625,10 @@ def _write_report(target: str, text: str) -> None:
     temp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8") as handle:
+        with open(fd, "wb") as handle:
             if mode is not None:
                 os.fchmod(handle.fileno(), mode)
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(temp, target)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -51,11 +51,12 @@ from .milnor_wood import toledo_bounds
 # `_wall_table` takes about 1 s and 177 MB peak RSS and `enumerate_walls`
 # about 4 s and 212 MB, most of it cyclic GC passes over the new records.
 # The CLI builds one period (`_periodic_wall_table`, 648 of the 999,004
-# witnesses there): a JSON `walls` run takes about 0.65 s and 174 MB, a
-# `chambers` run 0.86 s and 281 MB and a CSV run 0.49 s and 68 MB, most of
-# the memory being the report text (CPU time, Python 3.11.7, one core of a
-# 2-vCPU Xeon VM); the largest test or benchmark query has about 49k
-# witnesses.
+# witnesses there) and holds the report once, as byte pieces: a JSON `walls`
+# run takes about 0.34 s and 95 MB, a `chambers` run 0.49 s and 133 MB and a
+# CSV run 0.32 s and 34 MB, most of the memory being the report itself (CPU
+# time and peak RSS of a fresh `python -m upqstab` with stdout to /dev/null,
+# Python 3.11.7, one core of a 2-vCPU Xeon VM); the largest test or
+# benchmark query has about 49k witnesses.
 MAX_WITNESSES = 1_000_000
 
 

@@ -142,22 +142,26 @@ MUTANTS = [
     (
         "chamber renderer: hi and lo boundaries swapped",
         "cli.py",
-        "zip(bound_nums[1:], bound_dens[1:], bound_nums, bound_dens)",
-        "zip(bound_nums, bound_dens, bound_nums[1:], bound_dens[1:])",
+        "constants = tuple(chain.from_iterable(zip(bound_dens[1:], bound_dens)))\n"
+        "    bases = list(chain.from_iterable(zip(bound_nums[1:], bound_nums)))",
+        "constants = tuple(chain.from_iterable(zip(bound_dens, bound_dens[1:])))\n"
+        "    bases = list(chain.from_iterable(zip(bound_nums, bound_nums[1:])))",
         ["tests/test_render_differential.py"],
     ),
     (
         "CSV renderer: alpha numerator and denominator swapped in the row arguments",
         "cli.py",
-        "heads = zip(chain.from_iterable(map(repeat, nums, counts)), chain.from_iterable(map(repeat, dens, counts)))",
-        "heads = zip(chain.from_iterable(map(repeat, dens, counts)), chain.from_iterable(map(repeat, nums, counts)))",
+        "constants = tuple(chain.from_iterable(zip(_per_row(dens, counts), ps, qs)))\n"
+        "    bases = list(chain.from_iterable(zip(_per_row(nums, counts), ds)))",
+        "constants = tuple(chain.from_iterable(zip(_per_row(nums, counts), ps, qs)))\n"
+        "    bases = list(chain.from_iterable(zip(_per_row(dens, counts), ds)))",
         ["tests/test_render_differential.py"],
     ),
     (
         "periodic renderer: the last whole copy of the period is dropped",
         "cli.py",
-        "pieces += map(literal.__mod__, islice(moving, copies))",
-        "pieces += map(literal.__mod__, islice(moving, copies - 1))",
+        "islice(zip(*map(count, bases, steps)), copies)",
+        "islice(zip(*map(count, bases, steps)), copies - 1)",
         ["tests/test_cli.py"],
     ),
     (
@@ -177,8 +181,12 @@ MUTANTS = [
     (
         "chamber renderer: the interval ends' closed flags swapped",
         "cli.py",
-        "_JSON_BOOL[lo_closed])],\n        inner,\n        [_CHAMBER_JSON % (hi_text, _JSON_BOOL[hi_closed],",
-        "_JSON_BOOL[hi_closed])],\n        inner,\n        [_CHAMBER_JSON % (hi_text, _JSON_BOOL[lo_closed],",
+        "_JSON_BOOL[lo_closed]), b\",\\n\")\n"
+        "    parts += _periodic_pieces([_INNER_CHAMBER_JSON] * n, constants, bases, steps, last - first)\n"
+        "    parts += (_CHAMBER_JSON % (hi_text, _JSON_BOOL[hi_closed],",
+        "_JSON_BOOL[hi_closed]), b\",\\n\")\n"
+        "    parts += _periodic_pieces([_INNER_CHAMBER_JSON] * n, constants, bases, steps, last - first)\n"
+        "    parts += (_CHAMBER_JSON % (hi_text, _JSON_BOOL[lo_closed],",
         ["tests/test_render_differential.py"],
     ),
     (
@@ -191,9 +199,24 @@ MUTANTS = [
     (
         "periodic renderer: the d' shift per period has the wrong sign",
         "cli.py",
-        "return map(operator.sub, q_moves, p_moves)",
-        "return map(operator.sub, p_moves, q_moves)",
+        "return map(operator.sub, map(operator.mul, repeat(table.p0), qs), map(operator.mul, repeat(table.q0), ps))",
+        "return map(operator.sub, map(operator.mul, repeat(table.q0), ps), map(operator.mul, repeat(table.p0), qs))",
         ["tests/test_render_differential.py"],
+    ),
+    (
+        "periodic renderer: the partial copy fills in one item's constants too few",
+        "cli.py",
+        "    split = head.count(b\"%\") - 2 * moving\n",
+        "    short = b\"\".join(period[: rest - 1])\n"
+        "    split = short.count(b\"%\") - 2 * short.count(b\"%%\")\n",
+        ["tests/test_report_pieces.py"],
+    ),
+    (
+        "CSV row template: the d' slot written as a constant %d instead of a moving %%d",
+        "cli.py",
+        "_CSV_ROW = b\"%%d,%d,%d,%d,%%d\\n\"",
+        "_CSV_ROW = b\"%%d,%d,%d,%d,%d\\n\"",
+        ["tests/test_cli.py"],
     ),
     (
         "periodic table: the last copy's walls at or below hi -> strictly below hi",
