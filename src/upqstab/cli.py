@@ -59,7 +59,7 @@ class RunConfig:
     mw_filter: bool = False
     output_format: str = "json"
     output_path: str | None = None
-    # set only by perfbench/probes.py:at_one_job; passed on to property_driver
+    # only perfbench/probes.py:at_one_job writes it, and nothing reads it
     jobs: int | None = None
     seed: int = 0
     trials: int = 1000
@@ -315,7 +315,7 @@ def _execute(config: RunConfig) -> dict:
             "certificate": certificate.to_json(),
         }
     # selftest: argparse admits no other command
-    report = property_driver(config.seed, config.trials, config.jobs)
+    report = property_driver(config.seed, config.trials)
     return {"command": "selftest", **report}
 
 
@@ -550,12 +550,16 @@ def run(config: RunConfig) -> int:
     """
     try:
         report = _execute(config)
-        pieces = render(config, report)
     except (ValueError, TypeError) as exc:
-        reason = str(exc)
-        # results are unbounded integers, and str() refuses one past the interpreter's digit limit
-        if isinstance(exc, ValueError) and "integer string conversion" in reason:
-            reason = f"a result is too long to print: it has an integer of more than {sys.get_int_max_str_digits()} digits"
+        print(f"upqstab: error: {_too_long_reason(exc) or exc}", file=sys.stderr)
+        return 1
+    try:
+        pieces = render(config, report)
+    except ValueError as exc:
+        # the one error render expects; any other is a fault in its own templates
+        reason = _too_long_reason(exc)
+        if reason is None:
+            raise
         print(f"upqstab: error: {reason}", file=sys.stderr)
         return 1
     try:
@@ -572,6 +576,13 @@ def run(config: RunConfig) -> int:
         print(f"upqstab: error: selftest suites failed: {failed}", file=sys.stderr)
         return 1
     return 0
+
+
+def _too_long_reason(exc: Exception) -> str | None:
+    # results are unbounded integers, and str() refuses one past the interpreter's digit limit
+    if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+        return f"a result is too long to print: it has an integer of more than {sys.get_int_max_str_digits()} digits"
+    return None
 
 
 def _write_stdout(pieces: list[bytes]) -> None:

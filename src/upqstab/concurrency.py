@@ -1,23 +1,11 @@
-"""Deterministic fan-out helper: results always come back in input order."""
-
-from __future__ import annotations
-
-from collections.abc import Callable, Sequence
+"""`ordered_map`, kept only as a name that `walls` and `oracle` bind."""
 
 
-def ordered_map(fn: Callable, items: Sequence, jobs: int | None = None) -> list:
-    """Apply a pure function to every item, optionally on a thread pool.
+def ordered_map(fn, items):
+    """Apply fn to every item, in input order.
 
-    jobs=None or 1 runs inline; only jobs > 1 starts (and imports) a thread
-    pool.  Output order is the input order either way, so callers are
-    scheduling-independent.
+    Nothing in the program calls it: `perfbench/tracing.py` patches
+    `walls.ordered_map` and `oracle.ordered_map` by name, so both names stay
+    bound until ROADMAP items 1a/1b delete this module.
     """
-    workers = 1 if jobs is None else jobs
-    if workers < 1:
-        raise ValueError(f"jobs must be >= 1, got {workers}")
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]

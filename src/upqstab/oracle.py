@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+# perfbench/tracing.py patches oracle.ordered_map by name, so the name stays bound
 from .concurrency import ordered_map
 from .core import (
     BoundInterval,
@@ -281,10 +282,6 @@ _SUITES = (
 )
 
 
-# cases a suite draws and checks at a time, so memory does not grow with trials
-_CASE_BATCH = 1024
-
-
 def _input_json(value):
     """A case input as a failure record carries it."""
     if isinstance(value, Fraction):
@@ -292,14 +289,14 @@ def _input_json(value):
     return value if isinstance(value, int) else value.to_json()
 
 
-def property_driver(seed: int, trials: int, jobs: int | None = 1) -> dict:
+def property_driver(seed: int, trials: int) -> dict:
     """Run the randomized invariant suites; failures carry reproducing inputs.
 
     Case inputs are drawn sequentially from one seeded SplitMix64 stream in a
-    fixed suite order, in batches of _CASE_BATCH, and each batch is checked
-    (pure) with optional fan-out, so the report is identical for any jobs
-    count and any batch size.  A check returns a reason or None; a failure is
-    its trial, its reason and the case's inputs ("num/den" or to_json form).
+    fixed suite order, and each case is checked as soon as it is drawn; checks
+    draw nothing, so the report depends only on the seed and the trial count.
+    A check returns a reason or None; a failure is its trial, its reason and
+    the case's inputs ("num/den" or to_json form).
     """
     _require_int(seed, "seed")
     _require_int(trials, "trials")
@@ -309,13 +306,12 @@ def property_driver(seed: int, trials: int, jobs: int | None = 1) -> dict:
     suite_reports = []
     for name, make_case, check_case in _SUITES:
         failures = []
-        for start in range(0, trials, _CASE_BATCH):
-            cases = [make_case(rng) for _ in range(min(_CASE_BATCH, trials - start))]
-            reasons = ordered_map(check_case, cases, jobs)
-            for index, (case, reason) in enumerate(zip(cases, reasons), start):
-                if reason is not None:
-                    inputs = {key: _input_json(value) for key, value in case.items()}
-                    failures.append({"trial": index, "reason": reason, **inputs})
+        for trial in range(trials):
+            case = make_case(rng)
+            reason = check_case(case)
+            if reason is not None:
+                inputs = {key: _input_json(value) for key, value in case.items()}
+                failures.append({"trial": trial, "reason": reason, **inputs})
         suite_reports.append(
             {"name": name, "cases": trials, "failures": failures, "passed": not failures}
         )

@@ -233,17 +233,17 @@ MUTANTS = [
         ["tests/test_periodic_table.py"],
     ),
     (
-        "selftest batches: trial numbers restart at 0 in every batch",
+        "selftest failure record: the trial number off by one",
         "oracle.py",
-        "for index, (case, reason) in enumerate(zip(cases, reasons), start)",
-        "for index, (case, reason) in enumerate(zip(cases, reasons))",
+        'failures.append({"trial": trial, "reason": reason, **inputs})',
+        'failures.append({"trial": trial + 1, "reason": reason, **inputs})',
         ["tests/test_oracle.py"],
     ),
     (
         "selftest failure record: the case's inputs dropped",
         "oracle.py",
-        'failures.append({"trial": index, "reason": reason, **inputs})',
-        'failures.append({"trial": index, "reason": reason})',
+        'failures.append({"trial": trial, "reason": reason, **inputs})',
+        'failures.append({"trial": trial, "reason": reason})',
         ["tests/test_oracle.py"],
     ),
 ]

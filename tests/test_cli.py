@@ -20,6 +20,7 @@ from upqstab import (
     irreducibility_certificate,
     parse_rational,
 )
+from upqstab import cli
 from upqstab import walls as walls_module
 from upqstab.cli import main, parse_args
 
@@ -343,6 +344,14 @@ def test_too_long_result_is_an_engine_error(argv, tmp_path, capsys):
     assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
 
 
+def test_a_fault_in_a_template_is_not_an_engine_error(monkeypatch, capsys):
+    # a CSV row whose d' slot takes a constant leaves the row's % one argument short
+    monkeypatch.setattr(cli, "_CSV_ROW", b"%%d,%d,%d,%d,%d\n")
+    with pytest.raises(TypeError, match="not enough arguments"):
+        main(["walls", "--type", "1,1,1,0", "--interval", "-2,2", "--format", "csv"])
+    assert capsys.readouterr().err == ""
+
+
 def test_mw_report_fields(capsys):
     assert main(["mw", "--type", "1,1,3,0", "--degL", "2", "--alpha", "0"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -414,6 +423,20 @@ def test_read_only_output_file_is_an_engine_error(tmp_path, capsys):
     assert main(["toledo", "--type", "2,1,1,0", "--output", str(target)]) == 1
     assert capsys.readouterr().err == f"upqstab: error: cannot write {target}: Permission denied\n"
     assert target.read_text() == "old report\n"
+
+
+def test_output_file_refused_by_access_is_an_engine_error(tmp_path, capsys, monkeypatch):
+    # the read-only test above is skipped as root, who may write any file
+    target = tmp_path / "report.json"
+    target.write_text("old report\n")
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: False if str(path) == str(target) else access(path, mode))
+    assert main(["toledo", "--type", "2,1,1,0", "--output", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"upqstab: error: cannot write {target}: Permission denied\n"
+    assert target.read_text() == "old report\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_output_to_a_fifo_writes_into_it(tmp_path, capsys):

@@ -28,3 +28,11 @@ def test_cli_import_loads_no_typing_or_pathlib():
     # typing may appear only where `import dataclasses` alone loads it
     names = ("typing", "pathlib")
     assert _loaded("import upqstab.cli", names) <= _loaded("import dataclasses", names) - {"pathlib"}
+
+
+def test_cli_selftest_loads_no_thread_machinery():
+    run_selftest = (
+        "import contextlib, io, upqstab.cli; quiet = contextlib.redirect_stdout(io.StringIO()); quiet.__enter__(); "
+        "assert upqstab.cli.main(['selftest', '--trials', '5']) == 0; quiet.__exit__(None, None, None)"
+    )
+    assert _loaded(run_selftest, ("concurrent.futures", "threading")) == set()

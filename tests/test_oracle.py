@@ -143,11 +143,7 @@ def test_property_driver_is_deterministic():
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
-def test_property_driver_jobs_do_not_change_the_report():
-    assert property_driver(seed=3, trials=30, jobs=1) == property_driver(seed=3, trials=30, jobs=4)
-
-
-def test_property_driver_batches_keep_draw_order_and_trial_numbers(monkeypatch):
+def test_property_driver_keeps_draw_order_and_trial_numbers(monkeypatch):
     def draw(rng):
         return {"value": rng.randint(0, 99)}
 
@@ -155,7 +151,7 @@ def test_property_driver_batches_keep_draw_order_and_trial_numbers(monkeypatch):
         return "multiple of 7" if case["value"] % 7 == 0 else None
 
     monkeypatch.setattr(oracle, "_SUITES", (("first", draw, check), ("second", draw, check)))
-    trials = 2 * oracle._CASE_BATCH + 5
+    trials = 300
     rng = SplitMix64(11)
     expected = []
     for _ in range(2):
@@ -164,10 +160,8 @@ def test_property_driver_batches_keep_draw_order_and_trial_numbers(monkeypatch):
                          for i, v in enumerate(values) if v % 7 == 0])
     report = property_driver(seed=11, trials=trials)
     assert [suite["failures"] for suite in report["suites"]] == expected
-    assert max(f["trial"] for f in expected[1]) >= 2 * oracle._CASE_BATCH
-    for batch in (1, 7, trials):
-        monkeypatch.setattr(oracle, "_CASE_BATCH", batch)
-        assert property_driver(seed=11, trials=trials, jobs=2) == report
+    # the second suite's trials count from 0 again while its draws go on from the first's
+    assert expected[1] and expected[0] != expected[1]
 
 
 def _input_json(value):
