@@ -352,6 +352,14 @@ def test_a_fault_in_a_template_is_not_an_engine_error(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_a_value_error_from_a_template_is_not_an_engine_error(monkeypatch, capsys):
+    # a ValueError that is not the int-to-str digit limit is a fault in render, not bad input
+    monkeypatch.setattr(cli, "_CSV_ROW", b"%%d,%d,%d,%d,%%q\n")
+    with pytest.raises(ValueError, match="unsupported format character"):
+        main(["walls", "--type", "1,1,1,0", "--interval", "-2,2", "--format", "csv"])
+    assert capsys.readouterr().err == ""
+
+
 def test_mw_report_fields(capsys):
     assert main(["mw", "--type", "1,1,3,0", "--degL", "2", "--alpha", "0"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 from fractions import Fraction
 
@@ -162,6 +163,15 @@ def test_property_driver_keeps_draw_order_and_trial_numbers(monkeypatch):
     assert [suite["failures"] for suite in report["suites"]] == expected
     # the second suite's trials count from 0 again while its draws go on from the first's
     assert expected[1] and expected[0] != expected[1]
+
+
+def test_property_driver_takes_only_a_seed_and_a_trial_count():
+    assert list(inspect.signature(property_driver).parameters) == ["seed", "trials"]
+
+
+def test_ordered_map_stays_bound_for_the_tracer():
+    # perfbench/tracing.py patches oracle.ordered_map by name; unpatched it maps inline, in order
+    assert oracle.ordered_map(lambda x: -x, [3, 1, 2]) == [-3, -1, -2]
 
 
 def _input_json(value):

@@ -397,3 +397,8 @@ def test_certificate_tau_bound_implies_gap_condition_when_ranks_differ():
         else:
             assert gap < deg_k
         checked += 1
+
+
+def test_ordered_map_stays_bound_for_the_tracer():
+    # perfbench/tracing.py patches walls.ordered_map by name; unpatched it maps inline, in order
+    assert walls_module.ordered_map(str, [2, 0, 1]) == ["2", "0", "1"]
