@@ -74,12 +74,14 @@ def brute_force_walls(
 ) -> list[Wall]:
     """Critical values by exhaustive scan over sub-ranks and degrees.
 
+    Scans |d'| <= degree_bound.  A bound of 0, which `required_degree_bound`
+    returns when no reachable witness has d' != 0, scans d' = 0 only.
     Refuses to run when degree_bound cannot certify completeness over the
     interval, naming the required bound.
     """
     _require_int(degree_bound, "degree_bound")
-    if degree_bound < 1:
-        raise ValueError(f"degree_bound must be positive, got {degree_bound}")
+    if degree_bound < 0:
+        raise ValueError(f"degree_bound must be non-negative, got {degree_bound}")
     lo = as_rational(interval[0])
     hi = as_rational(interval[1])
     needed = required_degree_bound(t, (lo, hi))

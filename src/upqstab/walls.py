@@ -15,7 +15,8 @@ r' = p' + q' and coeff = p' q - p q', a multiple of g.  So alpha + P is the
 wall of (p', q', d' - coeff/g), a witness of the same family, and since P is
 an integer the shift keeps alpha's denominator in lowest terms.  The
 Milnor-Wood filter breaks the period only where it can drop a witness: at
-deg L = 0, where |alpha| < 2 (see `_witness_survives_mw`).
+deg L = 0, where |alpha| < 2 (see `_witness_survives_mw`), and it checks a
+witness there in integers, on the wall's scaled key.
 `_periodic_wall_table` builds one period and counts its copies.
 """
 
@@ -41,6 +42,7 @@ from .core import (
     slope,
     toledo,
 )
+# perfbench/tracing.py patches walls.toledo_bounds by name, so the name stays bound
 from .milnor_wood import toledo_bounds
 
 # Candidate witnesses one query may build, and rank families one type may
@@ -166,29 +168,39 @@ def _wall_families(t: HitchinPairType) -> Iterator[tuple[int, int, int]]:
                 yield p_sub, q_sub, coeff
 
 
-def _witness_survives_mw(w: tuple[int, int, int], alpha: Fraction) -> bool:
-    """Is some split a' + b' = d' of the witness (p', q', d') Milnor-Wood feasible at alpha?
+def _witness_survives_mw(w: tuple[int, int, int], key: int, scale: int) -> bool:
+    """Is some split a' + b' = d' of the witness (p', q', d') Milnor-Wood feasible at deg L = 0?
 
-    tau' = 2a' - 2 p' d'/r' is affine in a', so the admissible a' form a
-    rational interval; feasibility is exactly the existence of an integer in
-    it.  A rank-0 side forces that side's degree to 0, hence tau' = 0, and
-    the bounds collapse to [0, 0]: such witnesses always survive.
+    The wall is alpha = key/scale, key and scale ints with scale >= 1 and
+    key/scale not necessarily in lowest terms.  tau' = 2a' - 2 p' d'/r' is
+    affine in a', so the admissible a' form a rational interval; feasibility
+    is exactly the existence of an integer in it.  A rank-0 side forces that
+    side's degree to 0, hence tau' = 0, and the bounds collapse to [0, 0]:
+    such witnesses always survive.
 
-    Width argument: with m' = min(p', q') >= 1 and l = deg L, the a'-interval
-    is closed and has length m' l where |alpha| <= l (regime ii) and
-    m' (l + |alpha|) / 2 where |alpha| > l (regimes i and iii).  A closed
-    interval of length >= 1 holds an integer, so every witness survives at
-    l >= 1, and at l = 0 only a witness with m' |alpha| < 2 can fail.
-    `_wall_table` calls this check, with the bounds of l = 0, only for those.
+    At deg L = 0 the bounds `toledo_bounds(p', q', 0, alpha)` of regimes i
+    and iii are the smaller and the larger of -m' |p' - q'| alpha / r' and
+    -2 p' q' alpha / r', with m' = min(p', q') (both are 0 at alpha = 0).
+    Over r' scale their numerators skew and weighted are ints, as is that
+    of the shift 2 p' d'/r', so a' lies in [(min + shift)/den,
+    (max + shift)/den] with den = 2 r' scale: one ceiling and one floor
+    division decide the check.
+
+    Width argument: with l = deg L, the a'-interval is closed and has length
+    m' l where |alpha| <= l (regime ii) and m' (l + |alpha|) / 2 where
+    |alpha| > l (regimes i and iii).  A closed interval of length >= 1 holds
+    an integer, so every witness survives at l >= 1, and at l = 0 only a
+    witness with m' |alpha| < 2 can fail.  `_wall_table` calls this check
+    only for those.
     """
     p_sub, q_sub, d_sub = w
     if p_sub == 0 or q_sub == 0:
         return True
-    bounds = toledo_bounds(p_sub, q_sub, 0, alpha)
-    shift = Fraction(2 * p_sub * d_sub, p_sub + q_sub)
-    a_lo = (bounds.lower + shift) / 2
-    a_hi = (bounds.upper + shift) / 2
-    return math.ceil(a_lo) <= math.floor(a_hi)
+    skew = -min(p_sub, q_sub) * abs(p_sub - q_sub) * key
+    weighted = -2 * p_sub * q_sub * key
+    shift = 2 * p_sub * d_sub * scale
+    den = 2 * (p_sub + q_sub) * scale
+    return -(-(min(skew, weighted) + shift) // den) <= (max(skew, weighted) + shift) // den
 
 
 def _held_families(
@@ -264,9 +276,10 @@ def _wall_table(
     none has one) to integer keys, so keys[i] = alpha_i * scale for the walls
     in increasing alpha, and groups[i] is the tuple of the (p', q', d')
     triples witnessing wall i, in (p', q', d') order and never empty.  No
-    Fraction is built per wall, except the alpha of each wall the Milnor-Wood
-    filter checks.  More than MAX_WITNESSES rank families, or candidate
-    witnesses, is refused before any is listed, or any key is built.
+    Fraction is built per wall, nor per witness the Milnor-Wood filter
+    checks: it checks on the integer key.  More than MAX_WITNESSES rank
+    families, or candidate witnesses, is refused before any is listed, or
+    any key is built.
     """
     lo, hi, held = _held_families(t, interval, mw_twist_degree)
     r, total_degree = t.total_rank, t.total_degree
@@ -290,10 +303,9 @@ def _wall_table(
         # popped, so each group's list is freed as its tuple is built
         witnesses = groups.pop(key)
         if -narrow < key < narrow:
-            alpha = Fraction(key, scale)
             witnesses = [
                 w for w in witnesses
-                if min(w[0], w[1]) * abs(key) >= narrow or _witness_survives_mw(w, alpha)
+                if min(w[0], w[1]) * abs(key) >= narrow or _witness_survives_mw(w, key, scale)
             ]
             if not witnesses:
                 continue

@@ -42,6 +42,20 @@ MUTANTS = [
         ["tests/test_kernel_differential.py"],
     ),
     (
+        "MW split check: the lower end of a' rounded down instead of up",
+        "walls.py",
+        "return -(-(min(skew, weighted) + shift) // den) <=",
+        "return (min(skew, weighted) + shift) // den <=",
+        ["tests/test_walls.py", "tests/test_kernel_differential.py"],
+    ),
+    (
+        "MW split check: the shift 2 p' d' not scaled by the key's scale",
+        "walls.py",
+        "shift = 2 * p_sub * d_sub * scale",
+        "shift = 2 * p_sub * d_sub",
+        ["tests/test_walls.py", "tests/test_kernel_differential.py"],
+    ),
+    (
         "witness cap: count > MAX_WITNESSES -> >=",
         "walls.py",
         "if count > MAX_WITNESSES:",

@@ -55,7 +55,7 @@ def criterion_1_run() -> tuple[int, int, float]:
         for a in range(-3, 4):
             for b in range(-3, 4):
                 t = HitchinPairType(p, q, a, b)
-                bound = max(1, required_degree_bound(t, interval))
+                bound = required_degree_bound(t, interval)
                 if enumerate_walls(t, interval) != brute_force_walls(t, interval, bound):
                     mismatches += 1
                 instances += 1

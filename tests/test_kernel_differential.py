@@ -66,7 +66,7 @@ def _random_interval(rng: SplitMix64, t: HitchinPairType) -> tuple[Fraction, Fra
 
 
 def _brute_walls(t: HitchinPairType, interval: tuple[Fraction, Fraction]) -> list[Wall]:
-    return brute_force_walls(t, interval, max(1, required_degree_bound(t, interval)))
+    return brute_force_walls(t, interval, required_degree_bound(t, interval))
 
 
 def _cases(seed: int, count: int):

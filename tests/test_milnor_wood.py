@@ -147,6 +147,15 @@ def test_regime_bounds_reject_nonpositive_ranks():
         toledo_bounds(0, 1, 2, 0)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [((True, 1, 0, 0), "p"), ((1.0, 1, 0, 0), "p"), ((1, True, 0, 0), "q"), ((1, 1, 0.0, 0), "deg_l")],
+)
+def test_regime_bounds_reject_bools_and_floats(args, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        toledo_bounds(*args)
+
+
 def test_envelope_identity_small_grid():
     for p in range(1, 5):
         for q in range(1, 5):

@@ -52,9 +52,21 @@ def test_required_degree_bound_rejects_a_reversed_interval():
         required_degree_bound(HitchinPairType(1, 1, 1, 0), (2, -2))
 
 
-def test_brute_force_rejects_nonpositive_bound():
-    with pytest.raises(ValueError, match="positive"):
-        brute_force_walls(HitchinPairType(1, 1, 1, 0), (0, 1), 0)
+def test_brute_force_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="non-negative"):
+        brute_force_walls(HitchinPairType(1, 1, 1, 0), (0, 1), -1)
+
+
+def test_brute_force_accepts_a_bound_of_zero():
+    # the wall alpha = 0 of (1,1,0,0) has only degree-0 witnesses
+    t = HitchinPairType(1, 1, 0, 0)
+    assert required_degree_bound(t, (0, 0)) == 0
+    walls = brute_force_walls(t, (0, 0), 0)
+    assert walls == enumerate_walls(t, (0, 0)) == [Wall(Fraction(0), (WallWitness(0, 1, 0), WallWitness(1, 0, 0)))]
+    # an interval with no reachable witness needs a bound of 0 and has no wall
+    off_wall = (Fraction(1, 3), Fraction(1, 3))
+    assert required_degree_bound(t, off_wall) == 0
+    assert brute_force_walls(t, off_wall, 0) == enumerate_walls(t, off_wall) == []
 
 
 def test_brute_force_matches_enumerator_example():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from upqstab import (
     irreducibility_certificate,
     mw_check,
     toledo,
+    toledo_bounds,
     upq_parameter_vector,
     upq_quiver_type,
     wall_alpha,
@@ -266,6 +268,51 @@ def test_mw_filter_is_never_additive():
             assert witnesses <= plain[alpha]
 
 
+def _fraction_survives_mw(w: tuple[int, int, int], alpha: Fraction) -> bool:
+    """The Milnor-Wood split check at deg L = 0 in Fractions, through `toledo_bounds`."""
+    p_sub, q_sub, d_sub = w
+    if p_sub == 0 or q_sub == 0:
+        return True
+    bounds = toledo_bounds(p_sub, q_sub, 0, alpha)
+    shift = Fraction(2 * p_sub * d_sub, p_sub + q_sub)
+    return math.ceil((bounds.lower + shift) / 2) <= math.floor((bounds.upper + shift) / 2)
+
+
+def _mw_check_cases(rng: SplitMix64, count: int):
+    """(shape, witness, key, scale) with |key| < 2 scale, the filter's window at deg L = 0."""
+    randint = rng.randint
+    for index in range(count):
+        p_sub, q_sub = randint(0, 9), randint(0, 9)
+        if p_sub == q_sub == 0:
+            p_sub = randint(1, 9)
+        shape = ("random", "equal_ranks_key_0", "window_edge", "unreduced")[index % 4]
+        scale = randint(1, 10**6)
+        key = randint(1 - 2 * scale, 2 * scale - 1)
+        if shape == "equal_ranks_key_0":
+            q_sub, key = p_sub, 0
+        elif shape == "window_edge":
+            key = (2 * scale - 1) * (1 - 2 * randint(0, 1))
+        elif shape == "unreduced":
+            den = randint(1, 12)
+            factor = randint(2, 10**6 // den)
+            key, scale = randint(1 - 2 * den, 2 * den - 1) * factor, den * factor
+        yield shape, (p_sub, q_sub, randint(-60, 60)), key, scale
+
+
+def test_integer_mw_check_matches_the_fraction_check():
+    seen = {"random": 0, "equal_ranks_key_0": 0, "window_edge": 0, "unreduced": 0, "rank_0": 0}
+    kept = dropped = 0
+    for shape, w, key, scale in _mw_check_cases(SplitMix64(2028), 8000):
+        survives = walls_module._witness_survives_mw(w, key, scale)
+        assert survives == _fraction_survives_mw(w, Fraction(key, scale)), (w, key, scale)
+        seen[shape] += 1
+        seen["rank_0"] += 0 in w[:2]
+        kept += survives
+        dropped += not survives
+    assert min(seen.values()) >= 500, seen
+    assert kept >= 1000 and dropped >= 1000, (kept, dropped)
+
+
 def test_chamber_report_canonical_example():
     report = chamber_report(T110, (-2, 2))
     assert [w.alpha for w in report.walls] == [-1, 1]
@@ -402,3 +449,8 @@ def test_certificate_tau_bound_implies_gap_condition_when_ranks_differ():
 def test_ordered_map_stays_bound_for_the_tracer():
     # perfbench/tracing.py patches walls.ordered_map by name; unpatched it maps inline, in order
     assert walls_module.ordered_map(str, [2, 0, 1]) == ["2", "0", "1"]
+
+
+def test_toledo_bounds_stays_bound_for_the_tracer():
+    # perfbench/tracing.py patches walls.toledo_bounds by name; the engine itself calls it nowhere
+    assert walls_module.toledo_bounds is toledo_bounds
