@@ -17,10 +17,8 @@ writes CSV, with --format csv.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import errno
-import functools
 import json
 import math
 import operator
@@ -80,198 +78,198 @@ def _parse_ranks(text: str) -> HiggsRankPair:
     return HiggsRankPair(rk_beta, rk_gamma)
 
 
-def _usage_type(parse):
-    """An argparse type that gives parse's ValueError message as the usage error.
-
-    argparse turns a bare ValueError into "invalid <function name> value",
-    which names the parser instead of the reason.
-    """
-
-    def convert(text: str):
-        try:
-            return parse(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return convert
-
-
-def _int_at_least(minimum: int):
-    """An argparse type for integers no smaller than minimum."""
+def _integer(minimum: int | None = None):
+    """A converter for integer flags, no smaller than minimum when one is given."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+            raise ValueError(f"expected an integer, got {text!r}") from None
+        if minimum is not None and value < minimum:
+            raise ValueError(f"must be at least {minimum}, got {value}")
         return value
 
     return parse
 
 
-def _add_common(sub: argparse.ArgumentParser, *, with_type: bool = True) -> None:
-    if with_type:
-        sub.add_argument(
-            "--type",
-            dest="type_spec",
-            type=_usage_type(HitchinPairType.parse),
-            required=True,
-            metavar="p,q,a,b",
-            help="numerical type of the pair",
-        )
-    sub.add_argument("--output", dest="output_path", default=None, help="write the report here instead of stdout")
+def _output_format(text: str) -> str:
+    if text not in ("json", "csv"):
+        raise ValueError(f"invalid choice: {text!r} (choose from json, csv)")
+    return text
 
 
-def _add_twist(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--degL", dest="deg_l", type=int, default=None, help="degree of the twisting line bundle")
-    sub.add_argument("--genus", type=_int_at_least(0), default=None, help="genus of the base curve")
-    sub.add_argument(
-        "--canonical",
-        action="store_true",
-        help="twist by the canonical bundle: deg(L) = 2*genus - 2 (requires --genus)",
-    )
+# A flag is (destination, converter, metavar, help).  The converter raises
+# ValueError with the reason a value is refused; a presence flag has neither
+# converter nor metavar and sets its destination to True.  Every destination
+# but those of the twist flags (deg_l, the twist's genus, canonical) is a
+# RunConfig field.
+_TYPE = ("type_spec", HitchinPairType.parse, "p,q,a,b", "numerical type of the pair")
+_OUTPUT = ("output_path", str, "PATH", "write the report here instead of stdout")
+_ALPHA = ("alpha", parse_rational, "ALPHA", "stability parameter")
+_TWIST = {
+    "--degL": ("deg_l", _integer(), "DEG", "degree of the twisting line bundle"),
+    "--genus": ("genus", _integer(0), "GENUS", "genus of the base curve"),
+    "--canonical": ("canonical", None, None, "twist by the canonical bundle: deg(L) = 2*genus - 2 (requires --genus)"),
+}
+_WALLS = {
+    **_TWIST,
+    "--interval": ("interval", _parse_interval, "lo,hi", "closed parameter interval"),
+    "--mw-filter": (
+        "mw_filter", None, None, "drop witnesses with no Milnor-Wood-feasible degree split (needs --degL or --canonical)"
+    ),
+}
+
+# each command: its help, its flags in usage order and the flags it requires
+_COMMANDS = {
+    "toledo": ("Toledo invariant of a type", {"--type": _TYPE, "--output": _OUTPUT}, ("--type",)),
+    "mw": (
+        "Milnor-Wood membership check",
+        {"--type": _TYPE, "--output": _OUTPUT, **_TWIST, "--alpha": _ALPHA, "--ranks": (
+            "ranks", _parse_ranks, "rk_beta,rk_gamma", "use the rank-level bounds with these Higgs-field ranks"
+        )},
+        ("--type", "--alpha"),
+    ),
+    "walls": (
+        "critical parameter values in an interval",
+        {"--type": _TYPE, "--output": _OUTPUT,
+         "--format": ("output_format", _output_format, "{json,csv}", "output format (default: json)"), **_WALLS},
+        ("--type", "--interval"),
+    ),
+    "chambers": (
+        "walls plus chamber decomposition",
+        {"--type": _TYPE, "--output": _OUTPUT, **_WALLS},
+        ("--type", "--interval"),
+    ),
+    "certify": (
+        "irreducibility certificate (canonical twist)",
+        {"--type": _TYPE, "--output": _OUTPUT,
+         "--genus": ("genus", _integer(), "GENUS", "genus of the base curve (>= 2)"), "--alpha": _ALPHA},
+        ("--type", "--genus", "--alpha"),
+    ),
+    "selftest": (
+        "randomized invariant suites",
+        {"--output": _OUTPUT, "--seed": ("seed", _integer(), "SEED", "PRNG seed"),
+         "--trials": ("trials", _integer(1), "TRIALS", "cases per suite")},
+        (),
+    ),
+}
+_HELP = ("-h", "--help")
 
 
-# flags that take one value.  argparse reads a value that starts with "-"
-# (negative degrees, "-2,2" intervals) as an option string, so parse_args
-# splices such a flag and value into --flag=value form; any other value is
-# left as typed, so usage errors quote argv as the user wrote it.
-_VALUE_FLAGS = frozenset(
-    {"--type", "--interval", "--alpha", "--degL", "--genus", "--ranks",
-     "--format", "--output", "--seed", "--trials"}
-)
+def _flag_text(name: str, flag: tuple) -> str:
+    return name if flag[1] is None else f"{name} {flag[2]}"
 
 
-def _merge_value_flags(argv: list[str]) -> list[str]:
-    merged = []
-    index = 0
-    while index < len(argv):
-        token = argv[index]
-        if token in _VALUE_FLAGS and index + 1 < len(argv) and argv[index + 1].startswith("-"):
-            merged.append(f"{token}={argv[index + 1]}")
-            index += 2
-        else:
-            merged.append(token)
-            index += 1
-    return merged
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: upqstab [-h] {{{','.join(_COMMANDS)}}} ..."
+    _, flags, required = _COMMANDS[command]
+    words = [f"usage: upqstab {command} [-h]"]
+    for name, flag in flags.items():
+        text = _flag_text(name, flag)
+        words.append(text if name in required else f"[{text}]")
+    return " ".join(words)
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built once per process; parsing does not mutate it."""
-    parser = argparse.ArgumentParser(
-        prog="upqstab",
-        description="Exact stability computations for U(p,q)-Hitchin pair numerical types.",
-        allow_abbrev=False,
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("toledo", help="Toledo invariant of a type")
-    _add_common(sub)
-
-    sub = commands.add_parser("mw", help="Milnor-Wood membership check")
-    _add_common(sub)
-    _add_twist(sub)
-    sub.add_argument("--alpha", type=_usage_type(parse_rational), required=True, help="stability parameter")
-    sub.add_argument(
-        "--ranks",
-        type=_usage_type(_parse_ranks),
-        default=None,
-        metavar="rk_beta,rk_gamma",
-        help="use the rank-level bounds with these Higgs-field ranks",
-    )
-
-    for name, help_text in (
-        ("walls", "critical parameter values in an interval"),
-        ("chambers", "walls plus chamber decomposition"),
-    ):
-        sub = commands.add_parser(name, help=help_text)
-        _add_common(sub)
-        if name == "walls":
-            sub.add_argument(
-                "--format",
-                dest="output_format",
-                choices=("json", "csv"),
-                default="json",
-                help="output format (default: json)",
-            )
-        _add_twist(sub)
-        sub.add_argument(
-            "--interval",
-            type=_usage_type(_parse_interval),
-            required=True,
-            metavar="lo,hi",
-            help="closed parameter interval",
-        )
-        sub.add_argument(
-            "--mw-filter",
-            dest="mw_filter",
-            action="store_true",
-            help="drop witnesses with no Milnor-Wood-feasible degree split (needs --degL or --canonical)",
-        )
-
-    sub = commands.add_parser("certify", help="irreducibility certificate (canonical twist)")
-    _add_common(sub)
-    sub.add_argument("--genus", type=int, required=True, help="genus of the base curve (>= 2)")
-    sub.add_argument("--alpha", type=_usage_type(parse_rational), required=True, help="stability parameter")
-
-    sub = commands.add_parser("selftest", help="randomized invariant suites")
-    _add_common(sub, with_type=False)
-    sub.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    sub.add_argument("--trials", type=_int_at_least(1), default=1000, help="cases per suite")
-
-    return parser
+def _help(command: str | None) -> str:
+    if command is None:
+        lines = ["Exact stability computations for U(p,q)-Hitchin pair numerical types.", "", "commands:"]
+        lines += [f"  {name:<10}{help_text}" for name, (help_text, _, _) in _COMMANDS.items()]
+    else:
+        help_text, flags, _ = _COMMANDS[command]
+        lines = [help_text, "", "options:", f"  {'-h, --help':<26}show this help message and exit"]
+        lines += [f"  {_flag_text(name, flag):<26}{flag[3]}" for name, flag in flags.items()]
+    return "\n".join([_usage(command), "", *lines, ""])
 
 
-def _resolve_ctx(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> GeometryContext:
-    deg_l, genus = ns.deg_l, ns.genus
-    if ns.canonical:
+def _usage_error(command: str | None, message: str) -> None:
+    """Write the usage line and `upqstab <command>: error: <message>` to stderr, then exit 2."""
+    prog = "upqstab" if command is None else f"upqstab {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _resolve_ctx(command: str, deg_l: int | None, genus: int | None, canonical: bool) -> GeometryContext:
+    if canonical:
         if genus is None:
-            parser.error("--canonical requires --genus")
+            _usage_error(command, "--canonical requires --genus")
         if deg_l is not None and deg_l != 2 * genus - 2:
-            parser.error(f"--canonical fixes degL = 2*genus - 2 = {2 * genus - 2}, but --degL {deg_l} was given")
+            _usage_error(command, f"--canonical fixes degL = 2*genus - 2 = {2 * genus - 2}, but --degL {deg_l} was given")
         return GeometryContext.canonical_twist(genus)
     if deg_l is None:
-        parser.error("this command needs a twisting degree: pass --degL or --canonical with --genus")
+        _usage_error(command, "this command needs a twisting degree: pass --degL or --canonical with --genus")
     return GeometryContext(genus=genus if genus is not None else 0, twist_degree=deg_l)
 
 
 def parse_args(argv: list[str]) -> RunConfig:
-    """Parse and cross-validate argv into a RunConfig; usage errors exit 2."""
-    parser = build_parser()
-    ns = parser.parse_args(_merge_value_flags(argv))
-    if ns.output_path == "":
-        parser.error("argument --output: expected a file path, got ''")
-    common = {"command": ns.command, "output_path": ns.output_path}
-    if ns.command == "toledo":
-        return RunConfig(type_spec=ns.type_spec, **common)
-    if ns.command == "mw":
-        ctx = _resolve_ctx(parser, ns)
-        return RunConfig(type_spec=ns.type_spec, ctx=ctx, alpha=ns.alpha, ranks=ns.ranks, **common)
-    if ns.command in ("walls", "chambers"):
-        ctx = None
-        if ns.mw_filter:
-            ctx = _resolve_ctx(parser, ns)
+    """Parse and cross-validate argv into a RunConfig; usage errors exit 2.
+
+    One pass over argv.  The command comes first.  A flag takes its value as
+    "--flag value" or "--flag=value", and the value may start with "-"; a
+    repeated flag keeps its last value, and each value is converted as it is
+    read.  -h or --help prints the help wherever a flag may stand.  Tokens
+    that are no flag of the command, and all tokens after "--", are reported
+    together, after any missing required flag.
+    """
+    if not argv or argv[0] in _HELP:
+        if argv:
+            sys.stdout.write(_help(None))
+            raise SystemExit(0)
+        _usage_error(None, "the following arguments are required: command")
+    command = argv[0]
+    if command not in _COMMANDS:
+        _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {', '.join(_COMMANDS)})")
+    _, flags, required = _COMMANDS[command]
+    values = {}
+    leftover = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        if token == "--":
+            leftover += [token, *tokens]
+            break
+        name, eq, value = token.partition("=")
+        flag = flags.get(name)
+        if flag is None:
+            leftover.append(token)
+            continue
+        dest, convert = flag[:2]
+        if convert is None:
+            if eq:
+                _usage_error(command, f"argument {name}: ignored explicit argument {value!r}")
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                _usage_error(command, f"argument {name}: expected one argument")
+        try:
+            values[dest] = convert(value)
+        except ValueError as exc:
+            _usage_error(command, f"argument {name}: {exc}")
+    missing = [name for name in required if flags[name][0] not in values]
+    if missing:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    if leftover:
+        _usage_error(command, f"unrecognized arguments: {' '.join(leftover)}")
+    if values.get("output_path") == "":
+        _usage_error(command, "argument --output: expected a file path, got ''")
+    if command in ("mw", "walls", "chambers"):
+        deg_l, genus, canonical = values.pop("deg_l", None), values.pop("genus", None), values.pop("canonical", False)
+        if command == "mw":
+            values["ctx"] = _resolve_ctx(command, deg_l, genus, canonical)
+        elif values.get("mw_filter"):
+            ctx = values["ctx"] = _resolve_ctx(command, deg_l, genus, canonical)
             if ctx.twist_degree < 0:
                 given = f"--canonical --genus {ctx.genus}" if ctx.canonical else "--degL"
-                parser.error(f"--mw-filter needs deg(L) >= 0, but {given} gives deg(L) = {ctx.twist_degree}")
-        elif ns.deg_l is not None or ns.canonical or ns.genus is not None:
-            parser.error(f"--degL, --canonical and --genus only act with --mw-filter on {ns.command}")
-        return RunConfig(
-            type_spec=ns.type_spec,
-            ctx=ctx,
-            interval=ns.interval,
-            mw_filter=ns.mw_filter,
-            # only walls has --format; every other report is JSON
-            output_format=ns.output_format if ns.command == "walls" else "json",
-            **common,
-        )
-    if ns.command == "certify":
-        return RunConfig(type_spec=ns.type_spec, genus=ns.genus, alpha=ns.alpha, **common)
-    # selftest: argparse admits no other command
-    return RunConfig(seed=ns.seed, trials=ns.trials, **common)
+                _usage_error(command, f"--mw-filter needs deg(L) >= 0, but {given} gives deg(L) = {ctx.twist_degree}")
+        elif deg_l is not None or canonical or genus is not None:
+            _usage_error(command, f"--degL, --canonical and --genus only act with --mw-filter on {command}")
+    # walls alone has --format, so every other report keeps RunConfig's JSON
+    return RunConfig(command=command, **values)
 
 
 def _execute(config: RunConfig) -> dict:
@@ -314,7 +312,7 @@ def _execute(config: RunConfig) -> dict:
             "alpha": format_rational(config.alpha),
             "certificate": certificate.to_json(),
         }
-    # selftest: argparse admits no other command
+    # selftest: parse_args admits no other command
     report = property_driver(config.seed, config.trials)
     return {"command": "selftest", **report}
 

@@ -5,10 +5,11 @@ Run from anywhere with `python tests/mutants.py` (needs pytest).  Without a
 
 For every mutant the script copies `src` to a temp dir, replaces the exact old
 text (which must occur once in the named file) with the new text, and runs
-the listed test files with `-x` against the copy.  The gate fails when a
-mutant survives, and also when an old text no longer matches, so a refactor
-must update this list rather than silently lose a mutant.  The listed test
-files are first run on an unmutated copy, which must pass.
+the listed test files with `-x` against the copy, its `src` put before the
+caller's `PYTHONPATH`.  The gate fails when a mutant survives, and also when
+an old text no longer matches, so a refactor must update this list rather
+than silently lose a mutant.  The listed test files are first run on an
+unmutated copy, which must pass.
 
 A change that adds a fast path or a check adds its mutant here.
 """
@@ -247,6 +248,20 @@ MUTANTS = [
         ["tests/test_periodic_table.py"],
     ),
     (
+        "argv parser: walls no longer requires --interval",
+        "cli.py",
+        '("--type", "--interval"),\n    ),\n    "chambers":',
+        '("--type",),\n    ),\n    "chambers":',
+        ["tests/test_cli.py", "tests/test_cli_parser_differential.py"],
+    ),
+    (
+        "argv parser: a value that starts with \"-\" is read as a flag, so the flag before it has none",
+        "cli.py",
+        "value = next(tokens, None)\n            if value is None:",
+        "value = next(tokens, None)\n            if value is None or value.startswith(\"-\"):",
+        ["tests/test_cli.py", "tests/test_cli_parser_differential.py"],
+    ),
+    (
         "selftest failure record: the trial number off by one",
         "oracle.py",
         'failures.append({"trial": trial, "reason": reason, **inputs})',
@@ -264,7 +279,9 @@ MUTANTS = [
 
 
 def run_tests(src: Path, files: list[str]) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    # the copy's src goes first; the rest of the caller's path (say, where pytest is) stays
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *files]
     return subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
 

@@ -126,6 +126,49 @@ def test_help_lists_format_on_walls_only(command, capsys):
     assert ("--format" in captured.out) == (command == "walls")
 
 
+def test_flag_forms():
+    # space or "=", values that start with "-" (even "--" and "-h"), and the last of a repeated flag
+    plain = parse_args(["walls", "--type", "1,1,1,0", "--interval", "-2,2"])
+    assert parse_args(["walls", "--type=1,1,1,0", "--interval=-2,2"]) == plain
+    assert parse_args(["walls", "--interval", "0,1", "--type", "2,1,1,0", "--type", "1,1,1,0", "--interval=-2,2"]) == plain
+    for value in ("--", "-h", "--type", "-"):
+        assert parse_args(["toledo", "--type", "1,1,1,0", "--output", value]).output_path == value
+        assert parse_args(["toledo", "--type", "1,1,1,0", f"--output={value}"]).output_path == value
+
+
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        (["toledo", "--type", "--"], "upqstab toledo: error: argument --type: expected 'p,q,a,b' with four integers, got '--'"),
+        # no abbreviations
+        (["walls", "--type", "1,1,1,0", "--interval", "0,1", "--mw", "--he"], "upqstab walls: error: unrecognized arguments: --mw --he"),
+        (["toledo", "--type", "1,1,1,0", "-hh"], "upqstab toledo: error: unrecognized arguments: -hh"),
+        (["walls", "--type=1,1,1,0", "--mw-filter=", "-h"], "upqstab walls: error: argument --mw-filter: ignored explicit argument ''"),
+        (["certify", "--type", "1,1,1,0", "--alpha", "0", "--genus"], "upqstab certify: error: argument --genus: expected one argument"),
+        (["toledo", "--type", "1,1,1,0", "--", "--output", "x"], "upqstab toledo: error: unrecognized arguments: -- --output x"),
+        ([], "upqstab: error: the following arguments are required: command"),
+    ],
+)
+def test_flag_form_errors(argv, last, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith(f"usage: upqstab {argv[0]} " if argv else "usage: upqstab ") and error == last
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help", "walls"], ["walls", "--interval", "-2,2", "-h"], ["toledo", "--format", "-h"], ["mw", "--help"]],
+)
+def test_help_wherever_a_flag_may_stand(argv, capsys):
+    # after --format, a flag toledo does not have, -h is a help request and no value
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    usage = "usage: upqstab " if argv[0].startswith("-") else f"usage: upqstab {argv[0]} "
+    assert captured.out.startswith(usage) and captured.err == ""
+
+
 def test_jobs_is_no_option(capsys):
     # the engine is exact Fraction arithmetic, which a thread pool only slowed down
     for argv in (

@@ -36,3 +36,14 @@ def test_cli_selftest_loads_no_thread_machinery():
         "assert upqstab.cli.main(['selftest', '--trials', '5']) == 0; quiet.__exit__(None, None, None)"
     )
     assert _loaded(run_selftest, ("concurrent.futures", "threading")) == set()
+
+
+def test_cli_loads_no_argparse_gettext_or_locale():
+    # the flag table parses argv; argparse brought gettext, and gettext locale
+    names = ("argparse", "gettext", "locale")
+    assert _loaded("import upqstab.cli", names) == set()
+    run_toledo = (
+        "import contextlib, io, upqstab.cli; quiet = contextlib.redirect_stdout(io.StringIO()); quiet.__enter__(); "
+        "assert upqstab.cli.main(['toledo', '--type', '1,1,1,0']) == 0; quiet.__exit__(None, None, None)"
+    )
+    assert _loaded(run_toledo, names) == set()

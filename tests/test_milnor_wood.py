@@ -149,7 +149,8 @@ def test_regime_bounds_reject_nonpositive_ranks():
 
 @pytest.mark.parametrize(
     "args, name",
-    [((True, 1, 0, 0), "p"), ((1.0, 1, 0, 0), "p"), ((1, True, 0, 0), "q"), ((1, 1, 0.0, 0), "deg_l")],
+    [((True, 1, 0, 0), "p"), ((1.0, 1, 0, 0), "p"), ((1, True, 0, 0), "q"), ((1, 1, 0.0, 0), "deg_l"),
+     ((1, 1.0, 0, 0), "q"), ((1, 1, True, 0), "deg_l")],
 )
 def test_regime_bounds_reject_bools_and_floats(args, name):
     with pytest.raises(TypeError, match=f"^{name} must be an integer"):
