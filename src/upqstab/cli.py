@@ -34,6 +34,7 @@ from .core import (
     GeometryContext,
     HiggsRankPair,
     HitchinPairType,
+    _parse_error,
     format_rational,
     parse_rational,
     toledo,
@@ -42,7 +43,7 @@ from .milnor_wood import mw_check
 from .oracle import property_driver
 # enumerate_walls and chamber_report are not called here, but stay bound:
 # perfbench/tracing.py patches them, and format_rational, by name in this module
-from .walls import _chamber_tiling, _periodic_wall_table, chamber_report, enumerate_walls, irreducibility_certificate
+from .walls import _periodic_wall_table, chamber_report, enumerate_walls, irreducibility_certificate
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,8 @@ def _parse_interval(text: str) -> tuple[Fraction, Fraction]:
 def _parse_ranks(text: str) -> HiggsRankPair:
     try:
         rk_beta, rk_gamma = (int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"expected 'rk_beta,rk_gamma' with two integers, got {text!r}") from None
+    except ValueError as exc:
+        raise _parse_error(exc, f"expected 'rk_beta,rk_gamma' with two integers, got {text!r}") from None
     return HiggsRankPair(rk_beta, rk_gamma)
 
 
@@ -84,8 +85,8 @@ def _integer(minimum: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
-        except ValueError:
-            raise ValueError(f"expected an integer, got {text!r}") from None
+        except ValueError as exc:
+            raise _parse_error(exc, f"expected an integer, got {text!r}") from None
         if minimum is not None and value < minimum:
             raise ValueError(f"must be at least {minimum}, got {value}")
         return value
@@ -352,14 +353,13 @@ _COUNTED_WALL_HEAD = (
 )
 _WALL_TAIL = b"\n      ]\n    },\n"
 _CHAMBER_JSON = (
-    b'    {\n      "hi": "%s",\n      "hi_closed": %s,\n      "lo": "%s",\n      "lo_closed": %s\n    }'
+    b'    {\n      "hi": "%s",\n      "hi_closed": %s,\n      "lo": "%s",\n      "lo_closed": %s\n    },\n'
 )
 # a chamber between two neighbouring walls, (hi num, lo num) moving and (hi den, lo den) constant
 _INNER_CHAMBER_JSON = (
     b'    {\n      "hi": "%%d/%d",\n      "hi_closed": false,\n      "lo": "%%d/%d",\n      "lo_closed": false\n    },\n'
 )
 _CSV_ROW = b"%%d,%d,%d,%d,%%d\n"
-_JSON_BOOL = {False: b"false", True: b"true"}
 
 
 def _periodic_pieces(period: list[bytes], constants: tuple, bases: list[int], steps: list[int], total: int) -> list[bytes]:
@@ -417,8 +417,8 @@ def _per_row(values: Iterable[int], counts: list[int]) -> Iterator[int]:
     return chain.from_iterable(map(repeat, values, counts))
 
 
-def _walls_json(parts: list[bytes], table, nums: list[int], dens: list[int], counted: bool) -> None:
-    """Append the walls member's pieces to parts."""
+def _walls_json(table, nums: list[int], dens: list[int], counted: bool) -> list[bytes]:
+    """The walls member's items, each ending in its separator."""
     counts = list(map(len, table.groups))
     head = _COUNTED_WALL_HEAD if counted else _WALL_HEAD
     templates = {n: head + _WITNESS_SEP * (n - 1) + _WALL_TAIL for n in set(counts)}
@@ -437,57 +437,41 @@ def _walls_json(parts: list[bytes], table, nums: list[int], dens: list[int], cou
         d_steps = map(islice, repeat(_d_steps(table, ps, qs)), counts)
         steps = list(chain.from_iterable(map(chain, zip(num_steps), d_steps)))
     total = table.copies * len(counts) + table.prefix
-    pieces = _periodic_pieces(list(map(templates.__getitem__, counts)), tuple(flat), bases, steps, total)
-    if not pieces:
-        parts.append(b"[]")
-        return
-    # the last wall takes no separator
-    pieces[-1] = pieces[-1][:-2]
-    parts.append(b"[\n")
-    parts += pieces
-    parts.append(b"\n  ]")
+    return _periodic_pieces(list(map(templates.__getitem__, counts)), tuple(flat), bases, steps, total)
 
 
-def _chambers_json(parts: list[bytes], table, nums: list[int], dens: list[int]) -> None:
-    """Append the chambers member's pieces to parts."""
-    n = len(table.keys)
+def _chambers_json(table, nums: list[int], dens: list[int]) -> list[bytes]:
+    """The chambers member's items, each ending in its separator.
+
+    Each gap between neighbouring walls is one chamber, and each interval end
+    adds one of its own unless a wall sits on it.  A wall on an end prints
+    as that end, and a chamber that starts or stops at a wall is open there,
+    so the gaps need no case of their own for it.
+    """
+    lo, hi = table.lo, table.hi
+    lo_text, hi_text = format_rational(lo).encode(), format_rational(hi).encode()
+    n = len(nums)
     walls = table.copies * n + table.prefix
+    if not walls:
+        return [_CHAMBER_JSON % (hi_text, b"true", lo_text, b"true")]
     period = table.p0 + table.q0
-    # the keys of the interval's first and last walls; the last is in copy (walls - 1) // n
-    ends = [table.keys[0], table.keys[(walls - 1) % n] + (walls - 1) // n * period * table.scale] if walls else []
-    tiling = _chamber_tiling(table.lo * table.scale, table.hi * table.scale, ends)
-    if tiling is None:
-        parts.append(b"[]")
-        return
-    _, lo_closed, hi_closed = tiling
-    lo_text, hi_text = format_rational(table.lo).encode(), format_rational(table.hi).encode()
-    # the chambers' inner boundaries are the walls first, ..., last; only the ends of the interval can be closed
-    first, last = int(not lo_closed), walls - 1 - (not hi_closed)
-    parts.append(b"[\n")
-    if first > last:
-        parts += (_CHAMBER_JSON % (hi_text, _JSON_BOOL[hi_closed], lo_text, _JSON_BOOL[lo_closed]), b"\n  ]")
-        return
-
-    def wall(index: int) -> tuple[int, int]:
-        copy, index = divmod(index, n)
-        return nums[index] + copy * period * dens[index], dens[index]
-
-    # walls first, ..., first + n, the last one or two from the next copy
-    later = list(map(wall, range(n, first + n + 1)))
-    bound_nums = nums[first:] + [num for num, _ in later]
-    bound_dens = dens[first:] + [den for _, den in later]
-    # chamber i lies between walls first + i and first + i + 1
-    constants = tuple(chain.from_iterable(zip(bound_dens[1:], bound_dens)))
-    bases = list(chain.from_iterable(zip(bound_nums[1:], bound_nums)))
-    steps = []
-    if table.copies:
-        bound_steps = list(map(operator.mul, bound_dens, repeat(period)))
-        steps = list(chain.from_iterable(zip(bound_steps[1:], bound_steps)))
-    first_wall = b"%d/%d" % (bound_nums[0], bound_dens[0])
-    last_wall = b"%d/%d" % wall(last)
-    parts += (_CHAMBER_JSON % (first_wall, b"false", lo_text, _JSON_BOOL[lo_closed]), b",\n")
-    parts += _periodic_pieces([_INNER_CHAMBER_JSON] * n, constants, bases, steps, last - first)
-    parts += (_CHAMBER_JSON % (hi_text, _JSON_BOOL[hi_closed], last_wall, b"false"), b"\n  ]")
+    copy, index = divmod(walls - 1, n)
+    first = (nums[0], dens[0])
+    last = (nums[index] + copy * period * dens[index], dens[index])
+    items = []
+    if first != (lo.numerator, lo.denominator):
+        items.append(_CHAMBER_JSON % (b"%d/%d" % first, b"false", lo_text, b"true"))
+    # chamber i of a period lies between walls i and i + 1, and wall n is wall 0 of the next copy
+    next_nums = [*nums[1:], nums[0] + period * dens[0]]
+    next_dens = [*dens[1:], dens[0]]
+    constants = tuple(chain.from_iterable(zip(next_dens, dens)))
+    bases = list(chain.from_iterable(zip(next_nums, nums)))
+    # a numerator moves by P times its denominator per copy
+    steps = list(map(operator.mul, constants, repeat(period))) if table.copies else []
+    items += _periodic_pieces([_INNER_CHAMBER_JSON] * n, constants, bases, steps, walls - 1)
+    if last != (hi.numerator, hi.denominator):
+        items.append(_CHAMBER_JSON % (hi_text, b"true", b"%d/%d" % last, b"false"))
+    return items
 
 
 def _render_json(report: dict) -> list[bytes]:
@@ -502,15 +486,21 @@ def _render_json(report: dict) -> list[bytes]:
     if table is None:
         return [(json.dumps(report, indent=2, sort_keys=True) + "\n").encode("ascii")]
     nums, dens = _reduced(table.keys, table.scale)
+    lists = {"walls": _walls_json(table, nums, dens, report["command"] == "chambers")}
+    if "chambers" in report:
+        lists["chambers"] = _chambers_json(table, nums, dens)
     parts = [b"{\n"]
     for key in sorted(report):
         parts.append(b'  "%s": ' % key.encode("ascii"))
-        if key == "walls":
-            _walls_json(parts, table, nums, dens, report["command"] == "chambers")
-        elif key == "chambers":
-            _chambers_json(parts, table, nums, dens)
-        else:
+        items = lists.get(key)
+        if items is None:
             parts.append(json.dumps(report[key], indent=2, sort_keys=True).replace("\n", "\n  ").encode("ascii"))
+        elif items:
+            # the last item takes no separator
+            items[-1] = items[-1][:-2]
+            parts += (b"[\n", *items, b"\n  ]")
+        else:
+            parts.append(b"[]")
         parts.append(b",\n")
     parts[-1] = b"\n}\n"
     return parts

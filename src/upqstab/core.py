@@ -23,6 +23,7 @@ floating point cannot certify.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -51,13 +52,26 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def _parse_error(exc: ValueError, message: str) -> ValueError:
+    """The ValueError to raise for a text that int() refused with exc.
+
+    It says message, except for an integer past the interpreter's int-to-str
+    digit limit: that one names the limit and does not repeat the text.
+    """
+    if str(exc).startswith("Exceeds the limit"):
+        return ValueError(
+            f"the value is too long to read: it has an integer of more than {sys.get_int_max_str_digits()} digits"
+        )
+    return ValueError(message)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den" or a plain integer string into a Fraction."""
     num_s, slash, den_s = text.strip().partition("/")
     try:
         num, den = int(num_s), int(den_s) if slash else 1
-    except ValueError:
-        raise ValueError(f"expected an integer or 'num/den' with integer parts, got {text!r}") from None
+    except ValueError as exc:
+        raise _parse_error(exc, f"expected an integer or 'num/den' with integer parts, got {text!r}") from None
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(num, den)
@@ -125,8 +139,8 @@ class HitchinPairType(_input_record("HitchinPairType", "p q a b")):
         """Parse "p,q,a,b"."""
         try:
             p, q, a, b = (int(part) for part in text.split(","))
-        except ValueError:
-            raise ValueError(f"expected 'p,q,a,b' with four integers, got {text!r}") from None
+        except ValueError as exc:
+            raise _parse_error(exc, f"expected 'p,q,a,b' with four integers, got {text!r}") from None
         return cls(p, q, a, b)
 
 

@@ -399,25 +399,6 @@ def enumerate_walls(
     return [tuple.__new__(Wall, (Fraction(key, scale), tuple(map(witness, groups.pop())))) for key in keys]
 
 
-def _chamber_tiling(lo, hi, alphas):
-    """How the sorted walls alphas inside [lo, hi] cut it into chambers.
-
-    Works on any ordered values: Fractions, or ints and Fractions scaled
-    alike.  Returns None when [lo, hi] is one point on a wall, which leaves no
-    chamber.  Otherwise returns (inner, lo_closed, hi_closed): the chamber
-    boundaries are lo, the walls alphas[inner] and hi, and chamber i lies
-    between boundaries i and i + 1.  Only the first chamber's lo and the last
-    one's hi can be closed, as lo_closed and hi_closed say: an interval end
-    belongs to its chamber unless a wall sits on it.  Walls come sorted, so
-    only the first and last can sit on an interval end.
-    """
-    lo_closed = not alphas or alphas[0] != lo
-    hi_closed = not alphas or alphas[-1] != hi
-    if lo == hi and not lo_closed:
-        return None
-    return slice(not lo_closed, len(alphas) - (not hi_closed)), lo_closed, hi_closed
-
-
 def chamber_report(
     t: HitchinPairType,
     interval: tuple[RationalLike, RationalLike],
@@ -433,17 +414,18 @@ def chamber_report(
     hi = as_rational(interval[1])
     walls = enumerate_walls(t, (lo, hi), mw_twist_degree=mw_twist_degree)
     alphas = [w.alpha for w in walls]
-    tiling = _chamber_tiling(lo, hi, alphas)
-    chambers = []
-    if tiling is not None:
-        inner, lo_closed, hi_closed = tiling
-        points = [lo, *alphas[inner], hi]
-        last = len(points) - 2
-        chambers = [
-            Chamber(x, y, i == 0 and lo_closed, i == last and hi_closed)
-            for i, (x, y) in enumerate(zip(points, points[1:]))
-        ]
-    return ChamberReport((lo, hi), tuple(walls), tuple(chambers))
+    # an interval end belongs to its chamber unless a wall sits on it; the
+    # walls are sorted, so only the first and the last can
+    lo_closed = not alphas or alphas[0] != lo
+    hi_closed = not alphas or alphas[-1] != hi
+    # the chamber boundaries: every wall, and each end that is no wall
+    points = [lo] * lo_closed + alphas + [hi] * hi_closed
+    last = len(points) - 2
+    chambers = tuple(
+        Chamber(x, y, i == 0 and lo_closed, i == last and hi_closed)
+        for i, (x, y) in enumerate(zip(points, points[1:]))
+    )
+    return ChamberReport((lo, hi), tuple(walls), chambers)
 
 
 class CertificateCondition(namedtuple("CertificateCondition", "holds alpha_window")):

@@ -157,10 +157,10 @@ MUTANTS = [
     (
         "chamber renderer: hi and lo boundaries swapped",
         "cli.py",
-        "constants = tuple(chain.from_iterable(zip(bound_dens[1:], bound_dens)))\n"
-        "    bases = list(chain.from_iterable(zip(bound_nums[1:], bound_nums)))",
-        "constants = tuple(chain.from_iterable(zip(bound_dens, bound_dens[1:])))\n"
-        "    bases = list(chain.from_iterable(zip(bound_nums, bound_nums[1:])))",
+        "constants = tuple(chain.from_iterable(zip(next_dens, dens)))\n"
+        "    bases = list(chain.from_iterable(zip(next_nums, nums)))",
+        "constants = tuple(chain.from_iterable(zip(dens, next_dens)))\n"
+        "    bases = list(chain.from_iterable(zip(nums, next_nums)))",
         ["tests/test_render_differential.py"],
     ),
     (
@@ -194,14 +194,24 @@ MUTANTS = [
         ["tests/test_render_differential.py"],
     ),
     (
-        "chamber renderer: the interval ends' closed flags swapped",
+        "chamber renderer: the leading chamber's closed flags swapped",
         "cli.py",
-        "_JSON_BOOL[lo_closed]), b\",\\n\")\n"
-        "    parts += _periodic_pieces([_INNER_CHAMBER_JSON] * n, constants, bases, steps, last - first)\n"
-        "    parts += (_CHAMBER_JSON % (hi_text, _JSON_BOOL[hi_closed],",
-        "_JSON_BOOL[hi_closed]), b\",\\n\")\n"
-        "    parts += _periodic_pieces([_INNER_CHAMBER_JSON] * n, constants, bases, steps, last - first)\n"
-        "    parts += (_CHAMBER_JSON % (hi_text, _JSON_BOOL[lo_closed],",
+        'b"%d/%d" % first, b"false", lo_text, b"true")',
+        'b"%d/%d" % first, b"true", lo_text, b"false")',
+        ["tests/test_render_differential.py"],
+    ),
+    (
+        "chamber renderer: a wall on lo detected by numerator only",
+        "cli.py",
+        "if first != (lo.numerator, lo.denominator):",
+        "if first[0] != lo.numerator:",
+        ["tests/test_render_differential.py"],
+    ),
+    (
+        "chamber renderer: wall n taken from the same copy",
+        "cli.py",
+        "nums[0] + period * dens[0]]",
+        "nums[0]]",
         ["tests/test_render_differential.py"],
     ),
     (

@@ -105,9 +105,29 @@ _USAGE_ERRORS = [
     (["selftest", "--trials", "x"], "--trials: expected an integer, got 'x'"),
     (["mw", "--type", "1,1,0,0", "--degL", "2", "--genus", "x", "--alpha", "0"], "--genus: expected an integer, got 'x'"),
 ]
+# an integer past the interpreter's int-to-str digit limit is refused by
+# naming the limit, and its text is not echoed
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_PAST_LIMIT = "9" * (_DIGIT_LIMIT + 1)
+_TOO_LONG = f"the value is too long to read: it has an integer of more than {_DIGIT_LIMIT} digits"
+_PAST_LIMIT_ERRORS = [
+    (["mw", "--type", "1,1,0,0", "--degL", _PAST_LIMIT, "--alpha", "0"], f"--degL: {_TOO_LONG}"),
+    (["mw", "--type", "1,1,0,0", "--degL", "1", "--alpha", f"1/{_PAST_LIMIT}"], f"--alpha: {_TOO_LONG}"),
+    (["walls", "--type", "1,1,0,0", "--interval", f"-{_PAST_LIMIT},0"], f"--interval: {_TOO_LONG}"),
+    (["toledo", "--type", f"1,1,{_PAST_LIMIT},0"], f"--type: {_TOO_LONG}"),
+    (["mw", "--type", "2,1,1,0", "--degL", "1", "--alpha", "0", "--ranks", f"1,{_PAST_LIMIT}"], f"--ranks: {_TOO_LONG}"),
+    (["selftest", "--seed", _PAST_LIMIT], f"--seed: {_TOO_LONG}"),
+    (["mw", "--type", "1,1,0,0", "--degL", "2", "--genus", _PAST_LIMIT, "--alpha", "0"], f"--genus: {_TOO_LONG}"),
+]
+# the corpus's argvs as parameters; without a digit limit the values past it are plain integers
+USAGE_ERROR_ARGVS = [argv for argv, _ in _USAGE_ERRORS] + [
+    pytest.param(argv, marks=pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int-to-str digit limit"))
+    for argv, _ in _PAST_LIMIT_ERRORS
+]
+_USAGE_ERRORS += _PAST_LIMIT_ERRORS
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _ in _USAGE_ERRORS])
+@pytest.mark.parametrize("argv", USAGE_ERROR_ARGVS)
 def test_usage_errors_exit_two(argv, capsys):
     reason = next(reason for known, reason in _USAGE_ERRORS if known == argv)
     assert main(argv) == 2
@@ -115,6 +135,7 @@ def test_usage_errors_exit_two(argv, capsys):
     assert captured.out == ""
     last = captured.err.splitlines()[-1]
     assert last.startswith("upqstab") and "error: " in last and reason in last, last
+    assert _PAST_LIMIT not in captured.err
 
 
 @pytest.mark.parametrize("command", ["toledo", "mw", "walls", "chambers", "certify", "selftest"])

@@ -36,7 +36,7 @@ import random
 
 import pytest
 
-from test_cli import _USAGE_ERRORS
+from test_cli import USAGE_ERROR_ARGVS
 from upqstab.cli import RunConfig, _parse_interval, _parse_ranks, parse_args
 from upqstab.core import GeometryContext, HitchinPairType, parse_rational
 
@@ -326,6 +326,6 @@ def test_fuzzed_argv_parses_as_argparse_did(seed):
     assert min(outcomes.values()) >= 75, outcomes
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _ in _USAGE_ERRORS])
+@pytest.mark.parametrize("argv", USAGE_ERROR_ARGVS)
 def test_usage_error_corpus_exits_two_in_both(argv):
     assert _outcome(reference_parse_args, argv) == _outcome(parse_args, argv) == (2, None)

@@ -3,9 +3,9 @@
 `main` writes walls and chambers reports from templates; here every report is
 rebuilt from the library's `to_json` trees and encoded with
 `json.dumps(..., indent=2, sort_keys=True)`, and every CSV with `csv.writer`,
-over seeded random types with p, q <= 7 and rational intervals: intervals
-with no walls, intervals with an end or both ends on a wall, and both
-Milnor-Wood filter twists.  A second seeded set draws intervals 40 to 100
+over explicit chamber shapes and seeded random types with p, q <= 7 and
+rational intervals: intervals with no walls, intervals with an end or both
+ends on a wall, and both Milnor-Wood filter twists.  A second seeded set draws intervals 40 to 100
 wide, so reports reach over 1000 walls and single walls over 20 witnesses.
 """
 
@@ -76,6 +76,34 @@ def _random_interval(rng: SplitMix64, t: HitchinPairType) -> tuple[Fraction, Fra
     return lo, hi
 
 
+# explicit chamber shapes, unfiltered.  The walls of (2,3,1,-1) repeat with
+# period 5, eight to a period: 0, 5/6, 5/4, 5/3, 5/2, 10/3, 15/4, 25/6, then
+# 5, ...; (1,1,0,0) has one wall at each even integer, period 2.
+_SHAPES = [
+    ((2, 3, 1, -1), "1/4", "1/3"),  # no wall
+    ((2, 3, 1, -1), "1/3", "1/3"),  # one point, off a wall
+    ((2, 3, 1, -1), "5/4", "5/4"),  # one point, on a wall
+    ((2, 3, 1, -1), "5/6", "2"),  # lo on a wall
+    ((2, 3, 1, -1), "1/2", "5/3"),  # hi on a wall
+    ((2, 3, 1, -1), "-5/3", "5/2"),  # both ends on walls
+    ((2, 3, 1, -1), "5/6", "1"),  # a single wall, at lo
+    ((2, 3, 1, -1), "-5/3", "40/3"),  # three copies of the period, both ends on walls
+    ((1, 1, 0, 0), "0", "4"),  # two copies, both ends on walls
+    ((2, 3, 1, -1), "1/10", "21/2"),  # 16 walls, two whole copies of the period
+    ((1, 1, 0, 0), "1", "3"),  # one wall, one whole copy
+]
+
+
+def _cases(rng: SplitMix64):
+    """The explicit shapes, then 300 seeded random queries: (type, (lo, hi), twist)."""
+    for spec, lo, hi in _SHAPES:
+        yield HitchinPairType(*spec), (Fraction(lo), Fraction(hi)), _TWISTS[0]
+    for _ in range(300):
+        t = _random_type(rng)
+        interval = _random_interval(rng, t)
+        yield t, interval, _TWISTS[rng.randint(0, 2)]
+
+
 def _stdout(argv: list[str], capsys) -> str:
     assert main(argv) == 0, argv
     return capsys.readouterr().out
@@ -105,10 +133,7 @@ def _expected_csv(walls: tuple[Wall, ...]) -> str:
 def test_rendered_reports_match_the_stdlib_encoders(capsys):
     rng = SplitMix64(4040)
     shapes = {"no_walls": 0, "degenerate_on_wall": 0, "end_on_wall": 0, "degL_0": 0, "canonical": 0}
-    for _ in range(300):
-        t = _random_type(rng)
-        lo, hi = _random_interval(rng, t)
-        twist_args, ctx = _TWISTS[rng.randint(0, 2)]
+    for t, (lo, hi), (twist_args, ctx) in _cases(rng):
         # walls are those of the chamber report: chamber_report calls enumerate_walls
         report = chamber_report(t, (lo, hi), mw_twist_degree=None if ctx is None else ctx.twist_degree)
         base = ["--type", f"{t.p},{t.q},{t.a},{t.b}",
