@@ -25,6 +25,7 @@ import operator
 import os
 import stat
 import sys
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .core import (
     HiggsRankPair,
     HitchinPairType,
     _parse_error,
+    _shown,
     format_rational,
     parse_rational,
     toledo,
@@ -67,7 +69,7 @@ class RunConfig:
 def _parse_interval(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"expected 'lo,hi', got {text!r}")
+        raise ValueError(f"expected 'lo,hi', got {_shown(text)}")
     return parse_rational(parts[0]), parse_rational(parts[1])
 
 
@@ -75,7 +77,7 @@ def _parse_ranks(text: str) -> HiggsRankPair:
     try:
         rk_beta, rk_gamma = (int(part) for part in text.split(","))
     except ValueError as exc:
-        raise _parse_error(exc, f"expected 'rk_beta,rk_gamma' with two integers, got {text!r}") from None
+        raise _parse_error(exc, f"expected 'rk_beta,rk_gamma' with two integers, got {_shown(text)}") from None
     return HiggsRankPair(rk_beta, rk_gamma)
 
 
@@ -86,9 +88,9 @@ def _integer(minimum: int | None = None):
         try:
             value = int(text)
         except ValueError as exc:
-            raise _parse_error(exc, f"expected an integer, got {text!r}") from None
+            raise _parse_error(exc, f"expected an integer, got {_shown(text)}") from None
         if minimum is not None and value < minimum:
-            raise ValueError(f"must be at least {minimum}, got {value}")
+            raise ValueError(f"must be at least {minimum}, got {_shown(str(value), quoted=False)}")
         return value
 
     return parse
@@ -96,7 +98,7 @@ def _integer(minimum: int | None = None):
 
 def _output_format(text: str) -> str:
     if text not in ("json", "csv"):
-        raise ValueError(f"invalid choice: {text!r} (choose from json, csv)")
+        raise ValueError(f"invalid choice: {_shown(text)} (choose from json, csv)")
     return text
 
 
@@ -220,7 +222,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         _usage_error(None, "the following arguments are required: command")
     command = argv[0]
     if command not in _COMMANDS:
-        _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {', '.join(_COMMANDS)})")
+        _usage_error(None, f"argument command: invalid choice: {_shown(command)} (choose from {', '.join(_COMMANDS)})")
     _, flags, required = _COMMANDS[command]
     values = {}
     leftover = []
@@ -240,7 +242,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         dest, convert = flag[:2]
         if convert is None:
             if eq:
-                _usage_error(command, f"argument {name}: ignored explicit argument {value!r}")
+                _usage_error(command, f"argument {name}: ignored explicit argument {_shown(value)}")
             values[dest] = True
             continue
         if not eq:
@@ -255,7 +257,7 @@ def parse_args(argv: list[str]) -> RunConfig:
     if missing:
         _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
     if leftover:
-        _usage_error(command, f"unrecognized arguments: {' '.join(leftover)}")
+        _usage_error(command, f"unrecognized arguments: {_shown(' '.join(leftover), quoted=False)}")
     if values.get("output_path") == "":
         _usage_error(command, "argument --output: expected a file path, got ''")
     if command in ("mw", "walls", "chambers"):
@@ -319,11 +321,12 @@ def _execute(config: RunConfig) -> dict:
 
 
 # walls and chambers reports are written straight from the engine's periodic
-# wall table (`walls._periodic_wall_table`): the walls of one period, how many
-# copies of that period the interval holds, and how many walls of one more
-# copy it ends with.  Each wall alpha is "%d/%d" of its key and the scale,
-# both divided by their gcd, so no Fraction, Wall or Chamber is built per
-# wall.  The templates reproduce, byte for byte, what json.dumps(...,
+# wall table (`walls._periodic_wall_table`): the walls of one period, and the
+# interval's walls as runs of its copies, with at deg L = 0 one exact run
+# between two runs of the window where the Milnor-Wood filter can drop a
+# witness.  The runs are written in turn.  Each wall alpha is "%d/%d" of its
+# key and the scale, both divided by their gcd, so no Fraction, Wall or
+# Chamber is built per wall.  The templates reproduce, byte for byte, what json.dumps(...,
 # indent=2, sort_keys=True) writes for Wall.to_json and ChamberReport.to_json
 # at their depth in the report, and what csv.writer writes per witness; the
 # stdlib encoder's pure-Python indent path costs more than the walls
@@ -362,18 +365,22 @@ _INNER_CHAMBER_JSON = (
 _CSV_ROW = b"%%d,%d,%d,%d,%%d\n"
 
 
-def _periodic_pieces(period: list[bytes], constants: tuple, bases: list[int], steps: list[int], total: int) -> list[bytes]:
-    """The first `total` items of a periodic sequence, as byte pieces.
+def _periodic_pieces(
+    period: list[bytes], constants: tuple, bases: list[int], steps: list[int], total: int, first: int = 0
+) -> list[bytes]:
+    """The first `total` items of a periodic sequence from copy `first` on, as byte pieces.
 
     period holds the item templates of one period.  Its "%d" slots are the
     same in every copy and take constants in order; in copy j its i-th
     "%%d" slot is bases[i] + j * steps[i].  The period has at least one
-    "%%d" slot, and steps may be empty when total is at most one period.
-    The pieces are one per whole copy, then one for the items of the last,
-    partial copy.
+    "%%d" slot, and steps may be empty when first is 0 and total is at most
+    one period.  The pieces are one per whole copy, then one for the items
+    of the last, partial copy.
     """
     if not total:
         return []
+    if first:
+        bases = list(map(operator.add, bases, map(operator.mul, steps, repeat(first))))
     copies, rest = divmod(total, len(period))
     # the partial copy is the period's first `rest` items: its text, with its constants filled in
     head = b"".join(period[:rest])
@@ -395,15 +402,41 @@ def _periodic_pieces(period: list[bytes], constants: tuple, bases: list[int], st
     return pieces
 
 
+class _Run(namedtuple("_Run", "groups nums dens moves first walls")):
+    """A run of the table with walls: the first `walls` walls of copies first, first + 1, ... of its period.
+
+    nums and dens are the numerators and denominators of the period's wall
+    alphas key/scale in lowest terms, and moves is whether the period
+    repeats, which only the window's does.
+    """
+
+    __slots__ = ()
+
+
+def _runs(table) -> list[_Run]:
+    """The table's runs that hold walls; the window's alphas are reduced once, so its runs share one nums list."""
+    window = None
+    runs = []
+    for keys, groups, first, walls in table.runs:
+        if not walls:
+            continue
+        if keys is table.keys:
+            window = window or _reduced(keys, table.scale)
+            runs.append(_Run(groups, *window, table.copies > 0, first, walls))
+        else:
+            runs.append(_Run(groups, *_reduced(keys, table.scale), False, first, walls))
+    return runs
+
+
 def _reduced(keys: list[int], scale: int) -> tuple[list[int], list[int]]:
     """Numerators and denominators of the wall alphas key/scale in lowest terms."""
     gcds = list(map(math.gcd, keys, repeat(scale)))
     return list(map(operator.floordiv, keys, gcds)), list(map(operator.floordiv, repeat(scale), gcds))
 
 
-def _columns(table) -> tuple[list[int], list[int], list[int]]:
-    """The p', q' and d' of the period's witnesses, wall by wall, as three columns."""
-    flat = list(chain.from_iterable(chain.from_iterable(table.groups)))
+def _columns(groups) -> tuple[list[int], list[int], list[int]]:
+    """The p', q' and d' of a period's witnesses, wall by wall, as three columns."""
+    flat = list(chain.from_iterable(chain.from_iterable(groups)))
     return flat[0::3], flat[1::3], flat[2::3]
 
 
@@ -417,58 +450,86 @@ def _per_row(values: Iterable[int], counts: list[int]) -> Iterator[int]:
     return chain.from_iterable(map(repeat, values, counts))
 
 
-def _walls_json(table, nums: list[int], dens: list[int], counted: bool) -> list[bytes]:
+def _laid_out(runs: list[_Run], layout) -> Iterator[tuple]:
+    """Each run with its layout, layout(run) being called once per period, so the window's runs share one."""
+    laid = {}
+    for run in runs:
+        # the runs of one period share its nums list
+        if id(run.nums) not in laid:
+            laid[id(run.nums)] = layout(run)
+        yield run, laid[id(run.nums)]
+
+
+def _walls_json(table, runs: list[_Run], counted: bool) -> list[bytes]:
     """The walls member's items, each ending in its separator."""
-    counts = list(map(len, table.groups))
-    head = _COUNTED_WALL_HEAD if counted else _WALL_HEAD
-    templates = {n: head + _WITNESS_SEP * (n - 1) + _WALL_TAIL for n in set(counts)}
-    # each wall as (den, witness count or b"", alpha numerator), then its
-    # witnesses' (p', q', d'): every third number moves, the rest are constants
-    heads = zip(dens, counts if counted else repeat(b""), nums)
-    flat = list(chain.from_iterable(chain.from_iterable(map(operator.add, zip(heads), table.groups))))
-    bases = flat[2::3]
-    del flat[2::3]
-    steps = []
-    if table.copies:
-        ps, qs, _ = _columns(table)
-        num_steps = map(operator.mul, dens, repeat(table.p0 + table.q0))
-        # per wall: its numerator's step, then its witnesses' d' steps, each
-        # wall's islice taking them in turn from the one shared iterator
-        d_steps = map(islice, repeat(_d_steps(table, ps, qs)), counts)
-        steps = list(chain.from_iterable(map(chain, zip(num_steps), d_steps)))
-    total = table.copies * len(counts) + table.prefix
-    return _periodic_pieces(list(map(templates.__getitem__, counts)), tuple(flat), bases, steps, total)
+
+    def layout(run):
+        groups, nums, dens, moves = run[:4]
+        counts = list(map(len, groups))
+        head = _COUNTED_WALL_HEAD if counted else _WALL_HEAD
+        templates = {n: head + _WITNESS_SEP * (n - 1) + _WALL_TAIL for n in set(counts)}
+        # each wall as (den, witness count or b"", alpha numerator), then its
+        # witnesses' (p', q', d'): every third number moves, the rest are constants
+        heads = zip(dens, counts if counted else repeat(b""), nums)
+        flat = list(chain.from_iterable(chain.from_iterable(map(operator.add, zip(heads), groups))))
+        bases = flat[2::3]
+        del flat[2::3]
+        steps = []
+        if moves:
+            ps, qs, _ = _columns(groups)
+            num_steps = map(operator.mul, dens, repeat(table.p0 + table.q0))
+            # per wall: its numerator's step, then its witnesses' d' steps, each
+            # wall's islice taking them in turn from the one shared iterator
+            d_steps = map(islice, repeat(_d_steps(table, ps, qs)), counts)
+            steps = list(chain.from_iterable(map(chain, zip(num_steps), d_steps)))
+        return list(map(templates.__getitem__, counts)), tuple(flat), bases, steps
+
+    items = []
+    for run, laid in _laid_out(runs, layout):
+        items += _periodic_pieces(*laid, run.walls, run.first)
+    return items
 
 
-def _chambers_json(table, nums: list[int], dens: list[int]) -> list[bytes]:
+def _chambers_json(table, runs: list[_Run]) -> list[bytes]:
     """The chambers member's items, each ending in its separator.
 
-    Each gap between neighbouring walls is one chamber, and each interval end
-    adds one of its own unless a wall sits on it.  A wall on an end prints
-    as that end, and a chamber that starts or stops at a wall is open there,
-    so the gaps need no case of their own for it.
+    Each gap between neighbouring walls is one chamber, within a run or
+    across the join of two, and each interval end adds one of its own unless
+    a wall sits on it.  A wall on an end prints as that end, and a chamber
+    that starts or stops at a wall is open there, so the gaps need no case of
+    their own for it.
     """
     lo, hi = table.lo, table.hi
     lo_text, hi_text = format_rational(lo).encode(), format_rational(hi).encode()
-    n = len(nums)
-    walls = table.copies * n + table.prefix
-    if not walls:
-        return [_CHAMBER_JSON % (hi_text, b"true", lo_text, b"true")]
     period = table.p0 + table.q0
-    copy, index = divmod(walls - 1, n)
-    first = (nums[0], dens[0])
-    last = (nums[index] + copy * period * dens[index], dens[index])
+
+    def layout(run):
+        _, nums, dens, moves = run[:4]
+        # chamber i of a period lies between walls i and i + 1, and wall n is wall 0 of the next copy
+        next_nums = [*nums[1:], nums[0] + period * dens[0]]
+        next_dens = [*dens[1:], dens[0]]
+        constants = tuple(chain.from_iterable(zip(next_dens, dens)))
+        bases = list(chain.from_iterable(zip(next_nums, nums)))
+        # a numerator moves by P times its denominator per copy
+        steps = list(map(operator.mul, constants, repeat(period))) if moves else []
+        return [_INNER_CHAMBER_JSON] * len(nums), constants, bases, steps
+
     items = []
-    if first != (lo.numerator, lo.denominator):
-        items.append(_CHAMBER_JSON % (b"%d/%d" % first, b"false", lo_text, b"true"))
-    # chamber i of a period lies between walls i and i + 1, and wall n is wall 0 of the next copy
-    next_nums = [*nums[1:], nums[0] + period * dens[0]]
-    next_dens = [*dens[1:], dens[0]]
-    constants = tuple(chain.from_iterable(zip(next_dens, dens)))
-    bases = list(chain.from_iterable(zip(next_nums, nums)))
-    # a numerator moves by P times its denominator per copy
-    steps = list(map(operator.mul, constants, repeat(period))) if table.copies else []
-    items += _periodic_pieces([_INNER_CHAMBER_JSON] * n, constants, bases, steps, walls - 1)
+    last = None
+    for run, laid in _laid_out(runs, layout):
+        _, nums, dens, _, first, walls = run
+        # the run's first and last walls, as (num, den)
+        copy, index = divmod(first * len(nums) + walls - 1, len(nums))
+        start = (nums[0] + first * period * dens[0], dens[0])
+        if last is None:
+            if start != (lo.numerator, lo.denominator):
+                items.append(_CHAMBER_JSON % (b"%d/%d" % start, b"false", lo_text, b"true"))
+        else:
+            items.append(_CHAMBER_JSON % (b"%d/%d" % start, b"false", b"%d/%d" % last, b"false"))
+        items += _periodic_pieces(*laid, walls - 1, first)
+        last = (nums[index] + copy * period * dens[index], dens[index])
+    if last is None:
+        return [_CHAMBER_JSON % (hi_text, b"true", lo_text, b"true")]
     if last != (hi.numerator, hi.denominator):
         items.append(_CHAMBER_JSON % (hi_text, b"true", b"%d/%d" % last, b"false"))
     return items
@@ -485,10 +546,10 @@ def _render_json(report: dict) -> list[bytes]:
     table = report.get("walls")
     if table is None:
         return [(json.dumps(report, indent=2, sort_keys=True) + "\n").encode("ascii")]
-    nums, dens = _reduced(table.keys, table.scale)
-    lists = {"walls": _walls_json(table, nums, dens, report["command"] == "chambers")}
+    runs = _runs(table)
+    lists = {"walls": _walls_json(table, runs, report["command"] == "chambers")}
     if "chambers" in report:
-        lists["chambers"] = _chambers_json(table, nums, dens)
+        lists["chambers"] = _chambers_json(table, runs)
     parts = [b"{\n"]
     for key in sorted(report):
         parts.append(b'  "%s": ' % key.encode("ascii"))
@@ -508,19 +569,26 @@ def _render_json(report: dict) -> list[bytes]:
 
 def _render_csv(report: dict) -> list[bytes]:
     table = report["walls"]
-    nums, dens = _reduced(table.keys, table.scale)
-    counts = list(map(len, table.groups))
-    ps, qs, ds = _columns(table)
-    # a row's constants are its wall's alpha den and its p', q'; its alpha numerator and d' move
-    constants = tuple(chain.from_iterable(zip(_per_row(dens, counts), ps, qs)))
-    bases = list(chain.from_iterable(zip(_per_row(nums, counts), ds)))
-    steps = []
-    if table.copies:
-        num_steps = map(operator.mul, dens, repeat(table.p0 + table.q0))
-        steps = list(chain.from_iterable(zip(_per_row(num_steps, counts), _d_steps(table, ps, qs))))
-    rows = table.copies * len(ds) + sum(counts[: table.prefix])
-    pieces = _periodic_pieces([_CSV_ROW] * len(ds), constants, bases, steps, rows)
-    return [b"alpha_num,alpha_den,p_sub,q_sub,d_sub\n", *pieces]
+
+    def layout(run):
+        groups, nums, dens, moves = run[:4]
+        counts = list(map(len, groups))
+        ps, qs, ds = _columns(groups)
+        # a row's constants are its wall's alpha den and its p', q'; its alpha numerator and d' move
+        constants = tuple(chain.from_iterable(zip(_per_row(dens, counts), ps, qs)))
+        bases = list(chain.from_iterable(zip(_per_row(nums, counts), ds)))
+        steps = []
+        if moves:
+            num_steps = map(operator.mul, dens, repeat(table.p0 + table.q0))
+            steps = list(chain.from_iterable(zip(_per_row(num_steps, counts), _d_steps(table, ps, qs))))
+        return ([_CSV_ROW] * len(ds), constants, bases, steps), counts
+
+    pieces = [b"alpha_num,alpha_den,p_sub,q_sub,d_sub\n"]
+    for run, (laid, counts) in _laid_out(_runs(table), layout):
+        copies, rest = divmod(run.walls, len(counts))
+        rows = copies * len(laid[0]) + sum(counts[:rest])
+        pieces += _periodic_pieces(*laid, rows, run.first)
+    return pieces
 
 
 def render(config: RunConfig, report: dict) -> list[bytes]:

@@ -52,6 +52,16 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def _shown(text: str, quoted: bool = True) -> str:
+    """A refused value as an error message echoes it: whole up to 80 characters, else its first 40 and its length.
+
+    quoted gives the repr of the text, or of the part echoed, as a short value
+    has always been shown.
+    """
+    head, tail = (text, "") if len(text) <= 80 else (text[:40], f"... ({len(text)} characters)")
+    return (repr(head) if quoted else head) + tail
+
+
 def _parse_error(exc: ValueError, message: str) -> ValueError:
     """The ValueError to raise for a text that int() refused with exc.
 
@@ -71,9 +81,9 @@ def parse_rational(text: str) -> Fraction:
     try:
         num, den = int(num_s), int(den_s) if slash else 1
     except ValueError as exc:
-        raise _parse_error(exc, f"expected an integer or 'num/den' with integer parts, got {text!r}") from None
+        raise _parse_error(exc, f"expected an integer or 'num/den' with integer parts, got {_shown(text)}") from None
     if den == 0:
-        raise ValueError(f"zero denominator in {text!r}")
+        raise ValueError(f"zero denominator in {_shown(text)}")
     return Fraction(num, den)
 
 
@@ -140,7 +150,7 @@ class HitchinPairType(_input_record("HitchinPairType", "p q a b")):
         try:
             p, q, a, b = (int(part) for part in text.split(","))
         except ValueError as exc:
-            raise _parse_error(exc, f"expected 'p,q,a,b' with four integers, got {text!r}") from None
+            raise _parse_error(exc, f"expected 'p,q,a,b' with four integers, got {_shown(text)}") from None
         return cls(p, q, a, b)
 
 

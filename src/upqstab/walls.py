@@ -17,7 +17,9 @@ an integer the shift keeps alpha's denominator in lowest terms.  The
 Milnor-Wood filter breaks the period only where it can drop a witness: at
 deg L = 0, where |alpha| < 2 (see `_witness_survives_mw`), and it checks a
 witness there in integers, on the wall's scaled key.
-`_periodic_wall_table` builds one period and counts its copies.
+`_periodic_wall_table` builds one period and counts its copies; at deg L = 0
+it builds exactly only the few copies that meet |alpha| < 2, and repeats the
+same period on both sides of them.
 """
 
 from __future__ import annotations
@@ -54,11 +56,14 @@ from .milnor_wood import toledo_bounds
 # about 4 s and 212 MB, most of it cyclic GC passes over the new records.
 # The CLI builds one period (`_periodic_wall_table`, 648 of the 999,004
 # witnesses there) and holds the report once, as byte pieces: a JSON `walls`
-# run takes about 0.34 s and 95 MB, a `chambers` run 0.49 s and 133 MB and a
-# CSV run 0.32 s and 34 MB, most of the memory being the report itself (CPU
+# run takes about 0.35 s and 94 MB, a `chambers` run 0.45 s and 132 MB and a
+# CSV run 0.35 s and 33 MB, most of the memory being the report itself (CPU
 # time and peak RSS of a fresh `python -m upqstab` with stdout to /dev/null,
-# Python 3.11.7, one core of a 2-vCPU Xeon VM); the largest test or
-# benchmark query has about 49k witnesses.
+# median of 5, Python 3.11.7, one core of a 2-vCPU Xeon VM).  With
+# `--mw-filter --degL 0` it also builds exactly the copies of the period that
+# meet |alpha| < 2 (one, [-10, 2), there), and each run takes the same within
+# 0.01 s and 1 MB (built whole, they took 2.7 to 3.3 s and 352 to 500 MB).
+# The largest test or benchmark query has about 49k witnesses.
 MAX_WITNESSES = 1_000_000
 
 
@@ -314,16 +319,21 @@ def _wall_table(
     return lo, hi, scale, kept_keys, kept_groups
 
 
-class _PeriodicWallTable(namedtuple("_PeriodicWallTable", "lo hi scale keys groups p0 q0 copies prefix")):
-    """The walls of `_wall_table` over [lo, hi] as one period of them.
+class _PeriodicWallTable(namedtuple("_PeriodicWallTable", "lo hi scale keys groups p0 q0 copies runs")):
+    """The walls of `_wall_table` over [lo, hi] as runs of one period of them.
 
-    lo, hi, scale, keys and groups are as in `_wall_table`, but keys and
-    groups hold only the walls of the window [lo, lo + P), P = p0 + q0 with
-    (p0, q0) = (p, q)/gcd(p, q).  The interval holds `copies` shifted copies
-    of the window, then copy number `copies` of its first `prefix` walls.
+    lo, hi and scale are as in `_wall_table`.  keys and groups hold the walls
+    of the window [lo, lo + P), P = p0 + q0 with (p0, q0) = (p, q)/gcd(p, q),
+    unfiltered, and the interval holds `copies` whole copies of the window.
     Copy j of a wall has key + j P scale, and each of its witnesses (p', q',
-    d') becomes (p', q', d' + j (p0 q' - q0 p')).  With copies = 0 the window
-    is the whole interval and prefix is its wall count.
+    d') becomes (p', q', d' + j (p0 q' - q0 p')).  With copies = 0 the
+    window is the whole interval, filtered.
+
+    runs lists the walls in increasing alpha, as runs (keys, groups, first,
+    walls): the first `walls` walls of copies first, first + 1, ... of the
+    period keys, groups.  A run of the window holds the table's own keys and
+    groups; an exact run holds its own walls, scaled by scale, with first = 0
+    and walls = len(keys).
     """
 
     __slots__ = ()
@@ -338,9 +348,13 @@ def _periodic_wall_table(
 
     The candidates are counted, and refused, over the whole interval before
     any is built, with the limits and messages of `_wall_table`.  The window
-    is the whole interval when it is shorter than a period, and when the
-    Milnor-Wood filter can drop a witness: at deg L = 0 on an interval that
-    meets |alpha| < 2.
+    is the whole interval when it is shorter than a period.  Otherwise the
+    copies of the window are built exactly only where the Milnor-Wood filter
+    can drop a witness: at deg L = 0, the copies [first, stop) that meet
+    |alpha| < 2, with lo + first P <= -2 and lo + stop P >= 2, are one exact
+    run between two runs of the window (the second starting at copy stop
+    and cut at hi), or the exact run reaches hi when lo + stop P > hi.  No
+    wall at alpha = +-2 is filtered, so the runs may meet there.
     """
     lo = as_rational(interval[0])
     hi = as_rational(interval[1])
@@ -348,23 +362,44 @@ def _periodic_wall_table(
     p0, q0 = t.p // g, t.q // g
     period = p0 + q0
     copies = math.floor((hi - lo) / period)
+    # no exact run unless first <= copies
+    first = copies + 1
     if mw_twist_degree == 0 and lo < 2 and hi > -2:
-        copies = 0
+        first = max(0, math.floor((-2 - lo) / period))
+        stop = math.ceil((2 - lo) / period)
+        end = lo + stop * period
+        if first == 0 and end > hi:
+            # the exact run would be the whole interval
+            copies = 0
     if copies < 1:
         _, _, scale, keys, groups = _wall_table(t, (lo, hi), mw_twist_degree)
-        return _PeriodicWallTable(lo, hi, scale, keys, groups, p0, q0, 0, len(keys))
+        return _PeriodicWallTable(lo, hi, scale, keys, groups, p0, q0, 0, ((keys, groups, 0, len(keys)),))
     # counted, and refused, over the whole interval before the window is built
     _held_families(t, (lo, hi), mw_twist_degree)
     # every family has a wall in every period (its walls are r/|coeff| <= P
-    # apart), so the window has walls and its scale is the interval's
-    _, _, scale, keys, groups = _wall_table(t, (lo, lo + period), mw_twist_degree)
+    # apart), so the window has walls and its scale is the interval's; no
+    # copy of it outside |alpha| < 2 loses a witness to the filter
+    _, _, scale, keys, groups = _wall_table(t, (lo, lo + period), None)
     if keys[-1] == (lo + period) * scale:
         keys.pop()
         groups.pop()
     # copy number `copies` of the window starts at lo + copies P and is cut at hi
     bound = math.floor((hi - copies * period) * scale)
-    prefix = sum(key <= bound for key in keys)
-    return _PeriodicWallTable(lo, hi, scale, keys, groups, p0, q0, copies, prefix)
+    walls = copies * len(keys) + sum(key <= bound for key in keys)
+    if first > copies:
+        return _PeriodicWallTable(lo, hi, scale, keys, groups, p0, q0, copies, ((keys, groups, 0, walls),))
+    # the exact run is [lo + first P, end), or [lo + first P, hi] when end > hi;
+    # shorter than a period, it may lack a family and so have a smaller scale
+    _, _, exact_scale, exact_keys, exact_groups = _wall_table(t, (lo + first * period, min(end, hi)), 0)
+    if end <= hi and exact_keys[-1] == end * exact_scale:
+        exact_keys.pop()
+        exact_groups.pop()
+    if exact_scale != scale:
+        exact_keys = [key * (scale // exact_scale) for key in exact_keys]
+    runs = [(keys, groups, 0, first * len(keys)), (exact_keys, exact_groups, 0, len(exact_keys))]
+    if end <= hi:
+        runs.append((keys, groups, stop, walls - stop * len(keys)))
+    return _PeriodicWallTable(lo, hi, scale, keys, groups, p0, q0, copies, tuple(runs))
 
 
 def enumerate_walls(

@@ -158,18 +158,18 @@ MUTANTS = [
         "chamber renderer: hi and lo boundaries swapped",
         "cli.py",
         "constants = tuple(chain.from_iterable(zip(next_dens, dens)))\n"
-        "    bases = list(chain.from_iterable(zip(next_nums, nums)))",
+        "        bases = list(chain.from_iterable(zip(next_nums, nums)))",
         "constants = tuple(chain.from_iterable(zip(dens, next_dens)))\n"
-        "    bases = list(chain.from_iterable(zip(nums, next_nums)))",
+        "        bases = list(chain.from_iterable(zip(nums, next_nums)))",
         ["tests/test_render_differential.py"],
     ),
     (
         "CSV renderer: alpha numerator and denominator swapped in the row arguments",
         "cli.py",
         "constants = tuple(chain.from_iterable(zip(_per_row(dens, counts), ps, qs)))\n"
-        "    bases = list(chain.from_iterable(zip(_per_row(nums, counts), ds)))",
+        "        bases = list(chain.from_iterable(zip(_per_row(nums, counts), ds)))",
         "constants = tuple(chain.from_iterable(zip(_per_row(nums, counts), ps, qs)))\n"
-        "    bases = list(chain.from_iterable(zip(_per_row(dens, counts), ds)))",
+        "        bases = list(chain.from_iterable(zip(_per_row(dens, counts), ds)))",
         ["tests/test_render_differential.py"],
     ),
     (
@@ -196,15 +196,15 @@ MUTANTS = [
     (
         "chamber renderer: the leading chamber's closed flags swapped",
         "cli.py",
-        'b"%d/%d" % first, b"false", lo_text, b"true")',
-        'b"%d/%d" % first, b"true", lo_text, b"false")',
+        'b"%d/%d" % start, b"false", lo_text, b"true")',
+        'b"%d/%d" % start, b"true", lo_text, b"false")',
         ["tests/test_render_differential.py"],
     ),
     (
         "chamber renderer: a wall on lo detected by numerator only",
         "cli.py",
-        "if first != (lo.numerator, lo.denominator):",
-        "if first[0] != lo.numerator:",
+        "if start != (lo.numerator, lo.denominator):",
+        "if start[0] != lo.numerator:",
         ["tests/test_render_differential.py"],
     ),
     (
@@ -246,15 +246,50 @@ MUTANTS = [
     (
         "periodic table: the last copy's walls at or below hi -> strictly below hi",
         "walls.py",
-        "prefix = sum(key <= bound for key in keys)",
-        "prefix = sum(key < bound for key in keys)",
+        "sum(key <= bound for key in keys)",
+        "sum(key < bound for key in keys)",
         ["tests/test_periodic_table.py"],
     ),
     (
         "periodic table: the deg L = 0, |alpha| < 2 window check dropped",
         "walls.py",
-        "    if mw_twist_degree == 0 and lo < 2 and hi > -2:\n        copies = 0\n",
-        "",
+        "if mw_twist_degree == 0 and lo < 2 and hi > -2:",
+        "if False:",
+        ["tests/test_periodic_table.py"],
+    ),
+    (
+        "periodic table: the exact run's window bound 2 -> 1",
+        "walls.py",
+        "first = max(0, math.floor((-2 - lo) / period))\n        stop = math.ceil((2 - lo) / period)",
+        "first = max(0, math.floor((-1 - lo) / period))\n        stop = math.ceil((1 - lo) / period)",
+        ["tests/test_periodic_table.py"],
+    ),
+    (
+        "periodic table: the exact run closed at its end, so a wall at the cut point lo + stop P is counted twice",
+        "walls.py",
+        "    if end <= hi and exact_keys[-1] == end * exact_scale:",
+        "    if False:",
+        ["tests/test_periodic_table.py"],
+    ),
+    (
+        "periodic table: a short exact run's keys left at its own, smaller scale",
+        "walls.py",
+        "    if exact_scale != scale:\n",
+        "    if False:\n",
+        ["tests/test_periodic_table.py"],
+    ),
+    (
+        "periodic renderer: a run from copy `first` written from copy 0",
+        "cli.py",
+        "    if first:\n        bases =",
+        "    if False:\n        bases =",
+        ["tests/test_periodic_table.py"],
+    ),
+    (
+        "chamber renderer: the chamber across a join between runs written hi first",
+        "cli.py",
+        'b"%d/%d" % start, b"false", b"%d/%d" % last, b"false"))',
+        'b"%d/%d" % last, b"false", b"%d/%d" % start, b"false"))',
         ["tests/test_periodic_table.py"],
     ),
     (

@@ -138,6 +138,37 @@ def test_usage_errors_exit_two(argv, capsys):
     assert _PAST_LIMIT not in captured.err
 
 
+# each site that echoes a refused value, given a 5000-character one: the
+# value's text is cut to its first 40 characters and its length
+_LONG = "x" * 5000
+_LONG_VALUE_ERRORS = [
+    (["walls", "--type", "1,1,0,0", "--interval", "1,2," + "9" * 4996], "--interval: expected 'lo,hi', got '1,2,999"),
+    (["toledo", "--type", "1,1," + _LONG[4:]], "--type: expected 'p,q,a,b' with four integers, got '1,1,xxx"),
+    (["mw", "--type", "2,1,1,0", "--degL", "1", "--alpha", "0", "--ranks", "1," + _LONG[2:]],
+     "--ranks: expected 'rk_beta,rk_gamma' with two integers, got '1,xxx"),
+    (["mw", "--type", "1,1,0,0", "--degL", "1", "--alpha", _LONG], "--alpha: expected an integer or 'num/den'"),
+    # a zero denominator of 5000 characters, with 2500 digits: under the digit limit
+    (["mw", "--type", "1,1,0,0", "--degL", "1", "--alpha", "1/" + "0_" * 2498 + "00"], "--alpha: zero denominator in '1/0_0_"),
+    (["selftest", "--seed", _LONG], "--seed: expected an integer, got 'xxx"),
+    (["selftest", "--trials", "-" + "9_" * 2499 + "9"], "--trials: must be at least 1, got -999"),
+    (["walls", "--type", "1,1,0,0", "--interval", "0,1", "--format", _LONG], "--format: invalid choice: 'xxx"),
+    (["toledo", "--type", "1,1,0,0", *["x"] * 2500], "unrecognized arguments: x x x"),
+    (["walls", "--type", "1,1,0,0", "--interval", "0,1", f"--mw-filter={_LONG}"],
+     "--mw-filter: ignored explicit argument 'xxx"),
+    ([_LONG], "argument command: invalid choice: 'xxx"),
+]
+
+
+@pytest.mark.parametrize("argv, reason", _LONG_VALUE_ERRORS)
+def test_a_long_refused_value_is_echoed_cut(argv, reason, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, last = captured.err.splitlines()
+    assert reason in last and "... (" in last and " characters)" in last, last
+    assert len(usage) < 300 and len(last) < 200, captured.err
+
+
 @pytest.mark.parametrize("command", ["toledo", "mw", "walls", "chambers", "certify", "selftest"])
 def test_help_lists_format_on_walls_only(command, capsys):
     # argparse expands help strings with %, so a stray % fails only when --help is asked for

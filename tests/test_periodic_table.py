@@ -1,15 +1,16 @@
 """The periodic wall table against the direct integer table it stands for.
 
-`walls._periodic_wall_table` builds the walls of one period and counts the
-copies of it the interval holds; here every table is expanded copy by copy,
-shifting each key by P scale and each d' by -coeff/g per copy (coeff =
-p' q - p q', g = gcd(p, q), P = (p + q)/g), and compared with
-`walls._wall_table` over the same interval, key for key and group for group.
-Types are seeded with g in {1, 2, 3, 4}, p = q included; intervals are
-rational, narrower than P, exactly k P wide, and k P plus or minus the gap to
-a neighbouring wall, with ends on and off walls, under every Milnor-Wood
-filter setting, deg L = 0 intervals inside, across and outside |alpha| < 2
-included.
+`walls._periodic_wall_table` builds the walls of one period and lists the
+interval's walls as runs of its copies, with one exact run where the deg L =
+0 Milnor-Wood filter can drop a witness; here every table is expanded run by
+run and copy by copy, shifting each key by P scale and each d' by -coeff/g
+per copy (coeff = p' q - p q', g = gcd(p, q), P = (p + q)/g), and compared
+with `walls._wall_table` over the same interval, key for key and group for
+group.  Types are seeded with g in {1, 2, 3, 4}, p = q included; intervals
+are rational, narrower than P, exactly k P wide, and k P plus or minus the
+gap to a neighbouring wall, with ends on and off walls, under every
+Milnor-Wood filter setting, deg L = 0 intervals inside, across, on and
+outside |alpha| < 2 included, and +-2 on a cut point lo + k P.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from fractions import Fraction
 
 import pytest
 
-from upqstab import HitchinPairType
+from test_render_differential import _expected_csv, _expected_json
+from upqstab import HitchinPairType, chamber_report
 from upqstab import walls as walls_module
+from upqstab.cli import main
 from upqstab.oracle import SplitMix64
 from upqstab.walls import _periodic_wall_table, _wall_table
 
@@ -32,12 +35,13 @@ def _expanded(t: HitchinPairType, table) -> tuple:
     g = math.gcd(t.p, t.q)
     period = t.total_rank // g
     keys, groups = [], []
-    for copy in range(table.copies + 1):
-        walls = len(table.keys) if copy < table.copies else table.prefix
-        for key, group in zip(table.keys[:walls], table.groups[:walls]):
-            keys.append(key + copy * period * table.scale)
+    for run_keys, run_groups, first, walls in table.runs:
+        for index in range(walls):
+            copy, i = divmod(index, len(run_keys))
+            copy += first
+            keys.append(run_keys[i] + copy * period * table.scale)
             groups.append(tuple(
-                (p_sub, q_sub, d_sub - copy * (p_sub * t.q - t.p * q_sub) // g) for p_sub, q_sub, d_sub in group
+                (p_sub, q_sub, d_sub - copy * (p_sub * t.q - t.p * q_sub) // g) for p_sub, q_sub, d_sub in run_groups[i]
             ))
     return table.lo, table.hi, table.scale, keys, groups
 
@@ -95,23 +99,57 @@ def test_expanded_periodic_table_equals_the_direct_table():
         t = _random_type(rng, g)
         lo, hi = _random_interval(rng, t)
         table = _check(t, (lo, hi), _TWISTS[rng.randint(0, 3)])
+        keys = _expanded(t, table)[3]
         period = t.total_rank // g
         seen["copies" if table.copies else "no_copies"] += 1
         seen[f"gcd_{g}"] += table.copies > 0
         seen["p_eq_q"] += t.p == t.q and table.copies > 0
         seen["whole_periods"] += table.copies > 0 and hi - lo == table.copies * period
         # the last wall of the interval sits on hi
-        last = table.prefix - 1
-        seen["hi_on_copy_wall"] += table.copies > 0 and last >= 0 and (
-            table.keys[last] + table.copies * period * table.scale == hi * table.scale
-        )
+        seen["hi_on_copy_wall"] += table.copies > 0 and bool(keys) and keys[-1] == hi * table.scale
     assert min(seen.values()) >= 10, seen
+
+
+def _check_runs(t: HitchinPairType, lo: Fraction, hi: Fraction, twist) -> object:
+    """The table, after checking its runs against the cut points lo + first P and lo + stop P.
+
+    At deg L = 0 the filter can drop witnesses only where |alpha| < 2, so an
+    interval meeting that window holds one exact run over the copies [first,
+    stop) that meet it, cut at hi, between runs of the window.  The whole
+    interval is exact when it is shorter than a period, or when the exact
+    run would start at lo and reach hi; every other table is one run of the
+    window.
+    """
+    table = _check(t, (lo, hi), twist)
+    period = t.total_rank // math.gcd(t.p, t.q)
+    copies = math.floor((hi - lo) / period)
+    window = [run for run in table.runs if run[0] is table.keys]
+    if twist != 0 or hi <= -2 or lo >= 2:
+        assert (table.copies, len(table.runs), len(window)) == (copies, 1, 1)
+        return table
+    first = max(0, math.floor((-2 - lo) / period))
+    stop = math.ceil((2 - lo) / period)
+    end = lo + stop * period
+    if copies < 1 or first == 0 and end > hi:
+        assert (table.copies, len(table.runs), len(window)) == (0, 1, 1), (t, lo, hi)
+        return table
+    assert table.copies == copies
+    n = len(table.keys)
+    (exact,) = [run for run in table.runs if run[0] is not table.keys]
+    expected = [(table.keys, table.groups, 0, first * n), exact]
+    if end <= hi:
+        expected.append((table.keys, table.groups, stop, table.runs[-1][3]))
+    assert list(table.runs) == expected, (t, lo, hi)
+    # the exact run's walls lie in [lo + first P, end), or up to hi
+    exact_keys = exact[0]
+    assert exact[2:] == (0, len(exact_keys))
+    assert not exact_keys or (lo + first * period) * table.scale <= exact_keys[0]
+    assert not exact_keys or exact_keys[-1] < end * table.scale or end > hi
+    return table
 
 
 @pytest.mark.parametrize("twist", _TWISTS)
 def test_milnor_wood_window_inside_across_and_outside(twist):
-    # at deg L = 0 the filter can drop witnesses only where |alpha| < 2, so an
-    # interval meeting that window is built whole; elsewhere it repeats
     rng = SplitMix64(7070 + (twist or 0))
     for _ in range(60):
         t = _random_type(rng, rng.randint(1, 4))
@@ -123,9 +161,95 @@ def test_milnor_wood_window_inside_across_and_outside(twist):
             (Fraction(2), Fraction(2) + 2 * period),  # outside, starting on |alpha| = 2
             (Fraction(-5, 2) - 3 * period, Fraction(-2)),  # outside, ending on |alpha| = 2
         ):
-            table = _check(t, (lo, hi), twist)
-            meets_window = lo < 2 and hi > -2
-            assert (table.copies == 0) == (meets_window and twist == 0 or hi - lo < period), (t, lo, hi, twist)
+            _check_runs(t, lo, hi, twist)
+
+
+def test_deg_l_zero_ends_inside_on_and_outside_the_window_and_on_cut_points():
+    # each end inside (-2, 2), on +-2 or outside it, and +-2 on a cut point
+    # lo + k P, so that a wall at +-2 lies where two runs meet
+    rng = SplitMix64(8080)
+    seen = {"three_runs": 0, "exact_to_hi": 0, "whole": 0, "minus_2_on_cut": 0, "plus_2_on_cut": 0,
+            "wall_on_cut": 0, "inside": 0, "short_exact": 0}
+    for _ in range(16):
+        t = _random_type(rng, rng.randint(1, 4))
+        period = t.total_rank // math.gcd(t.p, t.q)
+        k = rng.randint(0, 3)
+        inside = Fraction(rng.randint(-7, 7), 4)
+        outside = Fraction(rng.randint(9, 40), 4) + k * period
+        # just past -2: from lo = -2 - k P the exact run is shorter than a
+        # period, may lack a family, and so is built at a smaller scale
+        past = -2 + Fraction(rng.randint(1, 11), 12)
+        for lo in (-2 - k * period, 2 - (k + 1) * period, -outside, inside, Fraction(-2), Fraction(2)):
+            for hi in (2 + k * period, -2 + (k + 1) * period, outside, inside, Fraction(-2), Fraction(2), past):
+                if lo > hi:
+                    continue
+                table = _check_runs(t, lo, hi, 0)
+                keys = set(_expanded(t, table)[3])
+                exact = [run for run in table.runs if run[0] is not table.keys]
+                seen["whole"] += table.copies == 0
+                seen["three_runs"] += len(table.runs) == 3
+                seen["exact_to_hi"] += len(table.runs) == 2
+                seen["inside"] += -2 < lo and hi < 2
+                if exact:
+                    first = max(0, math.floor((-2 - lo) / period))
+                    stop = math.ceil((2 - lo) / period)
+                    cuts = {lo + first * period, lo + stop * period} & {Fraction(-2), Fraction(2)}
+                    seen["minus_2_on_cut"] += -2 in cuts
+                    seen["plus_2_on_cut"] += 2 in cuts
+                    seen["wall_on_cut"] += any(cut * table.scale in keys for cut in cuts)
+                    exact_keys = exact[0][0]
+                    seen["short_exact"] += bool(exact_keys) and hi - (lo + first * period) < period
+    assert min(seen.values()) >= 10, seen
+
+
+def test_split_tables_render_as_the_library_reports(capsys):
+    # walls, chambers and CSV of tables with an exact run, against the stdlib
+    # encoders over the library's records: the chambers tile across each join
+    rng = SplitMix64(9191)
+    runs = {2: 0, 3: 0, "lo_on_wall": 0, "hi_on_wall": 0, "wall_at_2": 0}
+    for _ in range(60):
+        t = _random_type(rng, rng.randint(1, 4))
+        period = t.total_rank // math.gcd(t.p, t.q)
+        # ends on cut points, on walls and off them
+        lo = [Fraction(-2 - rng.randint(0, 3) * period), Fraction(rng.randint(-30, 4), rng.randint(1, 4))][rng.randint(0, 1)]
+        hi = [Fraction(2 + rng.randint(0, 3) * period), lo + Fraction(rng.randint(0, 90), rng.randint(1, 4))][rng.randint(0, 1)]
+        if rng.randint(0, 2) == 0:
+            lo = _neighbours(t, lo)[1]
+        if rng.randint(0, 2) == 0:
+            hi = _neighbours(t, hi)[0]
+        if lo > hi:
+            lo, hi = hi, lo
+        table = _periodic_wall_table(t, (lo, hi), 0)
+        report = chamber_report(t, (lo, hi), mw_twist_degree=0)
+        base = ["--type", f"{t.p},{t.q},{t.a},{t.b}", "--interval", f"{lo.numerator}/{lo.denominator},"
+                f"{hi.numerator}/{hi.denominator}", "--mw-filter", "--degL", "0"]
+        for command in ("walls", "chambers"):
+            assert main([command, *base]) == 0
+            assert capsys.readouterr().out == _expected_json(command, t, True, report), (command, base)
+        assert main(["walls", *base, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == _expected_csv(report.walls), base
+        if len(table.runs) > 1:
+            runs[len(table.runs)] += 1
+            alphas = {w.alpha for w in report.walls}
+            runs["lo_on_wall"] += lo in alphas
+            runs["hi_on_wall"] += hi in alphas
+            runs["wall_at_2"] += bool(alphas & {Fraction(-2), Fraction(2)})
+    assert min(runs.values()) >= 5, runs
+
+
+def test_the_deg_l_zero_table_at_the_witness_cap_holds_one_window_and_a_short_middle():
+    # a structural bound, not a clock: the filter's exact run covers at most
+    # ceil(4/P) + 1 periods, and every other wall is a copy of the one window
+    t = HitchinPairType(7, 5, 3, -2)
+    period = 12
+    table = _periodic_wall_table(t, (-9250, 9250), 0)
+    assert table.copies == 18500 // period
+    (exact,) = [run for run in table.runs if run[0] is not table.keys]
+    assert [run[0] is table.keys for run in table.runs] == [True, False, True]
+    exact_keys = exact[0]
+    assert Fraction(exact_keys[-1] - exact_keys[0], table.scale) < (math.ceil(4 / period) + 1) * period
+    assert len(exact_keys) <= (math.ceil(4 / period) + 1) * len(table.keys)
+    assert sum(map(len, table.groups)) == 648
 
 
 def test_candidates_are_refused_over_the_whole_interval(monkeypatch):
