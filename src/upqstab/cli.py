@@ -25,7 +25,6 @@ import operator
 import os
 import stat
 import sys
-from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +36,7 @@ from .core import (
     HitchinPairType,
     _parse_error,
     _shown,
+    _shown_number,
     format_rational,
     parse_rational,
     toledo,
@@ -198,7 +198,8 @@ def _resolve_ctx(command: str, deg_l: int | None, genus: int | None, canonical: 
         if genus is None:
             _usage_error(command, "--canonical requires --genus")
         if deg_l is not None and deg_l != 2 * genus - 2:
-            _usage_error(command, f"--canonical fixes degL = 2*genus - 2 = {2 * genus - 2}, but --degL {deg_l} was given")
+            fixed, given = _shown_number(2 * genus - 2), _shown_number(deg_l)
+            _usage_error(command, f"--canonical fixes degL = 2*genus - 2 = {fixed}, but --degL {given} was given")
         return GeometryContext.canonical_twist(genus)
     if deg_l is None:
         _usage_error(command, "this command needs a twisting degree: pass --degL or --canonical with --genus")
@@ -268,7 +269,8 @@ def parse_args(argv: list[str]) -> RunConfig:
             ctx = values["ctx"] = _resolve_ctx(command, deg_l, genus, canonical)
             if ctx.twist_degree < 0:
                 given = f"--canonical --genus {ctx.genus}" if ctx.canonical else "--degL"
-                _usage_error(command, f"--mw-filter needs deg(L) >= 0, but {given} gives deg(L) = {ctx.twist_degree}")
+                degree = _shown_number(ctx.twist_degree)
+                _usage_error(command, f"--mw-filter needs deg(L) >= 0, but {given} gives deg(L) = {degree}")
         elif deg_l is not None or canonical or genus is not None:
             _usage_error(command, f"--degL, --canonical and --genus only act with --mw-filter on {command}")
     # walls alone has --format, so every other report keeps RunConfig's JSON
@@ -321,11 +323,12 @@ def _execute(config: RunConfig) -> dict:
 
 
 # walls and chambers reports are written straight from the engine's periodic
-# wall table (`walls._periodic_wall_table`): the walls of one period, and the
-# interval's walls as runs of its copies, with at deg L = 0 one exact run
-# between two runs of the window where the Milnor-Wood filter can drop a
-# witness.  The runs are written in turn.  Each wall alpha is "%d/%d" of its
-# key and the scale, both divided by their gcd, so no Fraction, Wall or
+# wall table (`walls._periodic_wall_table`): a list of periods (the window and,
+# at deg L = 0 where the Milnor-Wood filter can drop a witness, one exact run),
+# and the interval's walls as runs of copies of them, each naming its period
+# by index.  Each renderer lays each period out once, however many runs take
+# copies of it, and writes the runs in turn.  Each wall alpha is "%d/%d" of
+# its key and the scale, both divided by their gcd, so no Fraction, Wall or
 # Chamber is built per wall.  The templates reproduce, byte for byte, what json.dumps(...,
 # indent=2, sort_keys=True) writes for Wall.to_json and ChamberReport.to_json
 # at their depth in the report, and what csv.writer writes per witness; the
@@ -402,30 +405,19 @@ def _periodic_pieces(
     return pieces
 
 
-class _Run(namedtuple("_Run", "groups nums dens moves first walls")):
-    """A run of the table with walls: the first `walls` walls of copies first, first + 1, ... of its period.
+def _periods(table) -> list[tuple | None]:
+    """Each period of the table as (groups, nums, dens, moves), or None when no run takes a wall of it.
 
-    nums and dens are the numerators and denominators of the period's wall
-    alphas key/scale in lowest terms, and moves is whether the period
-    repeats, which only the window's does.
+    nums and dens are the period's wall alphas key/scale in lowest terms, and
+    moves is whether a run takes walls past the period's first copy.
     """
-
-    __slots__ = ()
-
-
-def _runs(table) -> list[_Run]:
-    """The table's runs that hold walls; the window's alphas are reduced once, so its runs share one nums list."""
-    window = None
-    runs = []
-    for keys, groups, first, walls in table.runs:
-        if not walls:
-            continue
-        if keys is table.keys:
-            window = window or _reduced(keys, table.scale)
-            runs.append(_Run(groups, *window, table.copies > 0, first, walls))
-        else:
-            runs.append(_Run(groups, *_reduced(keys, table.scale), False, first, walls))
-    return runs
+    moves = {}
+    for index, first, walls in table.runs:
+        moves[index] = moves.get(index, False) or first > 0 or walls > len(table.periods[index][0])
+    return [
+        (groups, *_reduced(keys, table.scale), moves[index]) if index in moves else None
+        for index, (keys, groups) in enumerate(table.periods)
+    ]
 
 
 def _reduced(keys: list[int], scale: int) -> tuple[list[int], list[int]]:
@@ -450,21 +442,10 @@ def _per_row(values: Iterable[int], counts: list[int]) -> Iterator[int]:
     return chain.from_iterable(map(repeat, values, counts))
 
 
-def _laid_out(runs: list[_Run], layout) -> Iterator[tuple]:
-    """Each run with its layout, layout(run) being called once per period, so the window's runs share one."""
-    laid = {}
-    for run in runs:
-        # the runs of one period share its nums list
-        if id(run.nums) not in laid:
-            laid[id(run.nums)] = layout(run)
-        yield run, laid[id(run.nums)]
-
-
-def _walls_json(table, runs: list[_Run], counted: bool) -> list[bytes]:
+def _walls_json(table, periods: list, counted: bool) -> list[bytes]:
     """The walls member's items, each ending in its separator."""
 
-    def layout(run):
-        groups, nums, dens, moves = run[:4]
+    def layout(groups, nums, dens, moves):
         counts = list(map(len, groups))
         head = _COUNTED_WALL_HEAD if counted else _WALL_HEAD
         templates = {n: head + _WITNESS_SEP * (n - 1) + _WALL_TAIL for n in set(counts)}
@@ -484,13 +465,14 @@ def _walls_json(table, runs: list[_Run], counted: bool) -> list[bytes]:
             steps = list(chain.from_iterable(map(chain, zip(num_steps), d_steps)))
         return list(map(templates.__getitem__, counts)), tuple(flat), bases, steps
 
+    laid = [period and layout(*period) for period in periods]
     items = []
-    for run, laid in _laid_out(runs, layout):
-        items += _periodic_pieces(*laid, run.walls, run.first)
+    for index, first, walls in table.runs:
+        items += _periodic_pieces(*laid[index], walls, first)
     return items
 
 
-def _chambers_json(table, runs: list[_Run]) -> list[bytes]:
+def _chambers_json(table, periods: list) -> list[bytes]:
     """The chambers member's items, each ending in its separator.
 
     Each gap between neighbouring walls is one chamber, within a run or
@@ -503,8 +485,7 @@ def _chambers_json(table, runs: list[_Run]) -> list[bytes]:
     lo_text, hi_text = format_rational(lo).encode(), format_rational(hi).encode()
     period = table.p0 + table.q0
 
-    def layout(run):
-        _, nums, dens, moves = run[:4]
+    def layout(_, nums, dens, moves):
         # chamber i of a period lies between walls i and i + 1, and wall n is wall 0 of the next copy
         next_nums = [*nums[1:], nums[0] + period * dens[0]]
         next_dens = [*dens[1:], dens[0]]
@@ -514,20 +495,21 @@ def _chambers_json(table, runs: list[_Run]) -> list[bytes]:
         steps = list(map(operator.mul, constants, repeat(period))) if moves else []
         return [_INNER_CHAMBER_JSON] * len(nums), constants, bases, steps
 
+    laid = [period and layout(*period) for period in periods]
     items = []
     last = None
-    for run, laid in _laid_out(runs, layout):
-        _, nums, dens, _, first, walls = run
+    for index, first, walls in table.runs:
+        _, nums, dens, _ = periods[index]
         # the run's first and last walls, as (num, den)
-        copy, index = divmod(first * len(nums) + walls - 1, len(nums))
+        copy, i = divmod(first * len(nums) + walls - 1, len(nums))
         start = (nums[0] + first * period * dens[0], dens[0])
         if last is None:
             if start != (lo.numerator, lo.denominator):
                 items.append(_CHAMBER_JSON % (b"%d/%d" % start, b"false", lo_text, b"true"))
         else:
             items.append(_CHAMBER_JSON % (b"%d/%d" % start, b"false", b"%d/%d" % last, b"false"))
-        items += _periodic_pieces(*laid, walls - 1, first)
-        last = (nums[index] + copy * period * dens[index], dens[index])
+        items += _periodic_pieces(*laid[index], walls - 1, first)
+        last = (nums[i] + copy * period * dens[i], dens[i])
     if last is None:
         return [_CHAMBER_JSON % (hi_text, b"true", lo_text, b"true")]
     if last != (hi.numerator, hi.denominator):
@@ -546,10 +528,10 @@ def _render_json(report: dict) -> list[bytes]:
     table = report.get("walls")
     if table is None:
         return [(json.dumps(report, indent=2, sort_keys=True) + "\n").encode("ascii")]
-    runs = _runs(table)
-    lists = {"walls": _walls_json(table, runs, report["command"] == "chambers")}
+    periods = _periods(table)
+    lists = {"walls": _walls_json(table, periods, report["command"] == "chambers")}
     if "chambers" in report:
-        lists["chambers"] = _chambers_json(table, runs)
+        lists["chambers"] = _chambers_json(table, periods)
     parts = [b"{\n"]
     for key in sorted(report):
         parts.append(b'  "%s": ' % key.encode("ascii"))
@@ -570,8 +552,7 @@ def _render_json(report: dict) -> list[bytes]:
 def _render_csv(report: dict) -> list[bytes]:
     table = report["walls"]
 
-    def layout(run):
-        groups, nums, dens, moves = run[:4]
+    def layout(groups, nums, dens, moves):
         counts = list(map(len, groups))
         ps, qs, ds = _columns(groups)
         # a row's constants are its wall's alpha den and its p', q'; its alpha numerator and d' move
@@ -583,11 +564,13 @@ def _render_csv(report: dict) -> list[bytes]:
             steps = list(chain.from_iterable(zip(_per_row(num_steps, counts), _d_steps(table, ps, qs))))
         return ([_CSV_ROW] * len(ds), constants, bases, steps), counts
 
+    laid = [period and layout(*period) for period in _periods(table)]
     pieces = [b"alpha_num,alpha_den,p_sub,q_sub,d_sub\n"]
-    for run, (laid, counts) in _laid_out(_runs(table), layout):
-        copies, rest = divmod(run.walls, len(counts))
-        rows = copies * len(laid[0]) + sum(counts[:rest])
-        pieces += _periodic_pieces(*laid, rows, run.first)
+    for index, first, walls in table.runs:
+        rows_laid, counts = laid[index]
+        copies, rest = divmod(walls, len(counts))
+        rows = copies * len(rows_laid[0]) + sum(counts[:rest])
+        pieces += _periodic_pieces(*rows_laid, rows, first)
     return pieces
 
 

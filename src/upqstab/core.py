@@ -62,6 +62,14 @@ def _shown(text: str, quoted: bool = True) -> str:
     return (repr(head) if quoted else head) + tail
 
 
+def _shown_number(value: int | Fraction) -> str:
+    """A number as `_shown` echoes a refused value, unquoted, or the int-to-str digit limit it passes."""
+    try:
+        return _shown(str(value), quoted=False)
+    except ValueError:
+        return f"an integer of more than {sys.get_int_max_str_digits()} digits"
+
+
 def _parse_error(exc: ValueError, message: str) -> ValueError:
     """The ValueError to raise for a text that int() refused with exc.
 
@@ -122,7 +130,7 @@ class HitchinPairType(_input_record("HitchinPairType", "p q a b")):
             for value, name in ((p, "p"), (q, "q"), (a, "a"), (b, "b")):
                 _require_int(value, name)
         if p < 1 or q < 1:
-            raise ValueError(f"ranks must satisfy p >= 1 and q >= 1, got p={p}, q={q}")
+            raise ValueError(f"ranks must satisfy p >= 1 and q >= 1, got p={_shown_number(p)}, q={_shown_number(q)}")
         return tuple.__new__(cls, (p, q, a, b))
 
     @property
@@ -187,15 +195,18 @@ class HiggsRankPair(_input_record("HiggsRankPair", "rk_beta rk_gamma")):
     def __new__(cls, rk_beta: int, rk_gamma: int) -> "HiggsRankPair":
         self = tuple.__new__(cls, (_require_int(rk_beta, "rk_beta"), _require_int(rk_gamma, "rk_gamma")))
         if rk_beta < 0 or rk_gamma < 0:
-            raise ValueError(f"Higgs field ranks must be non-negative, got {self}")
+            raise ValueError(
+                f"Higgs field ranks must be non-negative, got HiggsRankPair(rk_beta={_shown_number(rk_beta)}, "
+                f"rk_gamma={_shown_number(rk_gamma)})"
+            )
         return self
 
     def validate_for(self, t: HitchinPairType) -> None:
         cap = min(t.p, t.q)
         if self.rk_beta > cap or self.rk_gamma > cap:
             raise ValueError(
-                f"Higgs field ranks {self.rk_beta},{self.rk_gamma} out of range for type "
-                f"({t.p},{t.q},{t.a},{t.b}): each must be <= min(p,q) = {cap}"
+                f"Higgs field ranks {_shown_number(self.rk_beta)},{_shown_number(self.rk_gamma)} out of range for type "
+                f"({','.join(map(_shown_number, t))}): each must be <= min(p,q) = {cap}"
             )
 
     def to_json(self) -> dict:

@@ -17,6 +17,7 @@ from .core import (
     HitchinPairType,
     RationalLike,
     _require_int,
+    _shown_number,
     as_rational,
     format_rational,
     toledo,
@@ -67,9 +68,9 @@ def toledo_bounds(p: int, q: int, deg_l: int, alpha: RationalLike) -> BoundInter
         _require_int(q, "q")
         _require_int(deg_l, "deg_l")
     if p < 1 or q < 1:
-        raise ValueError(f"ranks must satisfy p >= 1 and q >= 1, got p={p}, q={q}")
+        raise ValueError(f"ranks must satisfy p >= 1 and q >= 1, got p={_shown_number(p)}, q={_shown_number(q)}")
     if deg_l < 0:
-        raise ValueError(f"deg(L) must be non-negative for rank-free bounds, got {deg_l}")
+        raise ValueError(f"deg(L) must be non-negative for rank-free bounds, got {_shown_number(deg_l)}")
     a = as_rational(alpha)
     n, d = a.numerator, a.denominator
     den = (p + q) * d

@@ -17,9 +17,10 @@ an integer the shift keeps alpha's denominator in lowest terms.  The
 Milnor-Wood filter breaks the period only where it can drop a witness: at
 deg L = 0, where |alpha| < 2 (see `_witness_survives_mw`), and it checks a
 witness there in integers, on the wall's scaled key.
-`_periodic_wall_table` builds one period and counts its copies; at deg L = 0
-it builds exactly only the few copies that meet |alpha| < 2, and repeats the
-same period on both sides of them.
+`_periodic_wall_table` scans the rank families once, cuts each family's
+d'-range to one period and lists the interval's walls as runs of its copies;
+at deg L = 0 it also cuts out, and builds exactly, the few copies that meet
+|alpha| < 2.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .core import (
     HitchinPairType,
     RationalLike,
     _require_int,
+    _shown_number,
     as_rational,
     format_rational,
     gcd_rank_degree,
@@ -150,8 +152,8 @@ def wall_alpha(t: HitchinPairType, w: WallWitness) -> Fraction | None:
     r_sub = w.p_sub + w.q_sub
     if not (0 <= w.p_sub <= t.p and 0 <= w.q_sub <= t.q and 1 <= r_sub <= r - 1):
         raise ValueError(
-            f"witness ranks ({w.p_sub},{w.q_sub}) out of range for ambient type "
-            f"({t.p},{t.q}): need 0 <= p' <= p, 0 <= q' <= q, 1 <= p'+q' <= p+q-1"
+            f"witness ranks ({_shown_number(w.p_sub)},{_shown_number(w.q_sub)}) out of range for ambient type "
+            f"({_shown_number(t.p)},{_shown_number(t.q)}): need 0 <= p' <= p, 0 <= q' <= q, 1 <= p'+q' <= p+q-1"
         )
     coeff = w.p_sub * r - t.p * r_sub
     if coeff == 0:
@@ -212,17 +214,18 @@ def _held_families(
     t: HitchinPairType,
     interval: tuple[RationalLike, RationalLike],
     mw_twist_degree: int | None,
-) -> tuple[Fraction, Fraction, list[tuple[int, int, int, range]]]:
-    """The interval ends as Fractions, and each family with a wall in the interval.
+) -> tuple[Fraction, Fraction, int, list[tuple[int, int, int, range]]]:
+    """The interval ends as Fractions, the key scale, and each family with a wall in the interval.
 
     Families come in (p', q') order as (p', q', coeff, degrees), degrees being
-    the range of d' whose wall lies in the interval.  More than MAX_WITNESSES
-    rank families, or candidate witnesses, is refused before any is listed.
+    the range of d' whose wall lies in the interval, and the scale is
+    lcm(|coeff|) over them (1 for none).  More than MAX_WITNESSES rank
+    families, or candidate witnesses, is refused before any is listed.
     """
     lo = as_rational(interval[0])
     hi = as_rational(interval[1])
     if lo > hi:
-        raise ValueError(f"empty interval direction: lo={lo} > hi={hi}")
+        raise ValueError(f"empty interval direction: lo={_shown_number(lo)} > hi={_shown_number(hi)}")
     if mw_twist_degree is not None:
         _require_int(mw_twist_degree, "mw_twist_degree")
         if mw_twist_degree < 0:
@@ -235,7 +238,7 @@ def _held_families(
     family_count = (t.p + 1) * (t.q + 1) - math.gcd(t.p, t.q) - 1
     if family_count > MAX_WITNESSES:
         raise ValueError(
-            f"the type has {family_count} rank families, more than the limit of "
+            f"the type has {_shown_number(family_count)} rank families, more than the limit of "
             f"{MAX_WITNESSES}; query a type of lower rank"
         )
     # The wall of (p', q', d') is alpha = (D r' - d' r)/coeff with D = a + b,
@@ -263,10 +266,10 @@ def _held_families(
             count += degrees.stop - degrees.start
     if count > MAX_WITNESSES:
         raise ValueError(
-            f"the interval holds {count} candidate witnesses, more than the limit of "
+            f"the interval holds {_shown_number(count)} candidate witnesses, more than the limit of "
             f"{MAX_WITNESSES}; query a narrower interval"
         )
-    return lo, hi, held
+    return lo, hi, math.lcm(*(abs(coeff) for _, _, coeff, _ in held)), held
 
 
 def _wall_table(
@@ -286,9 +289,13 @@ def _wall_table(
     families, or candidate witnesses, is refused before any is listed, or
     any key is built.
     """
-    lo, hi, held = _held_families(t, interval, mw_twist_degree)
+    lo, hi, scale, held = _held_families(t, interval, mw_twist_degree)
+    return (lo, hi, scale, *_walls_of(t, held, scale, mw_twist_degree))
+
+
+def _walls_of(t: HitchinPairType, held: list, scale: int, mw_twist_degree: int | None) -> tuple[list, list]:
+    """The keys and groups of `_wall_table` over the d'-ranges in held, keyed over scale, a multiple of each |coeff|."""
     r, total_degree = t.total_rank, t.total_degree
-    scale = math.lcm(*(abs(coeff) for _, _, coeff, _ in held))
     groups: dict[int, list[tuple[int, int, int]]] = {}
     for p_sub, q_sub, coeff, degrees in held:
         # the wall of d' is alpha = (base - d' r)/coeff, so its keys fall by r unit per degree
@@ -316,24 +323,40 @@ def _wall_table(
                 continue
         kept_keys.append(key)
         kept_groups.append(tuple(witnesses))
-    return lo, hi, scale, kept_keys, kept_groups
+    return kept_keys, kept_groups
 
 
-class _PeriodicWallTable(namedtuple("_PeriodicWallTable", "lo hi scale keys groups p0 q0 copies runs")):
-    """The walls of `_wall_table` over [lo, hi] as runs of one period of them.
+def _window_copies(held: list, g: int, first: int, n: int) -> list[tuple[int, int, int, range]]:
+    """The families of held, the scan of [lo, hi], each cut to copies [first, first + n) of [lo, lo + P).
 
-    lo, hi and scale are as in `_wall_table`.  keys and groups hold the walls
-    of the window [lo, lo + P), P = p0 + q0 with (p0, q0) = (p, q)/gcd(p, q),
-    unfiltered, and the interval holds `copies` whole copies of the window.
-    Copy j of a wall has key + j P scale, and each of its witnesses (p', q',
-    d') becomes (p', q', d' + j (p0 q' - q0 p')).  With copies = 0 the
-    window is the whole interval, filtered.
+    A family has |coeff|/g walls per copy (g = gcd(p, q)), and its d' rises
+    with alpha iff coeff < 0, so its copies count from the start of its
+    d'-range when coeff < 0 and from the stop when coeff > 0.
+    """
+    cut = []
+    for p_sub, q_sub, coeff, degrees in held:
+        per_copy = abs(coeff) // g
+        if coeff < 0:
+            start = degrees.start + first * per_copy
+        else:
+            start = degrees.stop - (first + n) * per_copy
+        cut.append((p_sub, q_sub, coeff, range(max(start, degrees.start), min(start + n * per_copy, degrees.stop))))
+    return cut
 
-    runs lists the walls in increasing alpha, as runs (keys, groups, first,
-    walls): the first `walls` walls of copies first, first + 1, ... of the
-    period keys, groups.  A run of the window holds the table's own keys and
-    groups; an exact run holds its own walls, scaled by scale, with first = 0
-    and walls = len(keys).
+
+class _PeriodicWallTable(namedtuple("_PeriodicWallTable", "lo hi scale p0 q0 periods runs")):
+    """The walls of `_wall_table` over [lo, hi] as runs of copies of its periods.
+
+    lo, hi and scale are as in `_wall_table`, and P = p0 + q0 with (p0, q0)
+    = (p, q)/gcd(p, q).  periods holds (keys, groups) pairs as `_wall_table`
+    lists walls: the window, the walls of [lo, lo + P) unfiltered (or of the
+    whole interval, filtered), then the exact run if there is one.  Copy j
+    of a wall has key + j P scale, and each of its witnesses (p', q', d')
+    becomes (p', q', d' + j (p0 q' - q0 p')).
+
+    runs lists the walls in increasing alpha, as runs (index, first, walls),
+    each holding the first `walls` (>= 1) walls of copies first, first + 1,
+    ... of periods[index].
     """
 
     __slots__ = ()
@@ -346,18 +369,18 @@ def _periodic_wall_table(
 ) -> _PeriodicWallTable:
     """The walls of `_wall_table(t, interval, mw_twist_degree)`, built from one period.
 
-    The candidates are counted, and refused, over the whole interval before
-    any is built, with the limits and messages of `_wall_table`.  The window
-    is the whole interval when it is shorter than a period.  Otherwise the
-    copies of the window are built exactly only where the Milnor-Wood filter
-    can drop a witness: at deg L = 0, the copies [first, stop) that meet
-    |alpha| < 2, with lo + first P <= -2 and lo + stop P >= 2, are one exact
-    run between two runs of the window (the second starting at copy stop
-    and cut at hi), or the exact run reaches hi when lo + stop P > hi.  No
-    wall at alpha = +-2 is filtered, so the runs may meet there.
+    One scan of the rank families over the whole interval counts the
+    candidates, and refuses them with the limits and messages of
+    `_wall_table`, before any is built.  The window is the whole interval
+    when it is shorter than a period.  Otherwise the copies of the window are
+    built exactly only where the Milnor-Wood filter can drop a witness: at
+    deg L = 0, the copies [first, stop) that meet |alpha| < 2, with lo +
+    first P <= -2 and lo + stop P >= 2, are one exact run between two runs
+    of the window (the second starting at copy stop and cut at hi), or the
+    exact run reaches hi when lo + stop P > hi.  Both are half-open copies
+    cut from the families' d'-ranges, so a wall on a cut point is in one run.
     """
-    lo = as_rational(interval[0])
-    hi = as_rational(interval[1])
+    lo, hi, scale, held = _held_families(t, interval, mw_twist_degree)
     g = math.gcd(t.p, t.q)
     p0, q0 = t.p // g, t.q // g
     period = p0 + q0
@@ -372,34 +395,22 @@ def _periodic_wall_table(
             # the exact run would be the whole interval
             copies = 0
     if copies < 1:
-        _, _, scale, keys, groups = _wall_table(t, (lo, hi), mw_twist_degree)
-        return _PeriodicWallTable(lo, hi, scale, keys, groups, p0, q0, 0, ((keys, groups, 0, len(keys)),))
-    # counted, and refused, over the whole interval before the window is built
-    _held_families(t, (lo, hi), mw_twist_degree)
+        keys, groups = _walls_of(t, held, scale, mw_twist_degree)
+        return _PeriodicWallTable(lo, hi, scale, p0, q0, ((keys, groups),), ((0, 0, len(keys)),) if keys else ())
     # every family has a wall in every period (its walls are r/|coeff| <= P
-    # apart), so the window has walls and its scale is the interval's; no
-    # copy of it outside |alpha| < 2 loses a witness to the filter
-    _, _, scale, keys, groups = _wall_table(t, (lo, lo + period), None)
-    if keys[-1] == (lo + period) * scale:
-        keys.pop()
-        groups.pop()
+    # apart), so the window has walls; no copy of it outside |alpha| < 2
+    # loses a witness to the filter
+    window = keys, groups = _walls_of(t, _window_copies(held, g, 0, 1), scale, None)
     # copy number `copies` of the window starts at lo + copies P and is cut at hi
     bound = math.floor((hi - copies * period) * scale)
     walls = copies * len(keys) + sum(key <= bound for key in keys)
     if first > copies:
-        return _PeriodicWallTable(lo, hi, scale, keys, groups, p0, q0, copies, ((keys, groups, 0, walls),))
-    # the exact run is [lo + first P, end), or [lo + first P, hi] when end > hi;
-    # shorter than a period, it may lack a family and so have a smaller scale
-    _, _, exact_scale, exact_keys, exact_groups = _wall_table(t, (lo + first * period, min(end, hi)), 0)
-    if end <= hi and exact_keys[-1] == end * exact_scale:
-        exact_keys.pop()
-        exact_groups.pop()
-    if exact_scale != scale:
-        exact_keys = [key * (scale // exact_scale) for key in exact_keys]
-    runs = [(keys, groups, 0, first * len(keys)), (exact_keys, exact_groups, 0, len(exact_keys))]
+        return _PeriodicWallTable(lo, hi, scale, p0, q0, (window,), ((0, 0, walls),))
+    exact = _walls_of(t, _window_copies(held, g, first, stop - first), scale, 0)
+    runs = [(0, 0, first * len(keys)), (1, 0, len(exact[0]))]
     if end <= hi:
-        runs.append((keys, groups, stop, walls - stop * len(keys)))
-    return _PeriodicWallTable(lo, hi, scale, keys, groups, p0, q0, copies, tuple(runs))
+        runs.append((0, stop, walls - stop * len(keys)))
+    return _PeriodicWallTable(lo, hi, scale, p0, q0, (window, exact), tuple(run for run in runs if run[2]))
 
 
 def enumerate_walls(
@@ -521,7 +532,7 @@ def irreducibility_certificate(
     """
     _require_int(genus, "genus")
     if genus < 2:
-        raise ValueError(f"genus must be at least 2, got {genus}")
+        raise ValueError(f"genus must be at least 2, got {_shown_number(genus)}")
     a = as_rational(alpha)
     deg_k = 2 * genus - 2
     tau = toledo(t)

@@ -73,8 +73,8 @@ MUTANTS = [
     (
         "key scale: lcm over every family, not only those with a wall",
         "walls.py",
-        "scale = math.lcm(*(abs(coeff) for _, _, coeff, _ in held))",
-        "scale = math.lcm(*(abs(coeff) for _, _, coeff in _wall_families(t)))",
+        "math.lcm(*(abs(coeff) for _, _, coeff, _ in held))",
+        "math.lcm(*(abs(coeff) for _, _, coeff in _wall_families(t)))",
         ["tests/test_walls.py"],
     ),
     (
@@ -265,18 +265,25 @@ MUTANTS = [
         ["tests/test_periodic_table.py"],
     ),
     (
-        "periodic table: the exact run closed at its end, so a wall at the cut point lo + stop P is counted twice",
+        "periodic table: the copies of a family with coeff > 0 cut one copy too far from its d'-range's stop",
         "walls.py",
-        "    if end <= hi and exact_keys[-1] == end * exact_scale:",
-        "    if False:",
+        "start = degrees.stop - (first + n) * per_copy",
+        "start = degrees.stop - (first + n + 1) * per_copy",
         ["tests/test_periodic_table.py"],
     ),
     (
-        "periodic table: a short exact run's keys left at its own, smaller scale",
+        "periodic table: the exact run cut from copy 0 instead of copy `first`",
         "walls.py",
-        "    if exact_scale != scale:\n",
-        "    if False:\n",
+        "_window_copies(held, g, first, stop - first)",
+        "_window_copies(held, g, 0, stop - first)",
         ["tests/test_periodic_table.py"],
+    ),
+    (
+        "periodic renderer: no period moves, so no run gets steps past its first copy",
+        "cli.py",
+        "moves[index] = moves.get(index, False) or first > 0 or walls > len(table.periods[index][0])",
+        "moves[index] = False",
+        ["tests/test_cli.py"],
     ),
     (
         "periodic renderer: a run from copy `first` written from copy 0",

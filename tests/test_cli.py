@@ -169,6 +169,63 @@ def test_a_long_refused_value_is_echoed_cut(argv, reason, capsys):
     assert len(usage) < 300 and len(last) < 200, captured.err
 
 
+# each check that refuses a number a converter accepted, or a count built
+# from one, given a short value (the exact error line) and a long one (exit
+# code and a substring): a long number is cut as a long refused text is, and
+# one past the int-to-str digit limit is named by the limit
+_NINES = "9" * 4000
+_AT_LIMIT = "9" * sys.get_int_max_str_digits()
+_NUMBER_ERRORS = [
+    (["toledo", "--type", "0,{},0,0"], "3", 2,
+     "upqstab toledo: error: argument --type: ranks must satisfy p >= 1 and q >= 1, got p=0, q={}"),
+    (["mw", "--type", "1,1,0,0", "--degL", "1", "--alpha", "0", "--ranks", "{},0"], "2", 1,
+     "upqstab: error: Higgs field ranks {},0 out of range for type (1,1,0,0): each must be <= min(p,q) = 1"),
+    (["mw", "--type", "1,1,0,0", "--degL", "1", "--alpha", "0", "--ranks", "-{},0"], "1", 2,
+     "upqstab mw: error: argument --ranks: Higgs field ranks must be non-negative, got HiggsRankPair(rk_beta=-{}, rk_gamma=0)"),
+    (["mw", "--type", "1,{},0,0", "--degL", "1", "--alpha", "0", "--ranks", "2,0"], "1", 1,
+     "upqstab: error: Higgs field ranks 2,0 out of range for type (1,{},0,0): each must be <= min(p,q) = 1"),
+    (["mw", "--type", "1,1,0,0", "--alpha", "0", "--canonical", "--genus", "2", "--degL", "{}"], "3", 2,
+     "upqstab mw: error: --canonical fixes degL = 2*genus - 2 = 2, but --degL {} was given"),
+    (["walls", "--type", "1,1,0,0", "--interval", "0,1", "--mw-filter", "--degL", "-{}"], "1", 2,
+     "upqstab walls: error: --mw-filter needs deg(L) >= 0, but --degL gives deg(L) = -{}"),
+    (["certify", "--type", "1,1,0,0", "--alpha", "0", "--genus", "-{}"], "1", 1,
+     "upqstab: error: genus must be at least 2, got -{}"),
+    (["mw", "--type", "1,1,0,0", "--alpha", "0", "--degL", "-{}"], "1", 1,
+     "upqstab: error: deg(L) must be non-negative for rank-free bounds, got -{}"),
+    (["walls", "--type", "1,1,0,0", "--interval", "{},0"], "1", 1,
+     "upqstab: error: empty interval direction: lo={} > hi=0"),
+]
+
+
+@pytest.mark.parametrize("argv, short, code, line", _NUMBER_ERRORS)
+def test_a_refused_number_is_echoed_whole_when_short_and_cut_when_long(argv, short, code, line, capsys):
+    for value, expected in ((short, line.format(short)), (_NINES, line.split("{}")[0] + _NINES[:39])):
+        assert main([arg.replace("{}", value) for arg in argv]) == code
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == (2 if code == 2 else 1), captured.err[:300]
+        if value == short:
+            assert lines[-1] == expected
+        else:
+            assert lines[-1].startswith(expected) and " characters)" in lines[-1] and len(lines[-1]) < 200, lines[-1][:300]
+
+
+@pytest.mark.parametrize("argv, reason", [
+    # 2 * genus - 2 has one digit more than the limit allows
+    (["mw", "--type", "1,1,0,0", "--alpha", "0", "--canonical", "--genus", _AT_LIMIT, "--degL", "0"],
+     f"--canonical fixes degL = 2*genus - 2 = an integer of more than {len(_AT_LIMIT)} digits, but --degL 0 was given"),
+    # 2 N rank families, and about 4 N candidate witnesses
+    (["walls", "--type", f"1,{_NINES},0,0", "--interval", "0,1"], "the type has 1999"),
+    (["walls", "--type", "2,2,1,0", "--interval", f"0,{_NINES}"], "the interval holds 3999"),
+])
+def test_a_long_number_built_from_accepted_values_is_cut(argv, reason, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    last = captured.err.splitlines()[-1]
+    assert code in (1, 2) and captured.out == "" and len(captured.err.splitlines()) == code, captured.err[:300]
+    assert reason in last and len(last) < 200, last[:300]
+
+
 @pytest.mark.parametrize("command", ["toledo", "mw", "walls", "chambers", "certify", "selftest"])
 def test_help_lists_format_on_walls_only(command, capsys):
     # argparse expands help strings with %, so a stray % fails only when --help is asked for
@@ -332,7 +389,9 @@ def test_csv_rows_past_the_renderers_chunk_of_walls(capsys):
     # the CSV renderer formats one period of walls per `%`; this query spans 45 periods
     t = HitchinPairType(7, 5, 3, -2)
     walls = enumerate_walls(t, (-270, 270))
-    assert walls_module._periodic_wall_table(t, (-270, 270), None).copies == 45
+    table = walls_module._periodic_wall_table(t, (-270, 270), None)
+    ((index, first, count),) = table.runs
+    assert (index, first, count // len(table.periods[0][0])) == (0, 0, 45)
     assert main(["walls", "--type", "7,5,3,-2", "--interval", "-270,270", "--format", "csv"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
         f"{wall.alpha.numerator},{wall.alpha.denominator},{p_sub},{q_sub},{d_sub}"

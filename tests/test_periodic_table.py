@@ -35,9 +35,10 @@ def _expanded(t: HitchinPairType, table) -> tuple:
     g = math.gcd(t.p, t.q)
     period = t.total_rank // g
     keys, groups = [], []
-    for run_keys, run_groups, first, walls in table.runs:
-        for index in range(walls):
-            copy, i = divmod(index, len(run_keys))
+    for index, first, walls in table.runs:
+        run_keys, run_groups = table.periods[index]
+        for n in range(walls):
+            copy, i = divmod(n, len(run_keys))
             copy += first
             keys.append(run_keys[i] + copy * period * table.scale)
             groups.append(tuple(
@@ -90,6 +91,28 @@ def _check(t: HitchinPairType, interval, twist) -> object:
     return table
 
 
+def _cuts(t: HitchinPairType, lo: Fraction, hi: Fraction, twist) -> tuple:
+    """(copies, first, stop), computed from P: the table's shape over [lo, hi].
+
+    copies is the number of whole copies of the window [lo, lo + P) in the
+    interval, or 0 when the window is the whole interval.  At deg L = 0 the
+    filter can drop witnesses only where |alpha| < 2, so an interval meeting
+    that window holds one exact run over the copies [first, stop) that meet
+    it, cut at hi, between runs of the window; first and stop are None when
+    there is no exact run.  The whole interval is exact when it is shorter
+    than a period, or when the exact run would start at lo and reach hi.
+    """
+    period = t.total_rank // math.gcd(t.p, t.q)
+    copies = math.floor((hi - lo) / period)
+    if twist != 0 or hi <= -2 or lo >= 2:
+        return max(copies, 0), None, None
+    first = max(0, math.floor((-2 - lo) / period))
+    stop = math.ceil((2 - lo) / period)
+    if copies < 1 or first == 0 and lo + stop * period > hi:
+        return 0, None, None
+    return copies, first, stop
+
+
 def test_expanded_periodic_table_equals_the_direct_table():
     rng = SplitMix64(6060)
     seen = {"copies": 0, "no_copies": 0, "gcd_1": 0, "gcd_2": 0, "gcd_3": 0, "gcd_4": 0, "p_eq_q": 0,
@@ -98,51 +121,48 @@ def test_expanded_periodic_table_equals_the_direct_table():
         g = 1 + index % 4
         t = _random_type(rng, g)
         lo, hi = _random_interval(rng, t)
-        table = _check(t, (lo, hi), _TWISTS[rng.randint(0, 3)])
+        twist = _TWISTS[rng.randint(0, 3)]
+        table = _check_runs(t, lo, hi, twist)
         keys = _expanded(t, table)[3]
         period = t.total_rank // g
-        seen["copies" if table.copies else "no_copies"] += 1
-        seen[f"gcd_{g}"] += table.copies > 0
-        seen["p_eq_q"] += t.p == t.q and table.copies > 0
-        seen["whole_periods"] += table.copies > 0 and hi - lo == table.copies * period
+        copies = _cuts(t, lo, hi, twist)[0]
+        seen["copies" if copies else "no_copies"] += 1
+        seen[f"gcd_{g}"] += copies > 0
+        seen["p_eq_q"] += t.p == t.q and copies > 0
+        seen["whole_periods"] += copies > 0 and hi - lo == copies * period
         # the last wall of the interval sits on hi
-        seen["hi_on_copy_wall"] += table.copies > 0 and bool(keys) and keys[-1] == hi * table.scale
+        seen["hi_on_copy_wall"] += copies > 0 and bool(keys) and keys[-1] == hi * table.scale
     assert min(seen.values()) >= 10, seen
 
 
 def _check_runs(t: HitchinPairType, lo: Fraction, hi: Fraction, twist) -> object:
-    """The table, after checking its runs against the cut points lo + first P and lo + stop P.
+    """The table, after checking its periods and runs against the shape `_cuts` computes.
 
-    At deg L = 0 the filter can drop witnesses only where |alpha| < 2, so an
-    interval meeting that window holds one exact run over the copies [first,
-    stop) that meet it, cut at hi, between runs of the window.  The whole
-    interval is exact when it is shorter than a period, or when the exact
-    run would start at lo and reach hi; every other table is one run of the
-    window.
+    A table with copies is one run of the window, a period from lo, unless
+    it has an exact run, which lies between runs of the window.
     """
     table = _check(t, (lo, hi), twist)
     period = t.total_rank // math.gcd(t.p, t.q)
-    copies = math.floor((hi - lo) / period)
-    window = [run for run in table.runs if run[0] is table.keys]
-    if twist != 0 or hi <= -2 or lo >= 2:
-        assert (table.copies, len(table.runs), len(window)) == (copies, 1, 1)
+    copies, first, stop = _cuts(t, lo, hi, twist)
+    keys = table.periods[0][0]
+    n = len(keys)
+    if not copies:
+        # the window is the whole interval
+        assert (len(table.periods), table.runs) == (1, ((0, 0, n),) if n else ()), (t, lo, hi)
         return table
-    first = max(0, math.floor((-2 - lo) / period))
-    stop = math.ceil((2 - lo) / period)
+    assert lo * table.scale <= keys[0] and keys[-1] < (lo + period) * table.scale
+    # the walls of the window's last copy, copy `copies`, that lie at or below hi
+    cut = sum(key + copies * period * table.scale <= hi * table.scale for key in keys)
+    if first is None:
+        assert (len(table.periods), table.runs) == (1, ((0, 0, copies * n + cut),)), (t, lo, hi)
+        return table
+    exact_keys = table.periods[1][0]
+    expected = [(0, 0, first * n), (1, 0, len(exact_keys))]
     end = lo + stop * period
-    if copies < 1 or first == 0 and end > hi:
-        assert (table.copies, len(table.runs), len(window)) == (0, 1, 1), (t, lo, hi)
-        return table
-    assert table.copies == copies
-    n = len(table.keys)
-    (exact,) = [run for run in table.runs if run[0] is not table.keys]
-    expected = [(table.keys, table.groups, 0, first * n), exact]
     if end <= hi:
-        expected.append((table.keys, table.groups, stop, table.runs[-1][3]))
-    assert list(table.runs) == expected, (t, lo, hi)
+        expected.append((0, stop, (copies - stop) * n + cut))
+    assert (len(table.periods), table.runs) == (2, tuple(run for run in expected if run[2])), (t, lo, hi)
     # the exact run's walls lie in [lo + first P, end), or up to hi
-    exact_keys = exact[0]
-    assert exact[2:] == (0, len(exact_keys))
     assert not exact_keys or (lo + first * period) * table.scale <= exact_keys[0]
     assert not exact_keys or exact_keys[-1] < end * table.scale or end > hi
     return table
@@ -185,19 +205,17 @@ def test_deg_l_zero_ends_inside_on_and_outside_the_window_and_on_cut_points():
                     continue
                 table = _check_runs(t, lo, hi, 0)
                 keys = set(_expanded(t, table)[3])
-                exact = [run for run in table.runs if run[0] is not table.keys]
-                seen["whole"] += table.copies == 0
-                seen["three_runs"] += len(table.runs) == 3
-                seen["exact_to_hi"] += len(table.runs) == 2
+                copies, first, stop = _cuts(t, lo, hi, 0)
+                seen["whole"] += copies == 0
+                seen["three_runs"] += first is not None and lo + stop * period <= hi
+                seen["exact_to_hi"] += first is not None and lo + stop * period > hi
                 seen["inside"] += -2 < lo and hi < 2
-                if exact:
-                    first = max(0, math.floor((-2 - lo) / period))
-                    stop = math.ceil((2 - lo) / period)
+                if first is not None:
                     cuts = {lo + first * period, lo + stop * period} & {Fraction(-2), Fraction(2)}
                     seen["minus_2_on_cut"] += -2 in cuts
                     seen["plus_2_on_cut"] += 2 in cuts
                     seen["wall_on_cut"] += any(cut * table.scale in keys for cut in cuts)
-                    exact_keys = exact[0][0]
+                    exact_keys = table.periods[1][0]
                     seen["short_exact"] += bool(exact_keys) and hi - (lo + first * period) < period
     assert min(seen.values()) >= 10, seen
 
@@ -228,8 +246,10 @@ def test_split_tables_render_as_the_library_reports(capsys):
             assert capsys.readouterr().out == _expected_json(command, t, True, report), (command, base)
         assert main(["walls", *base, "--format", "csv"]) == 0
         assert capsys.readouterr().out == _expected_csv(report.walls), base
-        if len(table.runs) > 1:
-            runs[len(table.runs)] += 1
+        if len(table.periods) > 1:
+            # three runs, or two when the exact run reaches hi
+            stop = _cuts(t, lo, hi, 0)[2]
+            runs[3 if lo + stop * period <= hi else 2] += 1
             alphas = {w.alpha for w in report.walls}
             runs["lo_on_wall"] += lo in alphas
             runs["hi_on_wall"] += hi in alphas
@@ -243,13 +263,14 @@ def test_the_deg_l_zero_table_at_the_witness_cap_holds_one_window_and_a_short_mi
     t = HitchinPairType(7, 5, 3, -2)
     period = 12
     table = _periodic_wall_table(t, (-9250, 9250), 0)
-    assert table.copies == 18500 // period
-    (exact,) = [run for run in table.runs if run[0] is not table.keys]
-    assert [run[0] is table.keys for run in table.runs] == [True, False, True]
-    exact_keys = exact[0]
+    (keys, groups), (exact_keys, _) = table.periods
+    # the last run of the window ends in copy 18500 // P, the one cut at hi
+    _, stop, walls = table.runs[-1]
+    assert stop + walls // len(keys) == 18500 // period
+    assert [index for index, _, _ in table.runs] == [0, 1, 0]
     assert Fraction(exact_keys[-1] - exact_keys[0], table.scale) < (math.ceil(4 / period) + 1) * period
-    assert len(exact_keys) <= (math.ceil(4 / period) + 1) * len(table.keys)
-    assert sum(map(len, table.groups)) == 648
+    assert len(exact_keys) <= (math.ceil(4 / period) + 1) * len(keys)
+    assert sum(map(len, groups)) == 648
 
 
 def test_candidates_are_refused_over_the_whole_interval(monkeypatch):
@@ -261,4 +282,30 @@ def test_candidates_are_refused_over_the_whole_interval(monkeypatch):
     with pytest.raises(ValueError, match=f"the interval holds {candidates} candidate witnesses"):
         _periodic_wall_table(t, interval, None)
     monkeypatch.setattr(walls_module, "MAX_WITNESSES", candidates)
-    assert _periodic_wall_table(t, interval, None).copies == 11
+    table = _periodic_wall_table(t, interval, None)
+    ((index, first, walls),) = table.runs
+    assert (index, first, walls // len(table.periods[0][0])) == (0, 0, 11)
+
+
+def test_the_families_are_scanned_once_per_table(monkeypatch):
+    calls = []
+    scan = walls_module._held_families
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(walls_module, "_held_families", counted)
+    t = HitchinPairType(7, 5, 3, -2)
+    for interval, twist, indices, repeats in (
+        ((-50, 50), 0, [0, 1, 0], True),  # an exact run between two runs of the window
+        ((-50, 5), 0, [0, 1], True),  # the exact run reaches hi
+        ((-50, 50), None, [0], True),  # one run of the window, over 8 copies of P = 12
+        ((0, 5), None, [0], False),  # shorter than P: the window is the whole interval
+    ):
+        calls.clear()
+        table = _periodic_wall_table(t, interval, twist)
+        assert [index for index, _, _ in table.runs] == indices
+        # whether the first run takes more walls than one copy of the window holds
+        assert (table.runs[0][2] > len(table.periods[0][0])) == repeats
+        assert len(calls) == 1, (interval, twist, len(calls))

@@ -454,3 +454,19 @@ def test_ordered_map_stays_bound_for_the_tracer():
 def test_toledo_bounds_stays_bound_for_the_tracer():
     # perfbench/tracing.py patches walls.toledo_bounds by name; the engine itself calls it nowhere
     assert walls_module.toledo_bounds is toledo_bounds
+
+
+def test_library_range_checks_cut_a_long_number():
+    # 4000 nines are under the digit limit; each message keeps its short form for short values
+    nines = int("9" * 4000)
+    cases = [
+        (lambda: wall_alpha(HitchinPairType(1, 1, 0, 0), WallWitness(nines, 0, 0)), "witness ranks (999"),
+        (lambda: toledo_bounds(0, nines, 0, 0), "ranks must satisfy p >= 1 and q >= 1, got p=0, q=999"),
+    ]
+    for call, reason in cases:
+        with pytest.raises(ValueError) as info:
+            call()
+        message = str(info.value)
+        assert message.startswith(reason) and "... (4000 characters)" in message and len(message) < 200, message[:300]
+    with pytest.raises(ValueError, match=r"^witness ranks \(2,0\) out of range for ambient type \(1,1\): need "):
+        wall_alpha(HitchinPairType(1, 1, 0, 0), WallWitness(2, 0, 0))
