@@ -655,7 +655,8 @@ def _write_report(target: str, pieces: list[bytes]) -> None:
     names, and a file this process may not write is refused as a plain write
     would refuse it.  Any other existing target (a device such as /dev/null, a
     FIFO, /dev/stdout) is written in place: renaming over it would replace the
-    node instead of writing to it.
+    node instead of writing to it.  Both are written by `_write_pieces`, with
+    os.writev on the raw file descriptor (POSIX only, as os.fchmod is).
     """
     try:
         st = os.stat(target)
@@ -663,8 +664,12 @@ def _write_report(target: str, pieces: list[bytes]) -> None:
         mode = None
     else:
         if not stat.S_ISREG(st.st_mode):
-            with open(target, "wb") as handle:
-                handle.writelines(pieces)
+            # the flags and mode of open(target, "wb")
+            fd = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                _write_pieces(fd, pieces)
+            finally:
+                os.close(fd)
             return
         if not os.access(target, os.W_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
@@ -675,15 +680,43 @@ def _write_report(target: str, pieces: list[bytes]) -> None:
     temp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "wb") as handle:
+        try:
             if mode is not None:
-                os.fchmod(handle.fileno(), mode)
-            handle.writelines(pieces)
+                os.fchmod(fd, mode)
+            _write_pieces(fd, pieces)
+        finally:
+            os.close(fd)
         os.replace(temp, target)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(temp)
         raise
+
+
+# the most buffers one os.writev call takes (1024 on Linux)
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+
+
+def _write_pieces(fd: int, pieces: list[bytes]) -> None:
+    """Write the pieces to the file descriptor fd, in order and whole.
+
+    One os.writev call takes up to _IOV_MAX pieces; after a short write the
+    batch goes on from its first unwritten byte.
+    """
+    for start in range(0, len(pieces), _IOV_MAX):
+        batch = pieces[start:start + _IOV_MAX]
+        left = sum(map(len, batch))
+        while left > 0:
+            written = os.writev(fd, batch)
+            left -= written
+            if left > 0:
+                # drop the pieces written whole, then the written head of the next one
+                done = 0
+                while written >= len(batch[done]):
+                    written -= len(batch[done])
+                    done += 1
+                batch = batch[done:]
+                batch[0] = memoryview(batch[0])[written:]
 
 
 def main(argv: list[str] | None = None) -> int:

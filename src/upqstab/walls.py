@@ -15,8 +15,8 @@ r' = p' + q' and coeff = p' q - p q', a multiple of g.  So alpha + P is the
 wall of (p', q', d' - coeff/g), a witness of the same family, and since P is
 an integer the shift keeps alpha's denominator in lowest terms.  The
 Milnor-Wood filter breaks the period only where it can drop a witness: at
-deg L = 0, where |alpha| < 2 (see `_witness_survives_mw`), and it checks a
-witness there in integers, on the wall's scaled key.
+deg L = 0, where |alpha| < 2 (see `_mw_kept`), and it checks a witness there
+in integers, on the wall's scaled key, one family at a time.
 `_periodic_wall_table` scans the rank families once, cuts each family's
 d'-range to one period and lists the interval's walls as runs of its copies;
 at deg L = 0 it also cuts out, and builds exactly, the few copies that meet
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
@@ -175,39 +175,53 @@ def _wall_families(t: HitchinPairType) -> Iterator[tuple[int, int, int]]:
                 yield p_sub, q_sub, coeff
 
 
-def _witness_survives_mw(w: tuple[int, int, int], key: int, scale: int) -> bool:
-    """Is some split a' + b' = d' of the witness (p', q', d') Milnor-Wood feasible at deg L = 0?
+def _mw_kept(p_sub: int, q_sub: int, scale: int, witnesses: Iterable) -> Iterable:
+    """The witnesses of family (p', q') that some split a' + b' = d' makes Milnor-Wood feasible at deg L = 0.
 
-    The wall is alpha = key/scale, key and scale ints with scale >= 1 and
-    key/scale not necessarily in lowest terms.  tau' = 2a' - 2 p' d'/r' is
-    affine in a', so the admissible a' form a rational interval; feasibility
-    is exactly the existence of an integer in it.  A rank-0 side forces that
-    side's degree to 0, hence tau' = 0, and the bounds collapse to [0, 0]:
-    such witnesses always survive.
+    witnesses holds (key, (p', q', d')) pairs, each witness on the wall
+    alpha = key/scale, scale >= 1 and key/scale not necessarily in lowest
+    terms; the pairs that survive are returned in their order.  tau' = 2a' -
+    2 p' d'/r' is affine in a', so the admissible a' form a rational
+    interval, and feasibility is exactly the existence of an integer in it.  A rank-0 side forces that side's
+    degree to 0, hence tau' = 0, and the bounds collapse to [0, 0]: such
+    witnesses always survive.
 
     At deg L = 0 the bounds `toledo_bounds(p', q', 0, alpha)` of regimes i
     and iii are the smaller and the larger of -m' |p' - q'| alpha / r' and
-    -2 p' q' alpha / r', with m' = min(p', q') (both are 0 at alpha = 0).
-    Over r' scale their numerators skew and weighted are ints, as is that
-    of the shift 2 p' d'/r', so a' lies in [(min + shift)/den,
-    (max + shift)/den] with den = 2 r' scale: one ceiling and one floor
-    division decide the check.
+    -2 p' q' alpha / r', with m' = min(p', q').  Since 2 p' q' >= m' |p' -
+    q'|, the second is the lower end when alpha >= 0 and the upper end when
+    alpha < 0.  Over r' scale their numerators skew * key and weighted * key
+    are ints, as is that of the shift 2 p' d'/r', so a' lies in [(lower +
+    shift)/den, (upper + shift)/den] with den = 2 r' scale: one ceiling and
+    one floor division decide the check.  The family's constants are
+    computed once.
 
     Width argument: with l = deg L, the a'-interval is closed and has length
     m' l where |alpha| <= l (regime ii) and m' (l + |alpha|) / 2 where
     |alpha| > l (regimes i and iii).  A closed interval of length >= 1 holds
     an integer, so every witness survives at l >= 1, and at l = 0 only a
-    witness with m' |alpha| < 2 can fail.  `_wall_table` calls this check
-    only for those.
+    witness with m' |alpha| < 2 can fail: only those are checked.
     """
-    p_sub, q_sub, d_sub = w
-    if p_sub == 0 or q_sub == 0:
-        return True
-    skew = -min(p_sub, q_sub) * abs(p_sub - q_sub) * key
-    weighted = -2 * p_sub * q_sub * key
-    shift = 2 * p_sub * d_sub * scale
+    m = min(p_sub, q_sub)
+    if not m:
+        return witnesses
+    narrow = 2 * scale
+    skew = -m * abs(p_sub - q_sub)
+    weighted = -2 * p_sub * q_sub
+    shift = 2 * p_sub * scale
     den = 2 * (p_sub + q_sub) * scale
-    return -(-(min(skew, weighted) + shift) // den) <= (max(skew, weighted) + shift) // den
+    kept = []
+    for key, w in witnesses:
+        if m * abs(key) < narrow:
+            moved = shift * w[2]
+            if key < 0:
+                lower, upper = skew * key + moved, weighted * key + moved
+            else:
+                lower, upper = weighted * key + moved, skew * key + moved
+            if -(-lower // den) > upper // den:
+                continue
+        kept.append((key, w))
+    return kept
 
 
 def _held_families(
@@ -294,7 +308,11 @@ def _wall_table(
 
 
 def _walls_of(t: HitchinPairType, held: list, scale: int, mw_twist_degree: int | None) -> tuple[list, list]:
-    """The keys and groups of `_wall_table` over the d'-ranges in held, keyed over scale, a multiple of each |coeff|."""
+    """The keys and groups of `_wall_table` over the d'-ranges in held, keyed over scale, a multiple of each |coeff|.
+
+    At deg L = 0 each family's witnesses pass `_mw_kept` before they are
+    grouped, so a wall whose witnesses all fail is never listed.
+    """
     r, total_degree = t.total_rank, t.total_degree
     groups: dict[int, list[tuple[int, int, int]]] = {}
     for p_sub, q_sub, coeff, degrees in held:
@@ -302,28 +320,18 @@ def _walls_of(t: HitchinPairType, held: list, scale: int, mw_twist_degree: int |
         base = total_degree * (p_sub + q_sub)
         unit = scale // coeff
         keys = range((base - degrees.start * r) * unit, (base - degrees.stop * r) * unit, -r * unit)
-        for key, w in zip(keys, zip(repeat(p_sub), repeat(q_sub), degrees)):
+        witnesses = zip(keys, zip(repeat(p_sub), repeat(q_sub), degrees))
+        if mw_twist_degree == 0:
+            witnesses = _mw_kept(p_sub, q_sub, scale, witnesses)
+        for key, w in witnesses:
             if key in groups:
                 groups[key].append(w)
             else:
                 groups[key] = [w]
-    # at deg L = 0 a witness can fail the filter only if min(p', q') |key| < 2 scale
-    narrow = 2 * scale if mw_twist_degree == 0 else 0
-    kept_keys = []
-    kept_groups = []
-    for key in sorted(groups):
-        # popped, so each group's list is freed as its tuple is built
-        witnesses = groups.pop(key)
-        if -narrow < key < narrow:
-            witnesses = [
-                w for w in witnesses
-                if min(w[0], w[1]) * abs(key) >= narrow or _witness_survives_mw(w, key, scale)
-            ]
-            if not witnesses:
-                continue
-        kept_keys.append(key)
-        kept_groups.append(tuple(witnesses))
-    return kept_keys, kept_groups
+    keys = sorted(groups)
+    # popped, so each group's list is freed as its tuple is built
+    pop = groups.pop
+    return keys, [tuple(pop(key)) for key in keys]
 
 
 def _window_copies(held: list, g: int, first: int, n: int) -> list[tuple[int, int, int, range]]:
@@ -362,6 +370,37 @@ class _PeriodicWallTable(namedtuple("_PeriodicWallTable", "lo hi scale p0 q0 per
     __slots__ = ()
 
 
+def _period_cuts(
+    lo: Fraction, hi: Fraction, period: int, scale: int, mw_twist_degree: int | None
+) -> tuple[int, int, int | None, bool, int]:
+    """(copies, first, stop, past_hi, bound): where `_periodic_wall_table` cuts [lo, hi] into copies of [lo, lo + P).
+
+    copies = floor((hi - lo)/P) is the number of whole copies of the window
+    in the interval, or 0 when the interval is to be built whole.  At deg L
+    = 0, on an interval meeting |alpha| < 2, the copies [first, stop) with
+    first = max(0, floor((-2 - lo)/P)) and stop = ceil((2 - lo)/P) are
+    built exactly, and past_hi is lo + stop P > hi; otherwise first =
+    copies + 1, stop is None and past_hi is False.  bound = floor((hi -
+    copies P) scale) is the largest key of the window whose wall, in copy
+    number `copies`, is at or below hi.  All in integers, on the numerators
+    and denominators of lo and hi.
+    """
+    lo_num, lo_den = lo.numerator, lo.denominator
+    hi_num, hi_den = hi.numerator, hi.denominator
+    copies = (hi_num * lo_den - lo_num * hi_den) // (period * lo_den * hi_den)
+    # no exact run unless first <= copies
+    first, stop, past_hi = copies + 1, None, False
+    if mw_twist_degree == 0 and lo_num < 2 * lo_den and hi_num > -2 * hi_den:
+        span = period * lo_den
+        first = max(0, (-2 * lo_den - lo_num) // span)
+        stop = -((lo_num - 2 * lo_den) // span)
+        past_hi = (lo_num + stop * span) * hi_den > hi_num * lo_den
+        if first == 0 and past_hi:
+            # the exact run would be the whole interval
+            copies = 0
+    return copies, first, stop, past_hi, (hi_num - copies * period * hi_den) * scale // hi_den
+
+
 def _periodic_wall_table(
     t: HitchinPairType,
     interval: tuple[RationalLike, RationalLike],
@@ -384,16 +423,7 @@ def _periodic_wall_table(
     g = math.gcd(t.p, t.q)
     p0, q0 = t.p // g, t.q // g
     period = p0 + q0
-    copies = math.floor((hi - lo) / period)
-    # no exact run unless first <= copies
-    first = copies + 1
-    if mw_twist_degree == 0 and lo < 2 and hi > -2:
-        first = max(0, math.floor((-2 - lo) / period))
-        stop = math.ceil((2 - lo) / period)
-        end = lo + stop * period
-        if first == 0 and end > hi:
-            # the exact run would be the whole interval
-            copies = 0
+    copies, first, stop, past_hi, bound = _period_cuts(lo, hi, period, scale, mw_twist_degree)
     if copies < 1:
         keys, groups = _walls_of(t, held, scale, mw_twist_degree)
         return _PeriodicWallTable(lo, hi, scale, p0, q0, ((keys, groups),), ((0, 0, len(keys)),) if keys else ())
@@ -401,14 +431,12 @@ def _periodic_wall_table(
     # apart), so the window has walls; no copy of it outside |alpha| < 2
     # loses a witness to the filter
     window = keys, groups = _walls_of(t, _window_copies(held, g, 0, 1), scale, None)
-    # copy number `copies` of the window starts at lo + copies P and is cut at hi
-    bound = math.floor((hi - copies * period) * scale)
     walls = copies * len(keys) + sum(key <= bound for key in keys)
     if first > copies:
         return _PeriodicWallTable(lo, hi, scale, p0, q0, (window,), ((0, 0, walls),))
     exact = _walls_of(t, _window_copies(held, g, first, stop - first), scale, 0)
     runs = [(0, 0, first * len(keys)), (1, 0, len(exact[0]))]
-    if end <= hi:
+    if not past_hi:
         runs.append((0, stop, walls - stop * len(keys)))
     return _PeriodicWallTable(lo, hi, scale, p0, q0, (window, exact), tuple(run for run in runs if run[2]))
 
@@ -425,8 +453,8 @@ def enumerate_walls(
     mw_twist_degree = l (an int >= 0; None means no filter) a witness is kept
     only if some integer degree split of it satisfies the rank-free
     Milnor-Wood bounds at that wall for deg L = l.  By the width argument of
-    `_witness_survives_mw` that keeps every witness when l >= 1; at l = 0
-    only a witness with both ranks >= 1 and min(p', q') |alpha| < 2 is
+    the per-family check `_mw_kept` that keeps every witness when l >= 1; at
+    l = 0 only a witness with both ranks >= 1 and min(p', q') |alpha| < 2 is
     checked, so only walls with |alpha| < 2 can lose witnesses.
 
     The witnesses of every family are counted before any is built; more than

@@ -31,30 +31,37 @@ MUTANTS = [
     (
         "MW window half width: 2 * scale -> scale",
         "walls.py",
-        "narrow = 2 * scale if mw_twist_degree == 0 else 0",
-        "narrow = scale if mw_twist_degree == 0 else 0",
+        "narrow = 2 * scale\n",
+        "narrow = scale\n",
         ["tests/test_kernel_differential.py"],
     ),
     (
         "MW window rank: min(p', q') -> max(p', q')",
         "walls.py",
-        "if min(w[0], w[1]) * abs(key) >= narrow",
-        "if max(w[0], w[1]) * abs(key) >= narrow",
+        "if m * abs(key) < narrow:",
+        "if max(p_sub, q_sub) * abs(key) < narrow:",
         ["tests/test_kernel_differential.py"],
     ),
     (
         "MW split check: the lower end of a' rounded down instead of up",
         "walls.py",
-        "return -(-(min(skew, weighted) + shift) // den) <=",
-        "return (min(skew, weighted) + shift) // den <=",
+        "if -(-lower // den) > upper // den:",
+        "if lower // den > upper // den:",
         ["tests/test_walls.py", "tests/test_kernel_differential.py"],
     ),
     (
         "MW split check: the shift 2 p' d' not scaled by the key's scale",
         "walls.py",
-        "shift = 2 * p_sub * d_sub * scale",
-        "shift = 2 * p_sub * d_sub",
+        "shift = 2 * p_sub * scale",
+        "shift = 2 * p_sub",
         ["tests/test_walls.py", "tests/test_kernel_differential.py"],
+    ),
+    (
+        "MW split check: a negative key takes the ends of a positive one",
+        "walls.py",
+        "lower, upper = skew * key + moved, weighted * key + moved",
+        "lower, upper = weighted * key + moved, skew * key + moved",
+        ["tests/test_walls.py"],
     ),
     (
         "witness cap: count > MAX_WITNESSES -> >=",
@@ -217,8 +224,8 @@ MUTANTS = [
     (
         "wall period: r instead of r/g",
         "walls.py",
-        "    period = p0 + q0\n    copies =",
-        "    period = t.p + t.q\n    copies =",
+        "    period = p0 + q0\n    copies, first",
+        "    period = t.p + t.q\n    copies, first",
         ["tests/test_periodic_table.py"],
     ),
     (
@@ -253,15 +260,22 @@ MUTANTS = [
     (
         "periodic table: the deg L = 0, |alpha| < 2 window check dropped",
         "walls.py",
-        "if mw_twist_degree == 0 and lo < 2 and hi > -2:",
+        "if mw_twist_degree == 0 and lo_num < 2 * lo_den and hi_num > -2 * hi_den:",
         "if False:",
         ["tests/test_periodic_table.py"],
     ),
     (
         "periodic table: the exact run's window bound 2 -> 1",
         "walls.py",
-        "first = max(0, math.floor((-2 - lo) / period))\n        stop = math.ceil((2 - lo) / period)",
-        "first = max(0, math.floor((-1 - lo) / period))\n        stop = math.ceil((1 - lo) / period)",
+        "first = max(0, (-2 * lo_den - lo_num) // span)\n        stop = -((lo_num - 2 * lo_den) // span)",
+        "first = max(0, (-lo_den - lo_num) // span)\n        stop = -((lo_num - lo_den) // span)",
+        ["tests/test_periodic_table.py"],
+    ),
+    (
+        "periodic table: the exact run's stop rounded down instead of up",
+        "walls.py",
+        "stop = -((lo_num - 2 * lo_den) // span)",
+        "stop = (2 * lo_den - lo_num) // span",
         ["tests/test_periodic_table.py"],
     ),
     (
@@ -298,6 +312,20 @@ MUTANTS = [
         'b"%d/%d" % start, b"false", b"%d/%d" % last, b"false"))',
         'b"%d/%d" % last, b"false", b"%d/%d" % start, b"false"))',
         ["tests/test_periodic_table.py"],
+    ),
+    (
+        "report write: the unwritten rest of a piece after a short write dropped",
+        "cli.py",
+        "batch = batch[done:]\n                batch[0] = memoryview(batch[0])[written:]",
+        "batch = batch[done + 1:]",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "report write: every batch of _IOV_MAX pieces taken from the first piece",
+        "cli.py",
+        "batch = pieces[start:start + _IOV_MAX]",
+        "batch = pieces[:_IOV_MAX]",
+        ["tests/test_cli.py"],
     ),
     (
         "argv parser: walls no longer requires --interval",

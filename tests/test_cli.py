@@ -616,6 +616,84 @@ def test_output_to_a_fifo_writes_into_it(tmp_path, capsys):
     assert [path.name for path in tmp_path.iterdir()] == ["report.fifo"]
 
 
+@pytest.mark.parametrize("kind", ["new_file", "old_file", "fifo"])
+def test_short_writes_are_resumed_from_the_first_unwritten_byte(kind, tmp_path, capsys, monkeypatch):
+    writev = os.writev
+    calls = []
+
+    def short_writev(fd, buffers):
+        # at most 7 bytes per call, as a write interrupted by a signal may return
+        calls.append(len(buffers))
+        return writev(fd, [b"".join(map(bytes, buffers))[:7]])
+
+    monkeypatch.setattr(os, "writev", short_writev)
+    argv = ["chambers", "--type", "2,3,1,-1", "--interval", "-3,3"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / "report.json"
+    received = []
+    if kind == "old_file":
+        target.write_text("old report\n")
+    elif kind == "fifo":
+        os.mkfifo(target)
+        # a daemon, so a reader left blocked by a failed write cannot hang the run
+        reader = threading.Thread(target=lambda: received.append(target.read_bytes()), daemon=True)
+        reader.start()
+    assert main([*argv, "--output", str(target)]) == 0
+    if kind == "fifo":
+        reader.join(timeout=10)
+    else:
+        received.append(target.read_bytes())
+    assert received == [printed.encode("ascii")]
+    assert len(calls) >= len(printed) // 7 and max(calls) > 1
+    assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_more_pieces_than_one_writev_takes(tmp_path, capsys, monkeypatch):
+    argv = ["walls", "--type", "1,1,0,0", "--interval", "-1100,1100", "--format", "csv"]
+    pieces = cli.render(parse_args(argv), cli._execute(parse_args(argv)))
+    assert len(pieces) == 1102 > cli._IOV_MAX
+    writev = os.writev
+    calls = []
+
+    def counted_writev(fd, buffers):
+        calls.append(len(buffers))
+        return writev(fd, buffers)
+
+    monkeypatch.setattr(os, "writev", counted_writev)
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / "walls.csv"
+    assert main([*argv, "--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode("ascii") == b"".join(pieces)
+    assert calls == [cli._IOV_MAX, 1102 - cli._IOV_MAX]
+
+
+def test_a_failed_writev_keeps_the_old_file_and_removes_the_temp(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "walls.csv"
+    target.write_text("old report\n")
+    writev = os.writev
+    calls = []
+
+    def failing_writev(fd, buffers):
+        # the first call writes part of the report, the second fails
+        calls.append(len(buffers))
+        if len(calls) > 1:
+            raise OSError(28, "No space left on device")
+        return writev(fd, buffers[:5])
+
+    monkeypatch.setattr(os, "writev", failing_writev)
+    argv = ["walls", "--type", "1,1,0,0", "--interval", "-20,20", "--format", "csv", "--output", str(target)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"upqstab: error: cannot write {target}: No space left on device\n"
+    assert len(calls) == 2
+    assert target.read_text() == "old report\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["walls.csv"]
+
+
 def test_output_path_that_is_a_directory_is_an_engine_error(tmp_path, capsys):
     target = tmp_path / "reports"
     target.mkdir()

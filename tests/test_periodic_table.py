@@ -25,7 +25,7 @@ from upqstab import HitchinPairType, chamber_report
 from upqstab import walls as walls_module
 from upqstab.cli import main
 from upqstab.oracle import SplitMix64
-from upqstab.walls import _periodic_wall_table, _wall_table
+from upqstab.walls import _period_cuts, _periodic_wall_table, _wall_table
 
 _TWISTS = (None, 0, 1, 2)
 
@@ -111,6 +111,55 @@ def _cuts(t: HitchinPairType, lo: Fraction, hi: Fraction, twist) -> tuple:
     if copies < 1 or first == 0 and lo + stop * period > hi:
         return 0, None, None
     return copies, first, stop
+
+
+def _fraction_cuts(lo: Fraction, hi: Fraction, period: int, scale: int, twist) -> tuple:
+    """`_period_cuts` in Fraction arithmetic: (copies, first, stop, past_hi, bound)."""
+    copies = math.floor((hi - lo) / period)
+    first, stop, past_hi = copies + 1, None, False
+    if twist == 0 and lo < 2 and hi > -2:
+        first = max(0, math.floor((-2 - lo) / period))
+        stop = math.ceil((2 - lo) / period)
+        past_hi = lo + stop * period > hi
+        if first == 0 and past_hi:
+            copies = 0
+    return copies, first, stop, past_hi, math.floor((hi - copies * period) * scale)
+
+
+def test_integer_period_cuts_match_the_fraction_formulas():
+    rng = SplitMix64(6161)
+    seen = {"end_on_kP": 0, "end_on_2": 0, "point": 0, "below_P": 0, "exact_run": 0, "past_hi": 0, "whole": 0}
+    for index in range(6000):
+        period = rng.randint(1, 12)
+        den = rng.randint(1, 9)
+        lo = Fraction(rng.randint(-30 * den, 20 * den), den)
+        shape = index % 5
+        if shape == 0:
+            hi = lo + rng.randint(0, 5) * period
+        elif shape == 1:
+            lo, hi = sorted((lo, Fraction(2 * (1 - 2 * rng.randint(0, 1)))))
+        elif shape == 2:
+            hi = lo
+        elif shape == 3:
+            hi = lo + Fraction(rng.randint(0, period * den - 1), den)
+        else:
+            hi = lo + Fraction(rng.randint(0, 80 * den), rng.randint(1, 9))
+        if rng.randint(0, 3) == 0:
+            # an end on a multiple of P
+            lo, hi = sorted((lo, Fraction(rng.randint(-6, 6) * period)))
+        scale = rng.randint(1, 10**6)
+        twist = _TWISTS[index % 4]
+        cuts = _period_cuts(lo, hi, period, scale, twist)
+        assert cuts == _fraction_cuts(lo, hi, period, scale, twist), (lo, hi, period, scale, twist)
+        copies, first, stop, past_hi, _ = cuts
+        seen["end_on_kP"] += lo % period == 0 or hi % period == 0
+        seen["end_on_2"] += lo in (-2, 2) or hi in (-2, 2)
+        seen["point"] += lo == hi
+        seen["below_P"] += hi - lo < period
+        seen["exact_run"] += first <= copies
+        seen["past_hi"] += past_hi and copies > 0
+        seen["whole"] += stop is not None and copies == 0
+    assert min(seen.values()) >= 75, seen
 
 
 def test_expanded_periodic_table_equals_the_direct_table():

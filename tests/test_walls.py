@@ -300,17 +300,35 @@ def _mw_check_cases(rng: SplitMix64, count: int):
 
 
 def test_integer_mw_check_matches_the_fraction_check():
-    seen = {"random": 0, "equal_ranks_key_0": 0, "window_edge": 0, "unreduced": 0, "rank_0": 0}
+    seen = {"random": 0, "equal_ranks_key_0": 0, "window_edge": 0, "unreduced": 0, "rank_0": 0, "negative_key": 0}
     kept = dropped = 0
     for shape, w, key, scale in _mw_check_cases(SplitMix64(2028), 8000):
-        survives = walls_module._witness_survives_mw(w, key, scale)
+        # the per-family kernel, on a family of one witness
+        survivors = list(walls_module._mw_kept(w[0], w[1], scale, [(key, w)]))
+        assert survivors in ([], [(key, w)]), survivors
+        survives = bool(survivors)
         assert survives == _fraction_survives_mw(w, Fraction(key, scale)), (w, key, scale)
         seen[shape] += 1
         seen["rank_0"] += 0 in w[:2]
+        seen["negative_key"] += key < 0
         kept += survives
         dropped += not survives
     assert min(seen.values()) >= 500, seen
     assert kept >= 1000 and dropped >= 1000, (kept, dropped)
+
+
+def test_the_family_kernel_keeps_its_constants_across_a_family():
+    # one call per family, its witnesses' keys of both signs and across the window's edges
+    rng = SplitMix64(2029)
+    dropped = 0
+    for _ in range(300):
+        p_sub, q_sub = rng.randint(0, 6), rng.randint(0, 6)
+        scale = rng.randint(1, 60)
+        witnesses = [(rng.randint(-3 * scale, 3 * scale), (p_sub, q_sub, rng.randint(-30, 30))) for _ in range(25)]
+        kept = list(walls_module._mw_kept(p_sub, q_sub, scale, iter(witnesses)))
+        assert kept == [(key, w) for key, w in witnesses if _fraction_survives_mw(w, Fraction(key, scale))]
+        dropped += len(witnesses) - len(kept)
+    assert dropped >= 500, dropped
 
 
 def test_chamber_report_canonical_example():
