@@ -10,9 +10,11 @@ function of these integers and of exact rational stability parameters.
 The inputs are named tuples (`ParameterVector` a tuple of Fractions) that
 check their fields in `__new__`; `_make` and `_replace` go through it, so no
 path builds an invalid input.  Each compares equal to its plain tuple.  A
-value built here from values that are already valid (`dual`, `shifted`,
-`upq_quiver_type`, `upq_parameter_vector`) is built by `tuple.__new__`,
-without checking again what cannot fail.
+value built from values that are already valid is built by `tuple.__new__`,
+without checking again what cannot fail: here `dual`, `shifted`,
+`upq_quiver_type` and `upq_parameter_vector`; in `oracle`, the records the
+selftest case makers draw valid (`_random_quiver_type`, `_random_pair_type`,
+the translation case's `ParameterVector` and the tau-gap case's type).
 
 All arithmetic is arbitrary-precision exact rational via fractions.Fraction,
 which stores values in lowest terms with positive denominator.  Floats are

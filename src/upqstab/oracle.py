@@ -16,7 +16,9 @@ case's own inputs, never a value derived from them.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from fractions import Fraction
+from functools import cache
 
 # perfbench/tracing.py patches oracle.ordered_map by name, so the name stays bound
 from .concurrency import ordered_map
@@ -133,18 +135,58 @@ def envelope_toledo_bounds(p: int, q: int, deg_l: int, alpha: RationalLike) -> B
     return BoundInterval(Fraction(min(lowers), den), Fraction(max(uppers), den))
 
 
+_BATCH = 256  # outputs per refill, one 128-bit lane each
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+@cache
+def _lanes() -> tuple[int, int, int, Callable[[bytes], tuple[int, ...]]]:
+    """The batch's constants, built on the first refill: ones, ramp, mask and the decoder.
+
+    In the ints, lane j is bits [128 j, 128 j + 128): ones holds 1 in every
+    lane, ramp (j + 1) * gamma in lane j, mask 2^64 - 1 in every lane.  The
+    decoder reads the low 8 bytes of each 16-byte lane, little-endian.
+    """
+    import struct
+
+    lane = b"\xff" * 8 + bytes(8)
+    mask = int.from_bytes(lane * _BATCH, "little")
+    ramp = int.from_bytes(b"".join((j * _GAMMA).to_bytes(16, "little") for j in range(1, _BATCH + 1)), "little")
+    return mask // 0xFFFFFFFFFFFFFFFF, ramp, mask, struct.Struct("<" + "Q8x" * _BATCH).unpack
+
+
 class SplitMix64:
     """splitmix64 generator: fixed public mixing constants, 64-bit state.
 
     Chosen over random.Random so that selftest reports are byte-identical
-    across platforms and Python versions.  The step lives in `randint`, so a
-    draw costs one call; `next_u64` is the draw over the full 64-bit range.
+    across platforms and Python versions.  The stream is computed 256 outputs
+    at a time: the next 256 states go into the 128-bit lanes of one int, the
+    step runs once on all of them with every lane masked to 64 bits after each
+    xor-shift and product (a product of two values below 2^64 stays below
+    2^128, so no lane carries into the next), and the lanes are decoded as
+    explicit little-endian bytes, so the stream is the same everywhere.  Draws
+    read the batch by index; a refill replaces it and never mutates it, so a
+    copy or a pickle taken mid-batch goes on with the same stream.
+    `next_u64` is the draw over the full 64-bit range.
     """
 
     _MASK = (1 << 64) - 1
 
     def __init__(self, seed: int) -> None:
-        self._state = seed & self._MASK
+        self._state = seed & self._MASK  # the state before the current batch
+        self._values: tuple[int, ...] = ()
+        self._index = _BATCH
+
+    def _refill(self) -> None:
+        ones, ramp, mask, decode = _lanes()
+        # the splitmix64 step, on every lane at once
+        z = (self._state * ones + ramp) & mask
+        z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+        z ^= z >> 31  # the next lane's bits land in bits 97-127 of this one, which the decoder skips
+        self._values = decode(z.to_bytes(16 * _BATCH, "little"))
+        self._index = 0
+        self._state = (self._state + _BATCH * _GAMMA) & self._MASK
 
     def next_u64(self) -> int:
         return self.randint(0, self._MASK)
@@ -153,11 +195,12 @@ class SplitMix64:
         """Integer in [lo, hi]; modulo reduction (bias immaterial for testing)."""
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
-        # the splitmix64 step
-        z = self._state = (self._state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        return lo + (z ^ (z >> 31)) % (hi - lo + 1)
+        index = self._index
+        if index == _BATCH:
+            self._refill()
+            index = 0
+        self._index = index + 1
+        return lo + self._values[index] % (hi - lo + 1)
 
     def rational(self, span: int, max_den: int = 6) -> Fraction:
         randint = self.randint
@@ -170,13 +213,13 @@ def _random_quiver_type(rng: SplitMix64, n: int) -> QuiverNumericalType:
     if sum(ranks) == 0:
         ranks[randint(0, n - 1)] = randint(1, 3)
     degrees = [randint(-5, 5) for _ in range(n)]
-    return QuiverNumericalType(tuple(ranks), tuple(degrees))
+    # ranks >= 0 with a positive sum, and as many degrees: valid as drawn
+    return tuple.__new__(QuiverNumericalType, (tuple(ranks), tuple(degrees)))
 
 
 def _random_pair_type(rng: SplitMix64) -> HitchinPairType:
-    return HitchinPairType(
-        rng.randint(1, 6), rng.randint(1, 6), rng.randint(-8, 8), rng.randint(-8, 8)
-    )
+    randint = rng.randint
+    return tuple.__new__(HitchinPairType, (randint(1, 6), randint(1, 6), randint(-8, 8), randint(-8, 8)))
 
 
 def _make_translation_case(rng: SplitMix64) -> dict:
@@ -184,7 +227,7 @@ def _make_translation_case(rng: SplitMix64) -> dict:
     return {
         "sub": _random_quiver_type(rng, n),
         "whole": _random_quiver_type(rng, n),
-        "alpha": ParameterVector(tuple(rng.rational(4) for _ in range(n))),
+        "alpha": tuple.__new__(ParameterVector, [rng.rational(4) for _ in range(n)]),
         "shift": rng.rational(5),
     }
 
@@ -244,16 +287,23 @@ def _check_bounds_duality_case(case: dict) -> str | None:
 
 
 def _make_tau_gap_case(rng: SplitMix64) -> dict:
-    """Sample a type with p != q conditioned on the tau-bound holding."""
+    """Sample a type with p != q conditioned on the tau-bound holding.
+
+    |toledo(t)| <= min(p, q)(2g - 2) is tested in integers, times p + q:
+    toledo(t) = 2(qa - pb)/(p + q).  The type is built only for a draw that
+    passes.
+    """
+    randint = rng.randint
     while True:
-        p = rng.randint(1, 8)
-        q = rng.randint(1, 8)
+        p = randint(1, 8)
+        q = randint(1, 8)
         if p == q:
             continue
-        genus = rng.randint(2, 5)
-        t = HitchinPairType(p, q, rng.randint(-12, 12), rng.randint(-12, 12))
-        if abs(toledo(t)) <= min(p, q) * (2 * genus - 2):
-            return {"type": t, "genus": genus}
+        genus = randint(2, 5)
+        a = randint(-12, 12)
+        b = randint(-12, 12)
+        if abs(2 * (q * a - p * b)) <= min(p, q) * (2 * genus - 2) * (p + q):
+            return {"type": tuple.__new__(HitchinPairType, (p, q, a, b)), "genus": genus}
 
 
 def _check_tau_gap_case(case: dict) -> str | None:

@@ -113,11 +113,39 @@ MUTANTS = [
         ["tests/test_integer_kernels.py"],
     ),
     (
-        "SplitMix64.randint: the step's last shift >> 31 -> >> 30",
+        "SplitMix64 batched step: the last shift >> 31 -> >> 30",
         "oracle.py",
-        "return lo + (z ^ (z >> 31)) % (hi - lo + 1)",
-        "return lo + (z ^ (z >> 30)) % (hi - lo + 1)",
+        "z ^= z >> 31",
+        "z ^= z >> 30",
         ["tests/test_integer_kernels.py", "tests/test_oracle.py"],
+    ),
+    (
+        "SplitMix64 batch: the state advances by 255 * gamma, not 256 * gamma",
+        "oracle.py",
+        "self._state = (self._state + _BATCH * _GAMMA) & self._MASK",
+        "self._state = (self._state + (_BATCH - 1) * _GAMMA) & self._MASK",
+        ["tests/test_oracle.py"],
+    ),
+    (
+        "SplitMix64 batch: the lane decode shifted by 8 bytes",
+        "oracle.py",
+        'struct.Struct("<" + "Q8x" * _BATCH)',
+        'struct.Struct("<8x" + "Q8x" * (_BATCH - 1) + "Q")',
+        ["tests/test_oracle.py"],
+    ),
+    (
+        "SplitMix64 batch: the second xor-shift loses its lane mask",
+        "oracle.py",
+        "z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask",
+        "z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask",
+        ["tests/test_oracle.py"],
+    ),
+    (
+        "selftest tau-gap case: the integer tau test <= -> <",
+        "oracle.py",
+        "if abs(2 * (q * a - p * b)) <= min(p, q)",
+        "if abs(2 * (q * a - p * b)) < min(p, q)",
+        ["tests/test_oracle.py"],
     ),
     (
         "HitchinPairType exact-int guard: type(p) is int -> isinstance(p, int)",

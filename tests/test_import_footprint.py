@@ -10,16 +10,30 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _loaded(statement: str, names: tuple[str, ...]) -> set[str]:
-    """Which of names a fresh `python -S` (no site module) has loaded after statement."""
-    code = f"import sys; {statement}; print(*[n for n in {names!r} if n in sys.modules])"
+def _all_loaded(statement: str) -> set[str]:
+    """Every module a fresh `python -S` (no site module) has loaded after statement."""
+    code = f"import sys; {statement}; print(*sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     return set(proc.stdout.split())
 
 
+def _loaded(statement: str, names: tuple[str, ...]) -> set[str]:
+    """Which of names a fresh `python -S` has loaded after statement."""
+    return _all_loaded(statement) & set(names)
+
+
 def test_engine_import_loads_no_dataclasses_typing_or_pathlib():
     assert _loaded("import upqstab", ("dataclasses", "typing", "inspect", "pathlib")) == set()
+
+
+def test_engine_import_loads_only_what_its_standard_imports_load():
+    # the package's modules import these at their top; struct, which SplitMix64's decoder
+    # needs, is imported on the first refill, so neither the import nor a new generator loads it
+    standard = _all_loaded("import __future__, collections, collections.abc, fractions, functools, itertools, math")
+    package = _all_loaded("import upqstab")
+    assert {name for name in package - standard if name.partition(".")[0] != "upqstab"} == set()
+    assert "struct" not in _all_loaded("import upqstab; upqstab.SplitMix64(7)")
 
 
 def test_cli_import_loads_no_typing_or_pathlib():

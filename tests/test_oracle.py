@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import inspect
+import itertools
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,8 @@ import pytest
 from upqstab import (
     BoundInterval,
     HitchinPairType,
+    ParameterVector,
+    QuiverNumericalType,
     Wall,
     WallWitness,
     alpha_slope_upq,
@@ -20,6 +25,7 @@ from upqstab import (
     format_rational,
     property_driver,
     required_degree_bound,
+    toledo,
     toledo_bounds,
 )
 from upqstab import oracle
@@ -123,6 +129,73 @@ def test_splitmix64_reference_vector():
     ]
 
 
+class _ScalarSplitMix64:
+    """The reference stream: the scalar splitmix64 step, one output per draw, as `randint` computed it unbatched."""
+
+    _MASK = (1 << 64) - 1
+
+    def __init__(self, seed):
+        self._state = seed & self._MASK
+
+    def next_u64(self):
+        return self.randint(0, self._MASK)
+
+    def randint(self, lo, hi):
+        if lo > hi:
+            raise ValueError(f"empty range [{lo}, {hi}]")
+        # the splitmix64 step
+        z = self._state = (self._state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        return lo + (z ^ (z >> 31)) % (hi - lo + 1)
+
+
+_SEEDS = (0, 1, 2**64 - 1, 2**64 + 5)
+_BATCH = 256
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_batched_stream_equals_the_scalar_step(seed):
+    batched, scalar = SplitMix64(seed), _ScalarSplitMix64(seed)
+    draws = 3 * _BATCH + 1
+    assert [batched.next_u64() for _ in range(draws)] == [scalar.next_u64() for _ in range(draws)]
+
+
+def _mixed_draws():
+    """(lo, hi) spans for randint, None for next_u64: lo == hi, small, near and past 2^64, negative ends."""
+    shapes = itertools.cycle([
+        (5, 5), (-3, 4), None, (0, 1), (-(2**63), 2**63 - 1), (0, 2**64 - 1), (0, 2**64), (-7, 2**70),
+        None, (10**20, 10**20 + 3), (-(2**65), -(2**65)), (1, 6), (-(2**80), 2**80),
+    ])
+    return list(itertools.islice(shapes, 4 * _BATCH + 3))
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_randint_and_next_u64_interleaved_follow_the_scalar_stream(seed):
+    batched, scalar = SplitMix64(seed), _ScalarSplitMix64(seed)
+    for span in _mixed_draws():
+        if span is None:
+            assert batched.next_u64() == scalar.next_u64()
+        else:
+            drawn = batched.randint(*span)
+            assert drawn == scalar.randint(*span) and span[0] <= drawn <= span[1]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("taken", [0, 1, 100, _BATCH - 1, _BATCH, _BATCH + 44])
+def test_a_copy_or_pickle_taken_mid_batch_goes_on_with_the_same_stream(seed, taken):
+    gen, scalar = SplitMix64(seed), _ScalarSplitMix64(seed)
+    for _ in range(taken):
+        assert gen.randint(-9, 9) == scalar.randint(-9, 9)
+    copies = [copy.copy(gen), copy.deepcopy(gen), pickle.loads(pickle.dumps(gen))]
+    rest = [scalar.next_u64() for _ in range(_BATCH + 10)]
+    # the original runs on first; its refills must not reach its copies
+    assert [gen.next_u64() for _ in rest] == rest
+    for other in copies:
+        assert type(other) is SplitMix64
+        assert [other.next_u64() for _ in rest] == rest
+
+
 def test_splitmix64_randint_bounds_and_determinism():
     a, b = SplitMix64(42), SplitMix64(42)
     draws_a = [a.randint(-5, 7) for _ in range(500)]
@@ -131,6 +204,53 @@ def test_splitmix64_randint_bounds_and_determinism():
     assert all(-5 <= d <= 7 for d in draws_a)
     with pytest.raises(ValueError):
         a.randint(3, 2)
+
+
+def test_drawn_records_equal_their_checked_constructors():
+    # the case makers build records drawn valid with tuple.__new__; the checked constructors agree
+    rng = SplitMix64(2027)
+    for _ in range(2000):
+        case = oracle._make_translation_case(rng)
+        for key in ("sub", "whole"):
+            drawn = case[key]
+            checked = QuiverNumericalType(*drawn)
+            assert type(drawn) is QuiverNumericalType and drawn == checked
+            assert type(drawn.ranks) is type(drawn.degrees) is tuple
+        alpha = case["alpha"]
+        assert type(alpha) is ParameterVector and alpha == ParameterVector(alpha)
+        assert all(type(value) is Fraction for value in alpha) and len(alpha) == len(case["sub"].ranks)
+        for drawn in (oracle._random_pair_type(rng), oracle._make_tau_gap_case(rng)["type"]):
+            assert type(drawn) is HitchinPairType and drawn == HitchinPairType(*drawn)
+
+
+class _Scripted:
+    """A stand-in rng that hands out the given draws in order, each inside its span."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def randint(self, lo, hi):
+        value = self.draws.pop(0)
+        assert lo <= value <= hi
+        return value
+
+
+def test_the_integer_tau_gap_test_equals_the_toledo_bound_over_the_draw_grid():
+    # each grid draw is followed by one the test accepts; a case that leaves it unread took the grid draw
+    accepted_next = (1, 2, 5, 0, 0)
+    for p, q, genus in itertools.product(range(1, 9), range(1, 9), range(2, 6)):
+        if p == q:
+            rng = _Scripted((p, q, *accepted_next))
+            assert oracle._make_tau_gap_case(rng) == {"type": (1, 2, 0, 0), "genus": 5} and not rng.draws
+            continue
+        bound = min(p, q) * (2 * genus - 2)
+        for a, b in itertools.product(range(-12, 13), repeat=2):
+            rng = _Scripted((p, q, genus, a, b, *accepted_next))
+            case = oracle._make_tau_gap_case(rng)
+            taken = len(rng.draws) == len(accepted_next)
+            assert taken == (abs(toledo(HitchinPairType(p, q, a, b))) <= bound), (p, q, genus, a, b)
+            if taken:
+                assert case == {"type": HitchinPairType(p, q, a, b), "genus": genus}
 
 
 def test_property_driver_all_suites_pass():
@@ -202,8 +322,9 @@ def _replayed_cases(seed, trials):
 
 
 # (suite, name patched in oracle, a replacement that breaks the suite's identity, the reason).
-# _make_tau_gap_case calls toledo until a case meets the tau bound, so that suite is broken
-# through slope: a gap of 1000 (q - p) is on the wrong side of +-deg K for every p != q.
+# _make_tau_gap_case tests the tau bound in integers and calls no patched name, so that suite
+# is broken through its check's slope: a gap of 1000 (q - p) is on the wrong side of +-deg K
+# for every p != q.
 _BROKEN_SUITES = [
     ("translation_invariance", "alpha_slope_quiver", lambda e, alpha: Fraction(0),
      "slope shift identity broken on sub"),
