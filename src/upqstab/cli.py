@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import gc
 import json
 import math
 import operator
@@ -726,3 +727,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
     return run(config)
+
+
+def process_main() -> None:
+    """Entry of an `upqstab` or `python -m upqstab` process: main on sys.argv, then exit with its code.
+
+    Once main has written the report, gc.freeze() moves every object the
+    collector tracks into its permanent generation, which the collections at
+    interpreter shutdown skip: they no longer traverse everything the imports
+    made, and the cycles among those objects are left for the exit to
+    reclaim.  Exit codes, stderr, atexit handlers and the final flush of
+    stdio run as before.  main itself never touches the collector, so
+    in-process callers keep theirs.
+    """
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)

@@ -72,6 +72,11 @@ def _shown_number(value: int | Fraction) -> str:
         return f"an integer of more than {sys.get_int_max_str_digits()} digits"
 
 
+def _shown_tuple(values: tuple[int, ...]) -> str:
+    """A tuple of ints as its repr, each entry shown by `_shown_number`."""
+    return f"({', '.join(map(_shown_number, values))}{',' * (len(values) == 1)})"
+
+
 def _parse_error(exc: ValueError, message: str) -> ValueError:
     """The ValueError to raise for a text that int() refused with exc.
 
@@ -173,11 +178,11 @@ class GeometryContext(_input_record("GeometryContext", "genus twist_degree canon
         _require_int(genus, "genus")
         _require_int(twist_degree, "twist_degree")
         if genus < 0:
-            raise ValueError(f"genus must be non-negative, got {genus}")
+            raise ValueError(f"genus must be non-negative, got {_shown_number(genus)}")
         if canonical and twist_degree != 2 * genus - 2:
             raise ValueError(
-                f"canonical twist requires twist_degree = 2*genus - 2 = {2 * genus - 2}, "
-                f"got {twist_degree}"
+                f"canonical twist requires twist_degree = 2*genus - 2 = {_shown_number(2 * genus - 2)}, "
+                f"got {_shown_number(twist_degree)}"
             )
         return tuple.__new__(cls, (genus, twist_degree, canonical))
 
@@ -228,7 +233,7 @@ class QuiverNumericalType(_input_record("QuiverNumericalType", "ranks degrees"))
         if len(ranks) != len(degrees):
             raise ValueError(f"rank/degree length mismatch: {len(ranks)} vs {len(degrees)}")
         if min(ranks, default=0) < 0:
-            raise ValueError(f"vertex ranks must be non-negative, got {ranks}")
+            raise ValueError(f"vertex ranks must be non-negative, got {_shown_tuple(ranks)}")
         if sum(ranks) < 1:
             raise ValueError("total rank must be at least 1")
         return tuple.__new__(cls, (ranks, degrees))
@@ -296,7 +301,7 @@ class BoundInterval(namedtuple("BoundInterval", "lower upper regime_label", defa
         lower, upper = as_rational(lower), as_rational(upper)
         if lower > upper:
             raise ValueError(
-                f"lower bound {lower} exceeds upper bound {upper}; "
+                f"lower bound {_shown_number(lower)} exceeds upper bound {_shown_number(upper)}; "
                 "use BoundInterval.infeasible() for empty intervals"
             )
         return cls(lower, upper, _require_label(regime_label))
@@ -344,7 +349,7 @@ def slope(rank: int, degree: int) -> Fraction:
     _require_int(rank, "rank")
     _require_int(degree, "degree")
     if rank < 1:
-        raise ValueError(f"undefined slope: rank must be >= 1, got {rank}")
+        raise ValueError(f"undefined slope: rank must be >= 1, got {_shown_number(rank)}")
     return Fraction(degree, rank)
 
 

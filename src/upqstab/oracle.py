@@ -29,6 +29,7 @@ from .core import (
     QuiverNumericalType,
     RationalLike,
     _require_int,
+    _shown_number,
     alpha_slope_quiver,
     alpha_slope_upq,
     as_rational,
@@ -51,7 +52,7 @@ def required_degree_bound(
     lo = as_rational(interval[0])
     hi = as_rational(interval[1])
     if lo > hi:
-        raise ValueError(f"empty interval direction: lo={lo} > hi={hi}")
+        raise ValueError(f"empty interval direction: lo={_shown_number(lo)} > hi={_shown_number(hi)}")
     needed = 0
     for p_sub in range(t.p + 1):
         for q_sub in range(t.q + 1):
@@ -83,14 +84,14 @@ def brute_force_walls(
     """
     _require_int(degree_bound, "degree_bound")
     if degree_bound < 0:
-        raise ValueError(f"degree_bound must be non-negative, got {degree_bound}")
+        raise ValueError(f"degree_bound must be non-negative, got {_shown_number(degree_bound)}")
     lo = as_rational(interval[0])
     hi = as_rational(interval[1])
     needed = required_degree_bound(t, (lo, hi))
     if degree_bound < needed:
         raise ValueError(
-            f"degree_bound {degree_bound} is insufficient for this interval; "
-            f"completeness requires at least {needed}"
+            f"degree_bound {_shown_number(degree_bound)} is insufficient for this interval; "
+            f"completeness requires at least {_shown_number(needed)}"
         )
     ratio = t.rank_ratio()
     mu0 = slope(t.total_rank, t.total_degree)
@@ -124,9 +125,9 @@ def envelope_toledo_bounds(p: int, q: int, deg_l: int, alpha: RationalLike) -> B
     _require_int(q, "q")
     _require_int(deg_l, "deg_l")
     if p < 1 or q < 1:
-        raise ValueError(f"ranks must satisfy p >= 1 and q >= 1, got p={p}, q={q}")
+        raise ValueError(f"ranks must satisfy p >= 1 and q >= 1, got p={_shown_number(p)}, q={_shown_number(q)}")
     if deg_l < 0:
-        raise ValueError(f"deg(L) must be non-negative, got {deg_l}")
+        raise ValueError(f"deg(L) must be non-negative, got {_shown_number(deg_l)}")
     a = as_rational(alpha)
     n, den = a.numerator, (p + q) * a.denominator
     # -r deg(L) + alpha (r - 2pq/(p+q)) and r deg(L) + alpha (r - 2pq/(p+q)), over den
@@ -194,7 +195,7 @@ class SplitMix64:
     def randint(self, lo: int, hi: int) -> int:
         """Integer in [lo, hi]; modulo reduction (bias immaterial for testing)."""
         if lo > hi:
-            raise ValueError(f"empty range [{lo}, {hi}]")
+            raise ValueError(f"empty range [{_shown_number(lo)}, {_shown_number(hi)}]")
         index = self._index
         if index == _BATCH:
             self._refill()
@@ -353,7 +354,7 @@ def property_driver(seed: int, trials: int) -> dict:
     _require_int(seed, "seed")
     _require_int(trials, "trials")
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise ValueError(f"trials must be >= 1, got {_shown_number(trials)}")
     rng = SplitMix64(seed)
     suite_reports = []
     for name, make_case, check_case in _SUITES:

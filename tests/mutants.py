@@ -383,6 +383,20 @@ MUTANTS = [
         'failures.append({"trial": trial, "reason": reason})',
         ["tests/test_oracle.py"],
     ),
+    (
+        "process entry: cli.main freezes after the report too, so in-process callers get a frozen collector",
+        "cli.py",
+        "    return run(config)\n",
+        "    code = run(config)\n    gc.freeze()\n    return code\n",
+        ["tests/test_process_entry.py"],
+    ),
+    (
+        "process entry: the freeze dropped",
+        "cli.py",
+        "    code = main()\n    gc.freeze()\n",
+        "    code = main()\n",
+        ["tests/test_process_entry.py"],
+    ),
 ]
 
 

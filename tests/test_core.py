@@ -6,6 +6,7 @@ import copy
 import math
 import pickle
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -428,3 +429,37 @@ def test_bound_interval_behaviour():
 def test_gcd_rank_degree():
     assert gcd_rank_degree(HitchinPairType(1, 1, -1, 0)) == 1
     assert gcd_rank_degree(HitchinPairType(2, 2, 1, 1)) == 2
+
+
+# a 5001-digit value: past the default int-to-str digit limit, so str() of it raises
+_BIG = 10**5000
+_PAST_LIMIT = f"an integer of more than {getattr(sys, 'get_int_max_str_digits', lambda: 0)()} digits"
+_INFEASIBLE = "; use BoundInterval.infeasible() for empty intervals"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit")
+@pytest.mark.parametrize(
+    "call, small, shown, big, message",
+    [
+        (lambda v: slope(v, 0), 0, ("0",), -_BIG, "undefined slope: rank must be >= 1, got {}"),
+        (lambda v: QuiverNumericalType((1, v), (0, 0)), -1, ("-1",), -_BIG, "vertex ranks must be non-negative, got (1, {})"),
+        (lambda v: QuiverNumericalType((v,), (0,)), -2, ("-2",), -_BIG, "vertex ranks must be non-negative, got ({},)"),
+        (lambda v: GeometryContext(v, 0), -1, ("-1",), -_BIG, "genus must be non-negative, got {}"),
+        (lambda v: GeometryContext(v, 0, canonical=True), 2, ("2",), _BIG,
+         "canonical twist requires twist_degree = 2*genus - 2 = {}, got 0"),
+        (lambda v: GeometryContext(2, v, canonical=True), 3, ("3",), _BIG,
+         "canonical twist requires twist_degree = 2*genus - 2 = 2, got {}"),
+        (lambda v: BoundInterval.closed(v, 0), Fraction(1, 2), ("1/2",), Fraction(1, _BIG) + 1,
+         "lower bound {} exceeds upper bound 0" + _INFEASIBLE),
+        (lambda v: BoundInterval.closed(0, v), -1, ("-1",), -_BIG, "lower bound 0 exceeds upper bound {}" + _INFEASIBLE),
+    ],
+    ids=["slope", "quiver_ranks", "quiver_one_rank", "genus", "canonical_genus", "canonical_twist_degree",
+         "bound_lower", "bound_upper"],
+)
+def test_a_refused_number_past_the_digit_limit_is_named_by_the_limit(call, small, shown, big, message):
+    # a short value keeps the message it always had; one past the limit is named by it, not by str()'s error
+    # shown holds the small value's fills of the message's holes; past the limit each hole is the limit
+    for value, fills in ((small, shown), (big, [_PAST_LIMIT] * len(shown))):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == message.format(*fills)

@@ -7,6 +7,7 @@ import inspect
 import itertools
 import json
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -384,3 +385,41 @@ def test_walls_are_value_objects():
     w1 = Wall(Fraction(1, 2), (WallWitness(1, 0, 0),))
     w2 = Wall(Fraction(1, 2), (WallWitness(1, 0, 0),))
     assert w1 == w2 and hash(w1) == hash(w2)
+
+
+# a 5001-digit value: past the default int-to-str digit limit, so str() of it raises
+_BIG = 10**5000
+_PAST_LIMIT = f"an integer of more than {getattr(sys, 'get_int_max_str_digits', lambda: 0)()} digits"
+_PAIR = HitchinPairType(1, 1, 1, 0)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit")
+@pytest.mark.parametrize(
+    "call, small, shown, big, message",
+    [
+        (lambda v: required_degree_bound(_PAIR, (v, 0)), Fraction(1, 3), ("1/3",), _BIG, "empty interval direction: lo={} > hi=0"),
+        (lambda v: required_degree_bound(_PAIR, (0, v)), -2, ("-2",), Fraction(-1, _BIG),
+         "empty interval direction: lo=0 > hi={}"),
+        (lambda v: brute_force_walls(_PAIR, (0, 1), v), -1, ("-1",), -_BIG, "degree_bound must be non-negative, got {}"),
+        # (1, 1, 1, 0) over [0, x] needs a bound of about x / 2
+        (lambda v: brute_force_walls(_PAIR, (0, v), 0), 6, ("3",), _BIG,
+         "degree_bound 0 is insufficient for this interval; completeness requires at least {}"),
+        (lambda v: brute_force_walls(_PAIR, (0, 4 * v), v), 1, ("1", "2"), _BIG,
+         "degree_bound {} is insufficient for this interval; completeness requires at least {}"),
+        (lambda v: envelope_toledo_bounds(v, 1, 0, 0), 0, ("0",), -_BIG, "ranks must satisfy p >= 1 and q >= 1, got p={}, q=1"),
+        (lambda v: envelope_toledo_bounds(1, v, 0, 0), -3, ("-3",), -_BIG,
+         "ranks must satisfy p >= 1 and q >= 1, got p=1, q={}"),
+        (lambda v: envelope_toledo_bounds(1, 1, v, 0), -1, ("-1",), -_BIG, "deg(L) must be non-negative, got {}"),
+        (lambda v: property_driver(0, v), 0, ("0",), -_BIG, "trials must be >= 1, got {}"),
+        (lambda v: SplitMix64(0).randint(v, 0), 1, ("1",), _BIG, "empty range [{}, 0]"),
+    ],
+    ids=["required_bound_lo", "required_bound_hi", "negative_bound", "insufficient_needed", "insufficient_bound",
+         "envelope_p", "envelope_q", "envelope_deg_l", "driver_trials", "randint_range"],
+)
+def test_a_refused_number_past_the_digit_limit_is_named_by_the_limit(call, small, shown, big, message):
+    # a short value keeps the message it always had; one past the limit is named by it, not by str()'s error
+    # shown holds the small value's fills of the message's holes; past the limit each hole is the limit
+    for value, fills in ((small, shown), (big, [_PAST_LIMIT] * len(shown))):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == message.format(*fills)

@@ -1,4 +1,4 @@
-"""Four exact symmetries of the walls, over the library and the CLI's CSV.
+"""Four exact symmetries of the walls and chambers, over the library and the CLI's reports.
 
 Each maps the walls of one query onto the walls of another, witness for
 witness, with and without the Milnor-Wood filter; no oracle is needed:
@@ -9,6 +9,10 @@ witness, with and without the Milnor-Wood filter; no oracle is needed:
 - (q, p, b, a) over [-hi, -lo], alpha to -alpha, (p', q', d') to (q', p', d');
 - (q, p, -b, -a) over the same interval, (p', q', d') to (q', p', -d').
 
+The chambers of the image query are the same under the twist and under
+(q, p, -b, -a).  Under the two that send alpha to -alpha, the list reverses
+and each chamber [x, y] becomes [-y, -x], its two closed flags swapped.
+
 A query is a seeded random type, a random rational interval (an end on a
 wall a third of the time) and a filter setting: none, or deg L = 0 or 1.
 """
@@ -17,11 +21,12 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from fractions import Fraction
 
 import pytest
 
-from upqstab import HitchinPairType, enumerate_walls
+from upqstab import HitchinPairType, chamber_report, enumerate_walls
 from upqstab.cli import main
 from upqstab.oracle import SplitMix64
 
@@ -48,6 +53,15 @@ def _dual_negate(t, lo, hi, k):
 
 
 SYMMETRIES = {"twist": _twist, "negate": _negate, "dual": _dual, "dual_negate": _dual_negate}
+# the symmetries that send alpha to -alpha
+REFLECTING = {"negate", "dual"}
+
+
+def _image_chambers(symmetry, chambers):
+    """The image query's chambers, as (lo, hi, lo_closed, hi_closed) tuples."""
+    if symmetry not in REFLECTING:
+        return list(chambers)
+    return [(-hi, -lo, hi_closed, lo_closed) for lo, hi, lo_closed, hi_closed in reversed(chambers)]
 
 
 def _queries(seed: int, count: int):
@@ -68,11 +82,13 @@ def _library_rows(t, lo, hi, degree):
     return [(w.alpha, *witness) for w in walls for witness in w.witnesses]
 
 
+def _argv(command, t, lo, hi, degree):
+    argv = [command, "--type", ",".join(map(str, t)), "--interval", f"{lo},{hi}"]
+    return argv if degree is None else [*argv, "--mw-filter", "--degL", str(degree)]
+
+
 def _csv_rows(t, lo, hi, degree, capsys):
-    argv = ["walls", "--type", ",".join(map(str, t)), "--interval", f"{lo},{hi}", "--format", "csv"]
-    if degree is not None:
-        argv += ["--mw-filter", "--degL", str(degree)]
-    assert main(argv) == 0
+    assert main([*_argv("walls", t, lo, hi, degree), "--format", "csv"]) == 0
     reader = csv.reader(io.StringIO(capsys.readouterr().out))
     assert next(reader) == ["alpha_num", "alpha_den", "p_sub", "q_sub", "d_sub"]
     return [(Fraction(int(n), int(d)), int(p), int(q), int(e)) for n, d, p, q, e in reader]
@@ -98,6 +114,48 @@ def test_csv_rows_map_onto_the_image_querys_rows(symmetry, degree, capsys):
         rows = _csv_rows(t, lo, hi, degree, capsys)
         assert rows == _library_rows(t, lo, hi, degree)
         assert sorted(move(*row) for row in rows) == _csv_rows(image, image_lo, image_hi, degree, capsys), (t, lo, hi, k)
+
+
+def _json_report(command, t, lo, hi, degree, capsys):
+    """The CLI's JSON report as its witness rows and chambers, after checking its query fields."""
+    assert main(_argv(command, t, lo, hi, degree)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["type"] == t.to_json() and report["mw_filter"] == (degree is not None)
+    assert [Fraction(end) for end in report["interval"]] == [lo, hi]
+    rows = [(Fraction(w["alpha"]), p, q, d) for w in report["walls"] for p, q, d in w["witnesses"]]
+    if command == "walls":
+        return rows, None
+    assert all(w["witness_count"] == len(w["witnesses"]) for w in report["walls"])
+    chambers = [(Fraction(c["lo"]), Fraction(c["hi"]), c["lo_closed"], c["hi_closed"]) for c in report["chambers"]]
+    return rows, chambers
+
+
+@pytest.mark.parametrize("symmetry", SYMMETRIES)
+@pytest.mark.parametrize("degree", FILTERS)
+def test_library_chambers_map_onto_the_image_querys_chambers(symmetry, degree):
+    chambers = 0
+    for t, lo, hi, k in _queries(2703, 100):
+        image, image_lo, image_hi, _ = SYMMETRIES[symmetry](t, lo, hi, k)
+        report = chamber_report(t, (lo, hi), mw_twist_degree=degree)
+        image_report = chamber_report(image, (image_lo, image_hi), mw_twist_degree=degree)
+        assert list(image_report.chambers) == _image_chambers(symmetry, report.chambers), (t, lo, hi, k)
+        chambers += len(report.chambers)
+    assert chambers > 300
+
+
+@pytest.mark.parametrize("symmetry", SYMMETRIES)
+@pytest.mark.parametrize("degree", FILTERS)
+@pytest.mark.parametrize("command", ["walls", "chambers"])
+def test_json_reports_map_onto_the_image_querys_report(command, symmetry, degree, capsys):
+    for t, lo, hi, k in _queries(2704, 30):
+        image, image_lo, image_hi, move = SYMMETRIES[symmetry](t, lo, hi, k)
+        rows, chambers = _json_report(command, t, lo, hi, degree, capsys)
+        image_rows, image_chambers = _json_report(command, image, image_lo, image_hi, degree, capsys)
+        assert rows == _library_rows(t, lo, hi, degree)
+        assert sorted(move(*row) for row in rows) == image_rows, (t, lo, hi, k)
+        if command == "chambers":
+            assert chambers == list(chamber_report(t, (lo, hi), mw_twist_degree=degree).chambers)
+            assert image_chambers == _image_chambers(symmetry, chambers), (t, lo, hi, k)
 
 
 def test_the_filter_drops_witnesses_in_the_drawn_queries():
