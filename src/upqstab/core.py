@@ -51,7 +51,7 @@ def as_rational(value: RationalLike) -> Fraction:
             f"floating point is not allowed in the engine (got {value!r}); "
             "pass an int, Fraction, or 'num/den' string"
         )
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+    raise TypeError(f"cannot interpret {_shown_number(value, repr)} as a rational")
 
 
 def _shown(text: str, quoted: bool = True) -> str:
@@ -64,10 +64,13 @@ def _shown(text: str, quoted: bool = True) -> str:
     return (repr(head) if quoted else head) + tail
 
 
-def _shown_number(value: int | Fraction) -> str:
-    """A number as `_shown` echoes a refused value, unquoted, or the int-to-str digit limit it passes."""
+def _shown_number(value: object, text=str) -> str:
+    """A number as `_shown` echoes a refused value, unquoted, or the int-to-str digit limit it passes.
+
+    text writes the value out: str for a number, or repr for a value of any type.
+    """
     try:
-        return _shown(str(value), quoted=False)
+        return _shown(text(value), quoted=False)
     except ValueError:
         return f"an integer of more than {sys.get_int_max_str_digits()} digits"
 
@@ -109,13 +112,13 @@ def format_rational(value: Fraction) -> str:
 
 def _require_int(value: int, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+        raise TypeError(f"{name} must be an integer, got {_shown_number(value, repr)}")
     return value
 
 
 def _require_label(label: str | None) -> str | None:
     if label not in (None, "i", "ii", "iii"):
-        raise ValueError(f"regime_label must be one of 'i', 'ii', 'iii', got {label!r}")
+        raise ValueError(f"regime_label must be one of 'i', 'ii', 'iii', got {_shown_number(label, repr)}")
     return label
 
 
@@ -133,9 +136,8 @@ class HitchinPairType(_input_record("HitchinPairType", "p q a b")):
     __slots__ = ()
 
     def __new__(cls, p: int, q: int, a: int, b: int) -> "HitchinPairType":
-        if not (type(p) is int and type(q) is int and type(a) is int and type(b) is int):  # exact ints need no check
-            for value, name in ((p, "p"), (q, "q"), (a, "a"), (b, "b")):
-                _require_int(value, name)
+        for value, name in ((p, "p"), (q, "q"), (a, "a"), (b, "b")):
+            _require_int(value, name)
         if p < 1 or q < 1:
             raise ValueError(f"ranks must satisfy p >= 1 and q >= 1, got p={_shown_number(p)}, q={_shown_number(q)}")
         return tuple.__new__(cls, (p, q, a, b))
@@ -226,10 +228,8 @@ class QuiverNumericalType(_input_record("QuiverNumericalType", "ranks degrees"))
     __slots__ = ()
 
     def __new__(cls, ranks: Iterable[int], degrees: Iterable[int]) -> "QuiverNumericalType":
-        # tuples of exact ints need no conversion
-        if not (type(ranks) is tuple and type(degrees) is tuple and all(type(x) is int for x in ranks + degrees)):
-            ranks = tuple(_require_int(r, "rank") for r in ranks)
-            degrees = tuple(_require_int(d, "degree") for d in degrees)
+        ranks = tuple(_require_int(r, "rank") for r in ranks)
+        degrees = tuple(_require_int(d, "degree") for d in degrees)
         if len(ranks) != len(degrees):
             raise ValueError(f"rank/degree length mismatch: {len(ranks)} vs {len(degrees)}")
         if min(ranks, default=0) < 0:

@@ -17,10 +17,11 @@ an integer the shift keeps alpha's denominator in lowest terms.  The
 Milnor-Wood filter breaks the period only where it can drop a witness: at
 deg L = 0, where |alpha| < 2 (see `_mw_kept`), and it checks a witness there
 in integers, on the wall's scaled key, one family at a time.
-`_periodic_wall_table` scans the rank families once, cuts each family's
-d'-range to one period and lists the interval's walls as runs of its copies;
-at deg L = 0 it also cuts out, and builds exactly, the few copies that meet
-|alpha| < 2.
+`_periodic_wall_table` builds every query one way: it scans the rank
+families once, cuts each family's d'-range to one period from lo (cut at hi
+on an interval shorter than that) and lists the interval's walls as runs of
+its copies; at deg L = 0 it also cuts out, and builds exactly, the few
+copies that meet |alpha| < 2.
 """
 
 from __future__ import annotations
@@ -307,7 +308,7 @@ def _wall_table(
     return (lo, hi, scale, *_walls_of(t, held, scale, mw_twist_degree))
 
 
-def _walls_of(t: HitchinPairType, held: list, scale: int, mw_twist_degree: int | None) -> tuple[list, list]:
+def _walls_of(t: HitchinPairType, held: Iterable, scale: int, mw_twist_degree: int | None) -> tuple[list, list]:
     """The keys and groups of `_wall_table` over the d'-ranges in held, keyed over scale, a multiple of each |coeff|.
 
     At deg L = 0 each family's witnesses pass `_mw_kept` before they are
@@ -334,22 +335,20 @@ def _walls_of(t: HitchinPairType, held: list, scale: int, mw_twist_degree: int |
     return keys, [tuple(pop(key)) for key in keys]
 
 
-def _window_copies(held: list, g: int, first: int, n: int) -> list[tuple[int, int, int, range]]:
+def _window_copies(held: list, g: int, first: int, n: int) -> Iterator[tuple[int, int, int, range]]:
     """The families of held, the scan of [lo, hi], each cut to copies [first, first + n) of [lo, lo + P).
 
     A family has |coeff|/g walls per copy (g = gcd(p, q)), and its d' rises
     with alpha iff coeff < 0, so its copies count from the start of its
     d'-range when coeff < 0 and from the stop when coeff > 0.
     """
-    cut = []
     for p_sub, q_sub, coeff, degrees in held:
         per_copy = abs(coeff) // g
         if coeff < 0:
             start = degrees.start + first * per_copy
         else:
             start = degrees.stop - (first + n) * per_copy
-        cut.append((p_sub, q_sub, coeff, range(max(start, degrees.start), min(start + n * per_copy, degrees.stop))))
-    return cut
+        yield p_sub, q_sub, coeff, range(max(start, degrees.start), min(start + n * per_copy, degrees.stop))
 
 
 class _PeriodicWallTable(namedtuple("_PeriodicWallTable", "lo hi scale p0 q0 periods runs")):
@@ -357,10 +356,11 @@ class _PeriodicWallTable(namedtuple("_PeriodicWallTable", "lo hi scale p0 q0 per
 
     lo, hi and scale are as in `_wall_table`, and P = p0 + q0 with (p0, q0)
     = (p, q)/gcd(p, q).  periods holds (keys, groups) pairs as `_wall_table`
-    lists walls: the window, the walls of [lo, lo + P) unfiltered (or of the
-    whole interval, filtered), then the exact run if there is one.  Copy j
-    of a wall has key + j P scale, and each of its witnesses (p', q', d')
-    becomes (p', q', d' + j (p0 q' - q0 p')).
+    lists walls: the window, the walls of [lo, lo + P) unfiltered (cut at
+    hi, and empty when the exact run starts at lo and reaches hi), then the
+    exact run if there is one.  Copy j of a wall has key + j P scale, and
+    each of its witnesses (p', q', d') becomes (p', q', d' + j (p0 q' - q0
+    p')).
 
     runs lists the walls in increasing alpha, as runs (index, first, walls),
     each holding the first `walls` (>= 1) walls of copies first, first + 1,
@@ -376,14 +376,13 @@ def _period_cuts(
     """(copies, first, stop, past_hi, bound): where `_periodic_wall_table` cuts [lo, hi] into copies of [lo, lo + P).
 
     copies = floor((hi - lo)/P) is the number of whole copies of the window
-    in the interval, or 0 when the interval is to be built whole.  At deg L
-    = 0, on an interval meeting |alpha| < 2, the copies [first, stop) with
-    first = max(0, floor((-2 - lo)/P)) and stop = ceil((2 - lo)/P) are
-    built exactly, and past_hi is lo + stop P > hi; otherwise first =
-    copies + 1, stop is None and past_hi is False.  bound = floor((hi -
-    copies P) scale) is the largest key of the window whose wall, in copy
-    number `copies`, is at or below hi.  All in integers, on the numerators
-    and denominators of lo and hi.
+    in the interval.  At deg L = 0, on an interval meeting |alpha| < 2, the
+    copies [first, stop) with first = max(0, floor((-2 - lo)/P)) and stop =
+    ceil((2 - lo)/P) are built exactly, and past_hi is lo + stop P > hi;
+    otherwise first = copies + 1, stop is None and past_hi is False.  bound
+    = floor((hi - copies P) scale) is the largest key of the window whose
+    wall, in copy number `copies`, is at or below hi.  All in integers, on
+    the numerators and denominators of lo and hi.
     """
     lo_num, lo_den = lo.numerator, lo.denominator
     hi_num, hi_den = hi.numerator, hi.denominator
@@ -395,9 +394,6 @@ def _period_cuts(
         first = max(0, (-2 * lo_den - lo_num) // span)
         stop = -((lo_num - 2 * lo_den) // span)
         past_hi = (lo_num + stop * span) * hi_den > hi_num * lo_den
-        if first == 0 and past_hi:
-            # the exact run would be the whole interval
-            copies = 0
     return copies, first, stop, past_hi, (hi_num - copies * period * hi_den) * scale // hi_den
 
 
@@ -410,35 +406,36 @@ def _periodic_wall_table(
 
     One scan of the rank families over the whole interval counts the
     candidates, and refuses them with the limits and messages of
-    `_wall_table`, before any is built.  The window is the whole interval
-    when it is shorter than a period.  Otherwise the copies of the window are
-    built exactly only where the Milnor-Wood filter can drop a witness: at
-    deg L = 0, the copies [first, stop) that meet |alpha| < 2, with lo +
-    first P <= -2 and lo + stop P >= 2, are one exact run between two runs
-    of the window (the second starting at copy stop and cut at hi), or the
-    exact run reaches hi when lo + stop P > hi.  Both are half-open copies
-    cut from the families' d'-ranges, so a wall on a cut point is in one run.
+    `_wall_table`, before any is built.  The window is copy 0, cut at hi
+    when the interval is shorter than a period; without an exact run one run
+    of its copies reaches hi.  Copies are built exactly only where the
+    Milnor-Wood filter can drop a witness: at deg L = 0, the copies [first,
+    stop) that meet |alpha| < 2, with lo + first P <= -2 and lo + stop P >=
+    2, are one exact run between two runs of the window (the second starting
+    at copy stop and cut at hi), or the exact run reaches hi when lo + stop P
+    > hi.  When it also starts at lo (first = 0) no run takes the window,
+    which is left empty.  All are half-open copies cut from the families'
+    d'-ranges, so a wall on a cut point is in one run.
     """
     lo, hi, scale, held = _held_families(t, interval, mw_twist_degree)
     g = math.gcd(t.p, t.q)
     p0, q0 = t.p // g, t.q // g
     period = p0 + q0
     copies, first, stop, past_hi, bound = _period_cuts(lo, hi, period, scale, mw_twist_degree)
-    if copies < 1:
-        keys, groups = _walls_of(t, held, scale, mw_twist_degree)
-        return _PeriodicWallTable(lo, hi, scale, p0, q0, ((keys, groups),), ((0, 0, len(keys)),) if keys else ())
-    # every family has a wall in every period (its walls are r/|coeff| <= P
-    # apart), so the window has walls; no copy of it outside |alpha| < 2
-    # loses a witness to the filter
-    window = keys, groups = _walls_of(t, _window_copies(held, g, 0, 1), scale, None)
+    # no copy of the window outside |alpha| < 2 loses a witness to the filter;
+    # it is left empty when the exact run starts at lo and reaches hi, as no run takes it
+    window = _walls_of(t, _window_copies(held, g, 0, 0 if first == 0 and past_hi else 1), scale, None)
+    keys = window[0]
     walls = copies * len(keys) + sum(key <= bound for key in keys)
-    if first > copies:
-        return _PeriodicWallTable(lo, hi, scale, p0, q0, (window,), ((0, 0, walls),))
-    exact = _walls_of(t, _window_copies(held, g, first, stop - first), scale, 0)
-    runs = [(0, 0, first * len(keys)), (1, 0, len(exact[0]))]
-    if not past_hi:
-        runs.append((0, stop, walls - stop * len(keys)))
-    return _PeriodicWallTable(lo, hi, scale, p0, q0, (window, exact), tuple(run for run in runs if run[2]))
+    # without an exact run first is copies + 1, so the first run ends at hi
+    periods, runs = [window], [(0, 0, min(walls, first * len(keys)))]
+    if first <= copies:
+        exact = _walls_of(t, _window_copies(held, g, first, stop - first), scale, 0)
+        periods.append(exact)
+        runs.append((1, 0, len(exact[0])))
+        if not past_hi:
+            runs.append((0, stop, walls - stop * len(keys)))
+    return _PeriodicWallTable(lo, hi, scale, p0, q0, tuple(periods), tuple(run for run in runs if run[2]))
 
 
 def enumerate_walls(

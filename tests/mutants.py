@@ -148,10 +148,10 @@ MUTANTS = [
         ["tests/test_oracle.py"],
     ),
     (
-        "HitchinPairType exact-int guard: type(p) is int -> isinstance(p, int)",
+        "type check message: the value's repr past the digit limit, not the limit named",
         "core.py",
-        "if not (type(p) is int and",
-        "if not (isinstance(p, int) and",
+        'raise TypeError(f"{name} must be an integer, got {_shown_number(value, repr)}")',
+        'raise TypeError(f"{name} must be an integer, got {value!r}")',
         ["tests/test_core.py"],
     ),
     (
@@ -314,6 +314,13 @@ MUTANTS = [
         ["tests/test_periodic_table.py"],
     ),
     (
+        "periodic table: the window built even when the exact run starts at lo and reaches hi",
+        "walls.py",
+        "_window_copies(held, g, 0, 0 if first == 0 and past_hi else 1)",
+        "_window_copies(held, g, 0, 1)",
+        ["tests/test_periodic_table.py"],
+    ),
+    (
         "periodic table: the exact run cut from copy 0 instead of copy `first`",
         "walls.py",
         "_window_copies(held, g, first, stop - first)",
@@ -332,7 +339,7 @@ MUTANTS = [
         "cli.py",
         "    if first:\n        bases =",
         "    if False:\n        bases =",
-        ["tests/test_periodic_table.py"],
+        ["tests/test_report_pieces.py", "tests/test_periodic_table.py"],
     ),
     (
         "chamber renderer: the chamber across a join between runs written hi first",

@@ -295,7 +295,7 @@ def test_inputs_are_validated_records(record, plain, bad):
 
 
 class _Int(int):
-    """A valid int that is not exactly an int, so the constructors check its type."""
+    """A valid int that is not exactly an int."""
 
 
 def _require_int_before(value, name):
@@ -305,7 +305,7 @@ def _require_int_before(value, name):
 
 
 def _pair_type_before(p, q, a, b):
-    """HitchinPairType's checks as they were before exact ints skipped the type checks."""
+    """HitchinPairType's checks written out plainly, with the messages they have always had."""
     for value, name in ((p, "p"), (q, "q"), (a, "a"), (b, "b")):
         _require_int_before(value, name)
     if p < 1 or q < 1:
@@ -314,7 +314,7 @@ def _pair_type_before(p, q, a, b):
 
 
 def _quiver_type_before(ranks, degrees):
-    """QuiverNumericalType's checks as they were before exact-int tuples skipped the conversion."""
+    """QuiverNumericalType's checks written out plainly, with the messages they have always had."""
     ranks = tuple(_require_int_before(r, "rank") for r in ranks)
     degrees = tuple(_require_int_before(d, "degree") for d in degrees)
     if len(ranks) != len(degrees):
@@ -463,3 +463,28 @@ def test_a_refused_number_past_the_digit_limit_is_named_by_the_limit(call, small
         with pytest.raises(ValueError) as info:
             call(value)
         assert str(info.value) == message.format(*fills)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit")
+@pytest.mark.parametrize(
+    "call, small, shown, big, error, message",
+    [
+        (lambda v: slope(v, 1), Fraction(1, 3), "Fraction(1, 3)", Fraction(_BIG, 3), TypeError,
+         "rank must be an integer, got {}"),
+        (lambda v: HitchinPairType(1, 1, v, 0), Fraction(1, 3), "Fraction(1, 3)", Fraction(_BIG, 3), TypeError,
+         "a must be an integer, got {}"),
+        (lambda v: GeometryContext(v, 0), "2", "'2'", Fraction(_BIG, 3), TypeError, "genus must be an integer, got {}"),
+        (lambda v: QuiverNumericalType((v,), (1,)), 1.0, "1.0", Fraction(_BIG, 3), TypeError,
+         "rank must be an integer, got {}"),
+        (as_rational, [1], "[1]", [_BIG], TypeError, "cannot interpret {} as a rational"),
+        (lambda v: BoundInterval.closed(0, 1, v), "iv", "'iv'", _BIG, ValueError,
+         "regime_label must be one of 'i', 'ii', 'iii', got {}"),
+    ],
+    ids=["slope", "pair_type", "geometry", "quiver_type", "as_rational", "regime_label"],
+)
+def test_a_refused_value_past_the_digit_limit_keeps_its_error(call, small, shown, big, error, message):
+    # the messages echo the value's repr, which raises ValueError past the limit: the limit is named instead
+    for value, fill in ((small, shown), (big, _PAST_LIMIT)):
+        with pytest.raises(error) as info:
+            call(value)
+        assert str(info.value) == message.format(fill)

@@ -1,16 +1,18 @@
 """The periodic wall table against the direct integer table it stands for.
 
-`walls._periodic_wall_table` builds the walls of one period and lists the
-interval's walls as runs of its copies, with one exact run where the deg L =
-0 Milnor-Wood filter can drop a witness; here every table is expanded run by
-run and copy by copy, shifting each key by P scale and each d' by -coeff/g
-per copy (coeff = p' q - p q', g = gcd(p, q), P = (p + q)/g), and compared
-with `walls._wall_table` over the same interval, key for key and group for
-group.  Types are seeded with g in {1, 2, 3, 4}, p = q included; intervals
-are rational, narrower than P, exactly k P wide, and k P plus or minus the
-gap to a neighbouring wall, with ends on and off walls, under every
-Milnor-Wood filter setting, deg L = 0 intervals inside, across, on and
-outside |alpha| < 2 included, and +-2 on a cut point lo + k P.
+`walls._periodic_wall_table` builds the walls of one period, the window, and
+lists the interval's walls as runs of its copies, with one exact run where
+the deg L = 0 Milnor-Wood filter can drop a witness; the window is empty
+exactly when that run starts at lo and reaches hi.  Every table is checked
+against that shape, then expanded run by run and copy by copy, shifting each
+key by P scale and each d' by -coeff/g per copy (coeff = p' q - p q', g =
+gcd(p, q), P = (p + q)/g), and compared with `walls._wall_table` over the
+same interval, key for key and group for group.  Types are seeded with g in
+{1, 2, 3, 4}, p = q included; intervals are rational, narrower than P,
+exactly k P wide, and k P plus or minus the gap to a neighbouring wall, with
+ends on and off walls, under every Milnor-Wood filter setting, deg L = 0
+intervals inside, across, on and outside |alpha| < 2 included, and +-2 on a
+cut point lo + k P.
 """
 
 from __future__ import annotations
@@ -95,22 +97,17 @@ def _cuts(t: HitchinPairType, lo: Fraction, hi: Fraction, twist) -> tuple:
     """(copies, first, stop), computed from P: the table's shape over [lo, hi].
 
     copies is the number of whole copies of the window [lo, lo + P) in the
-    interval, or 0 when the window is the whole interval.  At deg L = 0 the
-    filter can drop witnesses only where |alpha| < 2, so an interval meeting
-    that window holds one exact run over the copies [first, stop) that meet
-    it, cut at hi, between runs of the window; first and stop are None when
-    there is no exact run.  The whole interval is exact when it is shorter
-    than a period, or when the exact run would start at lo and reach hi.
+    interval.  At deg L = 0 the filter can drop witnesses only where |alpha|
+    < 2, so an interval meeting that window holds one exact run over the
+    copies [first, stop) that meet it, cut at hi, between runs of the window;
+    first and stop are None when there is no exact run.  The window is left
+    empty when the exact run starts at lo and reaches hi.
     """
     period = t.total_rank // math.gcd(t.p, t.q)
     copies = math.floor((hi - lo) / period)
     if twist != 0 or hi <= -2 or lo >= 2:
-        return max(copies, 0), None, None
-    first = max(0, math.floor((-2 - lo) / period))
-    stop = math.ceil((2 - lo) / period)
-    if copies < 1 or first == 0 and lo + stop * period > hi:
-        return 0, None, None
-    return copies, first, stop
+        return copies, None, None
+    return copies, max(0, math.floor((-2 - lo) / period)), math.ceil((2 - lo) / period)
 
 
 def _fraction_cuts(lo: Fraction, hi: Fraction, period: int, scale: int, twist) -> tuple:
@@ -121,14 +118,12 @@ def _fraction_cuts(lo: Fraction, hi: Fraction, period: int, scale: int, twist) -
         first = max(0, math.floor((-2 - lo) / period))
         stop = math.ceil((2 - lo) / period)
         past_hi = lo + stop * period > hi
-        if first == 0 and past_hi:
-            copies = 0
     return copies, first, stop, past_hi, math.floor((hi - copies * period) * scale)
 
 
 def test_integer_period_cuts_match_the_fraction_formulas():
     rng = SplitMix64(6161)
-    seen = {"end_on_kP": 0, "end_on_2": 0, "point": 0, "below_P": 0, "exact_run": 0, "past_hi": 0, "whole": 0}
+    seen = {"end_on_kP": 0, "end_on_2": 0, "point": 0, "below_P": 0, "exact_run": 0, "past_hi": 0, "lo_to_hi": 0}
     for index in range(6000):
         period = rng.randint(1, 12)
         den = rng.randint(1, 9)
@@ -157,8 +152,8 @@ def test_integer_period_cuts_match_the_fraction_formulas():
         seen["point"] += lo == hi
         seen["below_P"] += hi - lo < period
         seen["exact_run"] += first <= copies
-        seen["past_hi"] += past_hi and copies > 0
-        seen["whole"] += stop is not None and copies == 0
+        seen["past_hi"] += past_hi and first > 0
+        seen["lo_to_hi"] += first == 0 and past_hi
     assert min(seen.values()) >= 75, seen
 
 
@@ -187,33 +182,36 @@ def test_expanded_periodic_table_equals_the_direct_table():
 def _check_runs(t: HitchinPairType, lo: Fraction, hi: Fraction, twist) -> object:
     """The table, after checking its periods and runs against the shape `_cuts` computes.
 
-    A table with copies is one run of the window, a period from lo, unless
-    it has an exact run, which lies between runs of the window.
+    The window holds the unfiltered walls of [lo, lo + P), cut at hi, unless
+    the exact run starts at lo and reaches hi: then it is empty.  The window
+    makes one run up to hi, unless there is an exact run, which lies between
+    runs of the window.
     """
     table = _check(t, (lo, hi), twist)
     period = t.total_rank // math.gcd(t.p, t.q)
     copies, first, stop = _cuts(t, lo, hi, twist)
-    keys = table.periods[0][0]
+    end = None if first is None else lo + stop * period
+    _, _, scale, direct_keys, direct_groups = _wall_table(t, (lo, hi), None)
+    assert table.scale == scale
+    window = [(key, group) for key, group in zip(direct_keys, direct_groups) if key < (lo + period) * scale]
+    if first == 0 and end > hi:
+        window = []
+    keys, groups = table.periods[0]
+    assert list(zip(keys, groups)) == window, (t, lo, hi, twist)
     n = len(keys)
-    if not copies:
-        # the window is the whole interval
-        assert (len(table.periods), table.runs) == (1, ((0, 0, n),) if n else ()), (t, lo, hi)
-        return table
-    assert lo * table.scale <= keys[0] and keys[-1] < (lo + period) * table.scale
     # the walls of the window's last copy, copy `copies`, that lie at or below hi
-    cut = sum(key + copies * period * table.scale <= hi * table.scale for key in keys)
+    cut = sum(key + copies * period * scale <= hi * scale for key in keys)
     if first is None:
-        assert (len(table.periods), table.runs) == (1, ((0, 0, copies * n + cut),)), (t, lo, hi)
+        assert (len(table.periods), table.runs) == (1, tuple(run for run in [(0, 0, copies * n + cut)] if run[2]))
         return table
     exact_keys = table.periods[1][0]
     expected = [(0, 0, first * n), (1, 0, len(exact_keys))]
-    end = lo + stop * period
     if end <= hi:
         expected.append((0, stop, (copies - stop) * n + cut))
     assert (len(table.periods), table.runs) == (2, tuple(run for run in expected if run[2])), (t, lo, hi)
     # the exact run's walls lie in [lo + first P, end), or up to hi
-    assert not exact_keys or (lo + first * period) * table.scale <= exact_keys[0]
-    assert not exact_keys or exact_keys[-1] < end * table.scale or end > hi
+    assert not exact_keys or (lo + first * period) * scale <= exact_keys[0]
+    assert not exact_keys or exact_keys[-1] < end * scale or end > hi
     return table
 
 
@@ -237,8 +235,8 @@ def test_deg_l_zero_ends_inside_on_and_outside_the_window_and_on_cut_points():
     # each end inside (-2, 2), on +-2 or outside it, and +-2 on a cut point
     # lo + k P, so that a wall at +-2 lies where two runs meet
     rng = SplitMix64(8080)
-    seen = {"three_runs": 0, "exact_to_hi": 0, "whole": 0, "minus_2_on_cut": 0, "plus_2_on_cut": 0,
-            "wall_on_cut": 0, "inside": 0, "short_exact": 0}
+    seen = {"three_runs": 0, "exact_to_hi": 0, "lo_to_hi": 0, "lo_to_hi_past_P": 0, "minus_2_on_cut": 0,
+            "plus_2_on_cut": 0, "wall_on_cut": 0, "inside": 0, "short_exact": 0}
     for _ in range(16):
         t = _random_type(rng, rng.randint(1, 4))
         period = t.total_rank // math.gcd(t.p, t.q)
@@ -255,9 +253,11 @@ def test_deg_l_zero_ends_inside_on_and_outside_the_window_and_on_cut_points():
                 table = _check_runs(t, lo, hi, 0)
                 keys = set(_expanded(t, table)[3])
                 copies, first, stop = _cuts(t, lo, hi, 0)
-                seen["whole"] += copies == 0
                 seen["three_runs"] += first is not None and lo + stop * period <= hi
-                seen["exact_to_hi"] += first is not None and lo + stop * period > hi
+                seen["exact_to_hi"] += first is not None and first > 0 and lo + stop * period > hi
+                # the exact run starts at lo and reaches hi, within a period of lo or past it
+                seen["lo_to_hi"] += first == 0 and lo + stop * period > hi and copies == 0
+                seen["lo_to_hi_past_P"] += first == 0 and lo + stop * period > hi and copies > 0
                 seen["inside"] += -2 < lo and hi < 2
                 if first is not None:
                     cuts = {lo + first * period, lo + stop * period} & {Fraction(-2), Fraction(2)}
@@ -273,7 +273,7 @@ def test_split_tables_render_as_the_library_reports(capsys):
     # walls, chambers and CSV of tables with an exact run, against the stdlib
     # encoders over the library's records: the chambers tile across each join
     rng = SplitMix64(9191)
-    runs = {2: 0, 3: 0, "lo_on_wall": 0, "hi_on_wall": 0, "wall_at_2": 0}
+    runs = {1: 0, 2: 0, 3: 0, "lo_on_wall": 0, "hi_on_wall": 0, "wall_at_2": 0}
     for _ in range(60):
         t = _random_type(rng, rng.randint(1, 4))
         period = t.total_rank // math.gcd(t.p, t.q)
@@ -296,9 +296,8 @@ def test_split_tables_render_as_the_library_reports(capsys):
         assert main(["walls", *base, "--format", "csv"]) == 0
         assert capsys.readouterr().out == _expected_csv(report.walls), base
         if len(table.periods) > 1:
-            # three runs, or two when the exact run reaches hi
-            stop = _cuts(t, lo, hi, 0)[2]
-            runs[3 if lo + stop * period <= hi else 2] += 1
+            # the exact run between two runs of the window, after or before one, or alone from lo to hi
+            runs[len(table.runs)] += 1
             alphas = {w.alpha for w in report.walls}
             runs["lo_on_wall"] += lo in alphas
             runs["hi_on_wall"] += hi in alphas
@@ -350,11 +349,14 @@ def test_the_families_are_scanned_once_per_table(monkeypatch):
         ((-50, 50), 0, [0, 1, 0], True),  # an exact run between two runs of the window
         ((-50, 5), 0, [0, 1], True),  # the exact run reaches hi
         ((-50, 50), None, [0], True),  # one run of the window, over 8 copies of P = 12
-        ((0, 5), None, [0], False),  # shorter than P: the window is the whole interval
+        ((0, 5), None, [0], False),  # shorter than P: the window is cut at hi
+        ((-1, 5), 0, [1], False),  # the exact run starts at lo and reaches hi: the window is empty
     ):
         calls.clear()
         table = _periodic_wall_table(t, interval, twist)
         assert [index for index, _, _ in table.runs] == indices
-        # whether the first run takes more walls than one copy of the window holds
-        assert (table.runs[0][2] > len(table.periods[0][0])) == repeats
+        assert bool(table.periods[0][0]) == (indices != [1])
+        # whether the first run takes more walls than one copy of its period holds
+        index, _, walls = table.runs[0]
+        assert (walls > len(table.periods[index][0])) == repeats
         assert len(calls) == 1, (interval, twist, len(calls))

@@ -1,12 +1,13 @@
 """The report as byte pieces: the periodic core, and how `run` writes the pieces.
 
-`cli._periodic_pieces` is checked against a plain formatter that writes every
-item of every copy on its own, over seeded random periods: 1 to 40 items with
-0 to 4 constants and 1 to 3 moving numbers each, 0, 1 and many copies, every
-length of the last, partial copy, and moving numbers that cross a sign or a
-digit count.  Then `main` must write the same text to an `io.StringIO` as to
-pytest's captured stdout, write nothing before the whole report is built, and
-turn a failed write to stdout into one error line and exit 1.
+`cli._periodic_pieces` is checked against a plain formatter that writes
+every item of every copy on its own, over seeded random periods: 1 to 40
+items with 0 to 4 constants and 1 to 3 moving numbers each, from copy 0, 1
+and a later one, 0, 1 and many copies, every length of the last, partial
+copy, and moving numbers that cross a sign or a digit count.  Then `main`
+must write the same text to an `io.StringIO` as to pytest's captured stdout,
+write nothing before the whole report is built, and turn a failed write to
+stdout into one error line and exit 1.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import io
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -64,11 +66,14 @@ def _period(rng: SplitMix64, length: int):
 
 def _plain(items, constants, bases, steps, total: int) -> list[str]:
     """Each item's text on its own: copy j, i-th moving number bases[i] + j steps[i]."""
+    # the numbers of constants and of moving numbers before each item
+    starts = [(0, 0)]
+    for kinds, _ in items:
+        starts.append((starts[-1][0] + kinds.count("c"), starts[-1][1] + kinds.count("m")))
     texts = []
     for index in range(total):
         copy, item = divmod(index, len(items))
-        c = sum(kinds.count("c") for kinds, _ in items[:item])
-        m = sum(kinds.count("m") for kinds, _ in items[:item])
+        c, m = starts[item]
         kinds, literals = items[item]
         text = literals[0]
         for kind, literal in zip(kinds, literals[1:]):
@@ -90,21 +95,24 @@ def test_periodic_pieces_match_a_plain_per_item_formatter():
         length = [1, 2, 40][trial] if trial < 3 else rng.randint(1, 40)
         templates, constants, bases, steps, items = _period(rng, length)
         copy_counts = {0, 1, 2, rng.randint(3, 12)}
-        for copies in copy_counts:
+        firsts = (0, 1, rng.randint(2, 9))
+        every = _plain(items, constants, bases, steps, (max(firsts) + max(copy_counts) + 1) * length)
+        for first, copies in product(firsts, copy_counts):
             for rest in range(length):
                 total = copies * length + rest
-                pieces = _periodic_pieces(templates, constants, bases, steps, total)
-                texts = _plain(items, constants, bases, steps, total)
+                pieces = _periodic_pieces(templates, constants, bases, steps, total, first)
+                # the plain items from copy `first` on
+                texts = every[first * length:first * length + total]
                 # one piece per whole copy, then one for the partial copy
                 expected = ["".join(texts[j * length:(j + 1) * length]) for j in range(copies)]
                 if rest:
                     expected.append("".join(texts[copies * length:]))
-                assert [piece.decode("ascii") for piece in pieces] == expected, (trial, copies, rest)
-                if total <= length:
+                assert [piece.decode("ascii") for piece in pieces] == expected, (trial, first, copies, rest)
+                if total <= length and not first:
                     # steps are not needed within the first copy
                     assert _periodic_pieces(templates, constants, bases, [], total) == pieces
                 checked += 1
-    assert checked > 1000, checked
+    assert checked > 3000, checked
 
 
 _REPORTS = [
