@@ -35,6 +35,7 @@ from .core import (
     GeometryContext,
     HiggsRankPair,
     HitchinPairType,
+    _json,
     _parse_error,
     _shown,
     _shown_number,
@@ -279,28 +280,27 @@ def parse_args(argv: list[str]) -> RunConfig:
 
 
 def _execute(config: RunConfig) -> dict:
+    """The command's report, its records and Fractions raw: `_render_json` writes them through `_json`."""
     if config.command == "toledo":
-        t = config.type_spec
-        return {"command": "toledo", "type": t.to_json(), "tau": format_rational(toledo(t))}
+        return {"command": "toledo", "type": config.type_spec, "tau": toledo(config.type_spec)}
     if config.command == "mw":
         verdict = mw_check(
             config.type_spec, config.ctx.twist_degree, config.alpha, config.ranks
         )
         return {
             "command": "mw",
-            "type": config.type_spec.to_json(),
-            "ctx": config.ctx.to_json(),
-            "alpha": format_rational(config.alpha),
-            "ranks": None if config.ranks is None else config.ranks.to_json(),
-            **verdict.to_json(),
+            "type": config.type_spec,
+            "ctx": config.ctx,
+            "alpha": config.alpha,
+            "ranks": config.ranks,
+            **_json(verdict),
         }
     if config.command in ("walls", "chambers"):
         mw_twist_degree = config.ctx.twist_degree if config.mw_filter else None
-        lo, hi = config.interval
         report = {
             "command": config.command,
-            "type": config.type_spec.to_json(),
-            "interval": [format_rational(lo), format_rational(hi)],
+            "type": config.type_spec,
+            "interval": config.interval,
             "mw_filter": config.mw_filter,
         }
         # the renderers write both members from the periodic wall table
@@ -313,10 +313,10 @@ def _execute(config: RunConfig) -> dict:
         certificate = irreducibility_certificate(config.type_spec, config.genus, config.alpha)
         return {
             "command": "certify",
-            "type": config.type_spec.to_json(),
+            "type": config.type_spec,
             "genus": config.genus,
-            "alpha": format_rational(config.alpha),
-            "certificate": certificate.to_json(),
+            "alpha": config.alpha,
+            "certificate": certificate,
         }
     # selftest: parse_args admits no other command
     report = property_driver(config.seed, config.trials)
@@ -528,7 +528,7 @@ def _render_json(report: dict) -> list[bytes]:
     """
     table = report.get("walls")
     if table is None:
-        return [(json.dumps(report, indent=2, sort_keys=True) + "\n").encode("ascii")]
+        return [(json.dumps(_json(report), indent=2, sort_keys=True) + "\n").encode("ascii")]
     periods = _periods(table)
     lists = {"walls": _walls_json(table, periods, report["command"] == "chambers")}
     if "chambers" in report:
@@ -538,7 +538,7 @@ def _render_json(report: dict) -> list[bytes]:
         parts.append(b'  "%s": ' % key.encode("ascii"))
         items = lists.get(key)
         if items is None:
-            parts.append(json.dumps(report[key], indent=2, sort_keys=True).replace("\n", "\n  ").encode("ascii"))
+            parts.append(json.dumps(_json(report[key]), indent=2, sort_keys=True).replace("\n", "\n  ").encode("ascii"))
         elif items:
             # the last item takes no separator
             items[-1] = items[-1][:-2]

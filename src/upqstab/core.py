@@ -110,6 +110,38 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _json(value):
+    """The JSON form of a report value: a record's `to_json`, a Fraction's "num/den", a list for a tuple or list.
+
+    A dict is converted member by member, and anything else (an int, a bool,
+    a str or None) is its own JSON form.  A record is checked before a tuple,
+    which every record is; of the orders that allow, this one measured
+    cheapest.
+    """
+    if isinstance(value, _Record):
+        return value.to_json()
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, (tuple, list)):
+        return list(map(_json, value))
+    if isinstance(value, dict):
+        return {key: _json(member) for key, member in value.items()}
+    return value
+
+
+class _Record:
+    """Mixin of every record: its JSON form maps each field name to `_json` of the field's value.
+
+    WallWitness, ParameterVector, BoundInterval, MWVerdict and ChamberReport
+    have a JSON form of another shape, and write their own `to_json`.
+    """
+
+    __slots__ = ()
+
+    def to_json(self) -> dict:
+        return dict(zip(self._fields, map(_json, self)))
+
+
 def _require_int(value: int, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an integer, got {_shown_number(value, repr)}")
@@ -130,7 +162,7 @@ def _input_record(name: str, fields: str) -> type:
     return base
 
 
-class HitchinPairType(_input_record("HitchinPairType", "p q a b")):
+class HitchinPairType(_Record, _input_record("HitchinPairType", "p q a b")):
     """Numerical type t = (p, q, a, b) of a U(p,q)-Hitchin pair: four ints, p, q >= 1."""
 
     __slots__ = ()
@@ -158,9 +190,6 @@ class HitchinPairType(_input_record("HitchinPairType", "p q a b")):
         """Swap the two bundles: (p, q, a, b) -> (q, p, b, a)."""
         return tuple.__new__(HitchinPairType, (self.q, self.p, self.b, self.a))
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "q": self.q, "a": self.a, "b": self.b}
-
     @classmethod
     def parse(cls, text: str) -> "HitchinPairType":
         """Parse "p,q,a,b"."""
@@ -171,7 +200,7 @@ class HitchinPairType(_input_record("HitchinPairType", "p q a b")):
         return cls(p, q, a, b)
 
 
-class GeometryContext(_input_record("GeometryContext", "genus twist_degree canonical")):
+class GeometryContext(_Record, _input_record("GeometryContext", "genus twist_degree canonical")):
     """Base-curve genus (int >= 0) and twisting-bundle degree (int); canonical (bool) pins it to 2g - 2."""
 
     __slots__ = ()
@@ -192,11 +221,8 @@ class GeometryContext(_input_record("GeometryContext", "genus twist_degree canon
     def canonical_twist(cls, genus: int) -> "GeometryContext":
         return cls(genus=genus, twist_degree=2 * genus - 2, canonical=True)
 
-    def to_json(self) -> dict:
-        return {"genus": self.genus, "twist_degree": self.twist_degree, "canonical": self.canonical}
 
-
-class HiggsRankPair(_input_record("HiggsRankPair", "rk_beta rk_gamma")):
+class HiggsRankPair(_Record, _input_record("HiggsRankPair", "rk_beta rk_gamma")):
     """Ranks (two ints >= 0) of the Higgs-field components beta: W -> V (x) L and gamma: V -> W (x) L."""
 
     __slots__ = ()
@@ -215,14 +241,11 @@ class HiggsRankPair(_input_record("HiggsRankPair", "rk_beta rk_gamma")):
         if self.rk_beta > cap or self.rk_gamma > cap:
             raise ValueError(
                 f"Higgs field ranks {_shown_number(self.rk_beta)},{_shown_number(self.rk_gamma)} out of range for type "
-                f"({','.join(map(_shown_number, t))}): each must be <= min(p,q) = {cap}"
+                f"({','.join(map(_shown_number, t))}): each must be <= min(p,q) = {_shown_number(cap)}"
             )
 
-    def to_json(self) -> dict:
-        return {"rk_beta": self.rk_beta, "rk_gamma": self.rk_gamma}
 
-
-class QuiverNumericalType(_input_record("QuiverNumericalType", "ranks degrees")):
+class QuiverNumericalType(_Record, _input_record("QuiverNumericalType", "ranks degrees")):
     """Per-vertex (rank, degree) data of a quiver bundle: equal-length int tuples, ranks >= 0, sum >= 1."""
 
     __slots__ = ()
@@ -250,11 +273,8 @@ class QuiverNumericalType(_input_record("QuiverNumericalType", "ranks degrees"))
     def total_degree(self) -> int:
         return sum(self.degrees)
 
-    def to_json(self) -> dict:
-        return {"ranks": list(self.ranks), "degrees": list(self.degrees)}
 
-
-class ParameterVector(tuple):
+class ParameterVector(_Record, tuple):
     """Per-vertex exact rational stability parameters (alpha_i): a tuple of Fractions."""
 
     __slots__ = ()
@@ -282,7 +302,7 @@ class ParameterVector(tuple):
         return {"alpha": [format_rational(v) for v in self]}
 
 
-class BoundInterval(namedtuple("BoundInterval", "lower upper regime_label", defaults=(None,))):
+class BoundInterval(_Record, namedtuple("BoundInterval", "lower upper regime_label", defaults=(None,))):
     """Closed interval [lower, upper] of exact rationals, or the infeasible state.
 
     lower and upper are Fractions with lower <= upper, or both None in the

@@ -16,6 +16,7 @@ from .core import (
     HiggsRankPair,
     HitchinPairType,
     RationalLike,
+    _Record,
     _require_int,
     _shown_number,
     as_rational,
@@ -89,7 +90,7 @@ def toledo_bounds(p: int, q: int, deg_l: int, alpha: RationalLike) -> BoundInter
     return BoundInterval(Fraction(lower_low, den), Fraction(upper_high, den), "ii")
 
 
-class MWVerdict(namedtuple("MWVerdict", "passed side margin tau interval")):
+class MWVerdict(_Record, namedtuple("MWVerdict", "passed side margin tau interval")):
     """Outcome of a Milnor-Wood membership check.
 
     passed is a bool, tau the Fraction checked and interval the applicable

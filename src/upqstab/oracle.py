@@ -28,13 +28,13 @@ from .core import (
     ParameterVector,
     QuiverNumericalType,
     RationalLike,
+    _json,
     _require_int,
     _shown_number,
     alpha_slope_quiver,
     alpha_slope_upq,
     as_rational,
     compare_at,
-    format_rational,
     slope,
     toledo,
     upq_parameter_vector,
@@ -335,13 +335,6 @@ _SUITES = (
 )
 
 
-def _input_json(value):
-    """A case input as a failure record carries it."""
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return value if isinstance(value, int) else value.to_json()
-
-
 def property_driver(seed: int, trials: int) -> dict:
     """Run the randomized invariant suites; failures carry reproducing inputs.
 
@@ -349,7 +342,7 @@ def property_driver(seed: int, trials: int) -> dict:
     fixed suite order, and each case is checked as soon as it is drawn; checks
     draw nothing, so the report depends only on the seed and the trial count.
     A check returns a reason or None; a failure is its trial, its reason and
-    the case's inputs ("num/den" or to_json form).
+    the case's inputs, in their JSON form (`core._json`).
     """
     _require_int(seed, "seed")
     _require_int(trials, "trials")
@@ -363,8 +356,7 @@ def property_driver(seed: int, trials: int) -> dict:
             case = make_case(rng)
             reason = check_case(case)
             if reason is not None:
-                inputs = {key: _input_json(value) for key, value in case.items()}
-                failures.append({"trial": trial, "reason": reason, **inputs})
+                failures.append(_json({"trial": trial, "reason": reason, **case}))
         suite_reports.append(
             {"name": name, "cases": trials, "failures": failures, "passed": not failures}
         )

@@ -39,6 +39,7 @@ from .core import (
     BoundInterval,
     HitchinPairType,
     RationalLike,
+    _Record,
     _require_int,
     _shown_number,
     as_rational,
@@ -70,7 +71,7 @@ from .milnor_wood import toledo_bounds
 MAX_WITNESSES = 1_000_000
 
 
-class WallWitness(namedtuple("WallWitness", "p_sub q_sub d_sub")):
+class WallWitness(_Record, namedtuple("WallWitness", "p_sub q_sub d_sub")):
     """Sub-type ranks and total degree (p', q', d' = a' + b') witnessing a wall.
 
     A plain triple of ints: it compares, hashes and sorts as its tuple.
@@ -85,7 +86,7 @@ class WallWitness(namedtuple("WallWitness", "p_sub q_sub d_sub")):
         return list(self)
 
 
-class Wall(namedtuple("Wall", "alpha witnesses")):
+class Wall(_Record, namedtuple("Wall", "alpha witnesses")):
     """A critical parameter value (a Fraction) with every witnessing sub-type.
 
     A plain record: it compares, hashes and unpacks as its (alpha, witnesses)
@@ -97,14 +98,8 @@ class Wall(namedtuple("Wall", "alpha witnesses")):
 
     __slots__ = ()
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": format_rational(self.alpha),
-            "witnesses": [w.to_json() for w in self.witnesses],
-        }
 
-
-class Chamber(namedtuple("Chamber", "lo hi lo_closed hi_closed")):
+class Chamber(_Record, namedtuple("Chamber", "lo hi lo_closed hi_closed")):
     """A maximal wall-free segment [lo, hi] (Fractions) of the queried interval.
 
     The closed flags (bools) record whether the endpoint belongs to the
@@ -114,16 +109,8 @@ class Chamber(namedtuple("Chamber", "lo hi lo_closed hi_closed")):
 
     __slots__ = ()
 
-    def to_json(self) -> dict:
-        return {
-            "lo": format_rational(self.lo),
-            "hi": format_rational(self.hi),
-            "lo_closed": self.lo_closed,
-            "hi_closed": self.hi_closed,
-        }
 
-
-class ChamberReport(namedtuple("ChamberReport", "interval walls chambers")):
+class ChamberReport(_Record, namedtuple("ChamberReport", "interval walls chambers")):
     """Walls in an interval, in increasing alpha, plus the chambers between them.
 
     interval is the (lo, hi) pair of Fractions; walls and chambers are tuples
@@ -245,7 +232,7 @@ def _held_families(
         _require_int(mw_twist_degree, "mw_twist_degree")
         if mw_twist_degree < 0:
             raise ValueError(
-                f"mw_twist_degree (deg L of the Milnor-Wood filter) must be >= 0, got {mw_twist_degree}"
+                f"mw_twist_degree (deg L of the Milnor-Wood filter) must be >= 0, got {_shown_number(mw_twist_degree)}"
             )
 
     # of the (p+1)(q+1) sub-ranks (p', q'), the gcd(p, q) + 1 multiples of
@@ -499,7 +486,7 @@ def chamber_report(
     return ChamberReport((lo, hi), tuple(walls), chambers)
 
 
-class CertificateCondition(namedtuple("CertificateCondition", "holds alpha_window")):
+class CertificateCondition(_Record, namedtuple("CertificateCondition", "holds alpha_window")):
     """One of the two one-sided parameter windows of the irreducibility check.
 
     `alpha_window`, a `BoundInterval`, records the window endpoints ([0, hi)
@@ -510,11 +497,8 @@ class CertificateCondition(namedtuple("CertificateCondition", "holds alpha_windo
 
     __slots__ = ()
 
-    def to_json(self) -> dict:
-        return {"holds": self.holds, "alpha_window": self.alpha_window.to_json()}
 
-
-class IrreducibilityCertificate(namedtuple(
+class IrreducibilityCertificate(_Record, namedtuple(
     "IrreducibilityCertificate", "tau tau_bound_ok condition1 condition2 closure_irreducible fully_irreducible"
 )):
     """Checkable numerical hypotheses for irreducibility of the moduli space.
@@ -530,16 +514,6 @@ class IrreducibilityCertificate(namedtuple(
     """
 
     __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {
-            "tau": format_rational(self.tau),
-            "tau_bound_ok": self.tau_bound_ok,
-            "condition1": self.condition1.to_json(),
-            "condition2": self.condition2.to_json(),
-            "closure_irreducible": self.closure_irreducible,
-            "fully_irreducible": self.fully_irreducible,
-        }
 
 
 def irreducibility_certificate(

@@ -379,16 +379,34 @@ MUTANTS = [
     (
         "selftest failure record: the trial number off by one",
         "oracle.py",
-        'failures.append({"trial": trial, "reason": reason, **inputs})',
-        'failures.append({"trial": trial + 1, "reason": reason, **inputs})',
+        'failures.append(_json({"trial": trial, "reason": reason, **case}))',
+        'failures.append(_json({"trial": trial + 1, "reason": reason, **case}))',
         ["tests/test_oracle.py"],
     ),
     (
         "selftest failure record: the case's inputs dropped",
         "oracle.py",
-        'failures.append({"trial": trial, "reason": reason, **inputs})',
-        'failures.append({"trial": trial, "reason": reason})',
+        'failures.append(_json({"trial": trial, "reason": reason, **case}))',
+        'failures.append(_json({"trial": trial, "reason": reason}))',
         ["tests/test_oracle.py"],
+    ),
+    (
+        "JSON form: a Fraction written by str(), so an integer prints without /1",
+        "core.py",
+        "        return format_rational(value)\n",
+        "        return str(value)\n",
+        ["tests/test_byte_identity.py"],
+    ),
+    (
+        "JSON form: the record check after the tuple check, so a record becomes a list",
+        "core.py",
+        "    if isinstance(value, _Record):\n        return value.to_json()\n"
+        "    if isinstance(value, Fraction):\n        return format_rational(value)\n"
+        "    if isinstance(value, (tuple, list)):\n        return list(map(_json, value))\n",
+        "    if isinstance(value, (tuple, list)):\n        return list(map(_json, value))\n"
+        "    if isinstance(value, _Record):\n        return value.to_json()\n"
+        "    if isinstance(value, Fraction):\n        return format_rational(value)\n",
+        ["tests/test_byte_identity.py"],
     ),
     (
         "process entry: cli.main freezes after the report too, so in-process callers get a frozen collector",

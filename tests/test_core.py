@@ -452,9 +452,11 @@ _INFEASIBLE = "; use BoundInterval.infeasible() for empty intervals"
         (lambda v: BoundInterval.closed(v, 0), Fraction(1, 2), ("1/2",), Fraction(1, _BIG) + 1,
          "lower bound {} exceeds upper bound 0" + _INFEASIBLE),
         (lambda v: BoundInterval.closed(0, v), -1, ("-1",), -_BIG, "lower bound 0 exceeds upper bound {}" + _INFEASIBLE),
+        (lambda v: HiggsRankPair(v + 1, 0).validate_for(HitchinPairType(v, v, 0, 0)), 1, ("2", "1", "1", "1"), _BIG,
+         "Higgs field ranks {},0 out of range for type ({},{},0,0): each must be <= min(p,q) = {}"),
     ],
     ids=["slope", "quiver_ranks", "quiver_one_rank", "genus", "canonical_genus", "canonical_twist_degree",
-         "bound_lower", "bound_upper"],
+         "bound_lower", "bound_upper", "higgs_ranks_cap"],
 )
 def test_a_refused_number_past_the_digit_limit_is_named_by_the_limit(call, small, shown, big, message):
     # a short value keeps the message it always had; one past the limit is named by it, not by str()'s error

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -472,6 +473,18 @@ def test_ordered_map_stays_bound_for_the_tracer():
 def test_toledo_bounds_stays_bound_for_the_tracer():
     # perfbench/tracing.py patches walls.toledo_bounds by name; the engine itself calls it nowhere
     assert walls_module.toledo_bounds is toledo_bounds
+
+
+def test_a_negative_filter_twist_past_the_digit_limit_is_named_by_the_limit():
+    # str() refuses a number past the int-to-str digit limit; the message names the limit instead
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no int-to-str digit limit")
+    reason = "mw_twist_degree (deg L of the Milnor-Wood filter) must be >= 0, got "
+    for degree, shown in ((-1, "-1"), (-10**5000, f"an integer of more than {limit} digits")):
+        with pytest.raises(ValueError) as info:
+            enumerate_walls(HitchinPairType(1, 1, 0, 0), (0, 1), mw_twist_degree=degree)
+        assert str(info.value) == reason + shown
 
 
 def test_library_range_checks_cut_a_long_number():
