@@ -295,8 +295,12 @@ class ParameterVector(_Record, tuple):
 
     def shifted(self, constant: RationalLike) -> "ParameterVector":
         """Overall translation alpha -> alpha + a*(1,...,1)."""
-        a = as_rational(constant)
-        return tuple.__new__(ParameterVector, [v + a for v in self])
+        n, d = as_rational(constant).as_integer_ratio()
+        entries = []
+        for v in self:
+            vn, vd = v.as_integer_ratio()
+            entries.append(Fraction(vn * d + n * vd, vd * d))
+        return tuple.__new__(ParameterVector, entries)
 
     def to_json(self) -> dict:
         return {"alpha": [format_rational(v) for v in self]}
@@ -375,17 +379,18 @@ def slope(rank: int, degree: int) -> Fraction:
 
 def _slope_terms(e: QuiverNumericalType, alpha: ParameterVector) -> tuple[int, int]:
     """mu_alpha(e) as (num, den) with den > 0, not in lowest terms."""
-    if len(alpha) != e.vertex_count:
+    ranks, degrees = e
+    if len(alpha) != len(ranks):
         raise ValueError(
-            f"parameter vector has {len(alpha)} entries for {e.vertex_count} vertices"
+            f"parameter vector has {len(alpha)} entries for {len(ranks)} vertices"
         )
     # the sum as num/den over the product of the alpha denominators
-    num, den = e.total_degree, 1
-    for a, r in zip(alpha, e.ranks):
-        d = a.denominator
-        num = num * d + a.numerator * r * den
+    num, den = sum(degrees), 1
+    for a, r in zip(alpha, ranks):
+        n, d = a.as_integer_ratio()
+        num = num * d + n * r * den
         den *= d
-    return num, den * e.total_rank
+    return num, den * sum(ranks)
 
 
 def alpha_slope_quiver(e: QuiverNumericalType, alpha: ParameterVector | Sequence[RationalLike]) -> Fraction:
@@ -398,7 +403,9 @@ def alpha_slope_quiver(e: QuiverNumericalType, alpha: ParameterVector | Sequence
 
 def alpha_slope_upq(t: HitchinPairType, alpha: RationalLike) -> Fraction:
     """mu_alpha of a U(p,q)-type: mu(V + W) + alpha * p/(p+q)."""
-    return slope(t.total_rank, t.total_degree) + as_rational(alpha) * t.rank_ratio()
+    n, d = as_rational(alpha).as_integer_ratio()
+    # ((a + b) + alpha p) / (p + q) over the one denominator (p + q) * den(alpha)
+    return Fraction((t.a + t.b) * d + n * t.p, (t.p + t.q) * d)
 
 
 def toledo(t: HitchinPairType) -> Fraction:
@@ -429,9 +436,9 @@ def compare_at(
     Compares the two slopes as num/den pairs cross-multiplied in integers,
     with no Fraction built.
     """
-    if sub.vertex_count != whole.vertex_count:
+    if len(sub.ranks) != len(whole.ranks):
         raise ValueError(
-            f"vertex count mismatch: sub has {sub.vertex_count}, whole has {whole.vertex_count}"
+            f"vertex count mismatch: sub has {len(sub.ranks)}, whole has {len(whole.ranks)}"
         )
     if not isinstance(alpha, ParameterVector):
         alpha = ParameterVector(alpha)

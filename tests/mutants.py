@@ -99,10 +99,24 @@ MUTANTS = [
         ["tests/test_walls.py"],
     ),
     (
-        "quiver slope kernel: a.numerator * r * den -> a.numerator * r",
+        "quiver slope kernel: n * r * den -> n * r",
         "core.py",
-        "num = num * d + a.numerator * r * den",
-        "num = num * d + a.numerator * r",
+        "num = num * d + n * r * den",
+        "num = num * d + n * r",
+        ["tests/test_integer_kernels.py"],
+    ),
+    (
+        "U(p,q) slope kernel: alpha weighted by q instead of p",
+        "core.py",
+        "n * t.p, (t.p + t.q) * d",
+        "n * t.q, (t.p + t.q) * d",
+        ["tests/test_integer_kernels.py"],
+    ),
+    (
+        "parameter shift: an entry's numerator not scaled by the shift's denominator",
+        "core.py",
+        "Fraction(vn * d + n * vd, vd * d)",
+        "Fraction(vn + n * vd, vd * d)",
         ["tests/test_integer_kernels.py"],
     ),
     (

@@ -1,21 +1,27 @@
 """The integer-numerator kernels against the plain-Fraction formulas they replace.
 
-`alpha_slope_quiver`, `toledo_bounds`, `toledo_bounds_for_ranks` and
-`envelope_toledo_bounds` sum integer numerators over one common denominator
-and build one Fraction per returned value; `compare_at` cross-multiplies two
-such num/den pairs and builds none.  The reference functions below are the
-earlier Fraction-arithmetic bodies, kept verbatim, and every kernel must
-return equal values, the same regime label and the same infeasible state on
-seeded random inputs: alpha numerators up to 10^12 in size over denominators
-up to 10^6, quiver vertices of rank 0, negative degrees, equal slopes, p and q
-in 1..8, and alpha exactly at the regime joints -deg(L) and deg(L), where the
-label is "ii".  `SplitMix64.randint` over spans up to 10^12, lo == hi included,
-must draw exactly lo + next_u64() % (hi - lo + 1), stream for stream.
+`alpha_slope_quiver`, `alpha_slope_upq`, `toledo_bounds`,
+`toledo_bounds_for_ranks` and `envelope_toledo_bounds` sum integer numerators
+over one common denominator and build one Fraction per returned value;
+`ParameterVector.shifted` builds one per entry from the integer ratios;
+`compare_at` cross-multiplies two such num/den pairs and builds none.  The
+reference functions below are the earlier Fraction-arithmetic bodies, kept
+verbatim, and every kernel must return equal values, the same regime label and
+the same infeasible state on seeded random inputs: alpha numerators up to 10^12
+in size over denominators up to 10^6, given as an int, a "num/den" string or a
+Fraction, zero and negative shifts, quiver vertices of rank 0, negative
+degrees, equal slopes, p and q in 1..8, and alpha exactly at the regime joints
+-deg(L) and deg(L), where the label is "ii".  A parameter vector or a sub-type
+of the wrong length is refused with the same message as before.
+`SplitMix64.randint` over spans up to 10^12, lo == hi included, must draw
+exactly lo + next_u64() % (hi - lo + 1), stream for stream.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import pytest
 
 from upqstab import (
     BoundInterval,
@@ -24,9 +30,11 @@ from upqstab import (
     ParameterVector,
     QuiverNumericalType,
     alpha_slope_quiver,
+    alpha_slope_upq,
     as_rational,
     compare_at,
     envelope_toledo_bounds,
+    slope,
     toledo_bounds,
     toledo_bounds_for_ranks,
 )
@@ -52,6 +60,15 @@ def _reference_compare_at(sub, whole, alpha):
         )
     difference = _reference_alpha_slope_quiver(sub, alpha) - _reference_alpha_slope_quiver(whole, alpha)
     return (difference > 0) - (difference < 0)
+
+
+def _reference_alpha_slope_upq(t, alpha):
+    return slope(t.total_rank, t.total_degree) + as_rational(alpha) * t.rank_ratio()
+
+
+def _reference_shifted(self, constant):
+    a = as_rational(constant)
+    return tuple.__new__(ParameterVector, [v + a for v in self])
 
 
 def _reference_toledo_bounds_for_ranks(t, deg_l, alpha, ranks):
@@ -151,6 +168,52 @@ def test_compare_at_matches_the_sign_of_the_fraction_difference():
         assert got == _reference_compare_at(sub, whole, alpha)
         signs[got] += 1
     assert min(signs.values()) > 500 and zero_rank_vertices > 500, (signs, zero_rank_vertices)
+
+
+def _spelled(rng: SplitMix64, value: Fraction) -> int | str | Fraction:
+    """value as an int when it is one and the draw says so, else as a "num/den" string or a Fraction."""
+    shape = rng.randint(0, 2)
+    if shape == 0 and value.denominator == 1:
+        return int(value)
+    return f"{value.numerator}/{value.denominator}" if shape == 1 else value
+
+
+def test_alpha_slope_upq_matches_fraction_formula():
+    rng = SplitMix64(906)
+    spellings = {int: 0, str: 0, Fraction: 0}
+    for _ in range(3000):
+        t = HitchinPairType(rng.randint(1, 8), rng.randint(1, 8), rng.randint(-40, 40), rng.randint(-40, 40))
+        alpha = _spelled(rng, _alpha(rng, rng.randint(0, 5)))
+        got = alpha_slope_upq(t, alpha)
+        assert got == _reference_alpha_slope_upq(t, alpha)
+        assert type(got) is Fraction
+        spellings[type(alpha)] += 1
+    assert min(spellings.values()) > 300, spellings
+
+
+def test_shifted_matches_the_entrywise_fraction_sum():
+    rng = SplitMix64(908)
+    zero = negative = 0
+    for _ in range(3000):
+        alpha = ParameterVector.of(*(_alpha(rng, rng.randint(0, 5)) for _ in range(rng.randint(1, 5))))
+        shift = _alpha(rng, rng.randint(0, 5)) if rng.randint(0, 3) else Fraction(0)
+        zero += shift == 0
+        negative += shift < 0
+        shift = _spelled(rng, shift)
+        got = alpha.shifted(shift)
+        assert got == _reference_shifted(alpha, shift)
+        assert type(got) is ParameterVector and all(type(v) is Fraction for v in got)
+    assert zero > 600 and negative > 600, (zero, negative)
+
+
+def test_length_mismatches_keep_their_messages():
+    e = QuiverNumericalType((1, 2), (0, -3))
+    with pytest.raises(ValueError) as raised:
+        alpha_slope_quiver(e, [1, "1/2", Fraction(3)])
+    assert str(raised.value) == "parameter vector has 3 entries for 2 vertices"
+    with pytest.raises(ValueError) as raised:
+        compare_at(e, QuiverNumericalType((1, 0, 1), (0, 0, 0)), [0, 0])
+    assert str(raised.value) == "vertex count mismatch: sub has 2, whole has 3"
 
 
 def test_randint_draws_the_modulo_of_next_u64_stream_for_stream():
