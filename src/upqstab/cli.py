@@ -6,7 +6,8 @@ Commands:
   walls     Critical values of the stability parameter in an interval.
   chambers  Walls plus the chamber decomposition of the interval.
   certify   Irreducibility certificate for canonically twisted pairs.
-  selftest  Randomized invariant suites against the brute-force oracles.
+  selftest  Randomized invariant suites: five algebraic identities of the
+            engine, and its Milnor-Wood envelope against the rank scan.
 
 Rationals are printed as exact "num/den" strings and accepted as "num/den"
 or plain integer strings; decimals are rejected.  Exit codes: 0 success,

@@ -16,10 +16,12 @@ without checking again what cannot fail: here `dual`, `shifted`,
 selftest case makers draw valid (`_random_quiver_type`, `_random_pair_type`,
 the translation case's `ParameterVector` and the tau-gap case's type).
 
-All arithmetic is arbitrary-precision exact rational via fractions.Fraction,
-which stores values in lowest terms with positive denominator.  Floats are
-rejected at the boundary: walls and regime boundaries are equalities that
-floating point cannot certify.
+All arithmetic is exact.  Rational values are fractions.Fraction at the API,
+in lowest terms with a positive denominator; the kernels (`alpha_slope_upq`,
+`shifted`, `_slope_terms` and `compare_at` here, `toledo_bounds` in
+`milnor_wood` and the walls' integer keys) compute on their integer
+numerators and denominators.  Floats are rejected at the boundary: walls and
+regime boundaries are equalities that floating point cannot certify.
 """
 
 from __future__ import annotations

@@ -8,9 +8,17 @@ scans every Higgs-field rank r in [0, min(p, q)] and takes the extreme
 rank-level bound, never the regime formulas of `toledo_bounds`; its per-rank
 bounds are integer numerators over one common denominator.
 `property_driver` runs the randomized invariant suites behind the `selftest`
-CLI command with a self-contained, platform-independent PRNG.  A suite's check
-returns a reason or None; a failure is the trial number, the reason and the
-case's own inputs, never a value derived from them.
+CLI command with a self-contained, platform-independent PRNG.  Five suites
+test an algebraic identity between separate engine calls (translation
+invariance of the alpha-slope, the U(p,q) slope as a quiver slope, Toledo
+duality, duality of the Milnor-Wood bounds, tau bound => slope gap);
+`envelope_identity` tests `toledo_bounds` against the rank scan above.  The
+checks build no Fraction of their own: they take the engine's values as
+integer pairs (`as_integer_ratio()`, lowest terms with a positive
+denominator, so two pairs are equal exactly when the values are) and
+cross-multiply where a sum or a difference is tested.  A suite's check returns
+a reason or None; a failure is the trial number, the reason and the case's own
+inputs, never a value derived from them.
 """
 
 from __future__ import annotations
@@ -234,14 +242,17 @@ def _make_translation_case(rng: SplitMix64) -> dict:
 
 
 def _check_translation_case(case: dict) -> str | None:
-    shifted = case["alpha"].shifted(case["shift"])
+    alpha, shift = case["alpha"], case["shift"]
+    shifted = alpha.shifted(shift)
+    sn, sd = shift.as_integer_ratio()
     for key in ("sub", "whole"):
         e = case[key]
-        if alpha_slope_quiver(e, shifted) != alpha_slope_quiver(e, case["alpha"]) + case["shift"]:
+        xn, xd = alpha_slope_quiver(e, shifted).as_integer_ratio()
+        yn, yd = alpha_slope_quiver(e, alpha).as_integer_ratio()
+        # x = y + s, cross-multiplied over the positive denominators
+        if xn * yd * sd != (yn * sd + sn * yd) * xd:
             return f"slope shift identity broken on {key}"
-    if compare_at(case["sub"], case["whole"], shifted) != compare_at(
-        case["sub"], case["whole"], case["alpha"]
-    ):
+    if compare_at(case["sub"], case["whole"], shifted) != compare_at(case["sub"], case["whole"], alpha):
         return "comparison sign changed under translation"
     return None
 
@@ -263,7 +274,9 @@ def _make_toledo_duality_case(rng: SplitMix64) -> dict:
 
 def _check_toledo_duality_case(case: dict) -> str | None:
     t = case["type"]
-    if toledo(t) != -toledo(t.dual()):
+    tau = toledo(t).as_integer_ratio()
+    n, d = toledo(t.dual()).as_integer_ratio()
+    if tau != (-n, d):
         return "toledo duality broken"
     return None
 
@@ -282,7 +295,9 @@ def _check_bounds_duality_case(case: dict) -> str | None:
     p, q, deg_l, a = case["p"], case["q"], case["deg_l"], case["alpha"]
     direct = toledo_bounds(p, q, deg_l, a)
     mirrored = toledo_bounds(q, p, deg_l, -a)
-    if mirrored.lower != -direct.upper or mirrored.upper != -direct.lower:
+    ln, ld = direct.lower.as_integer_ratio()
+    un, ud = direct.upper.as_integer_ratio()
+    if mirrored.lower.as_integer_ratio() != (-un, ud) or mirrored.upper.as_integer_ratio() != (-ln, ld):
         return "bounds duality broken"
     return None
 
@@ -309,8 +324,11 @@ def _make_tau_gap_case(rng: SplitMix64) -> dict:
 
 def _check_tau_gap_case(case: dict) -> str | None:
     t, deg_k = case["type"], 2 * case["genus"] - 2
-    gap = slope(t.p, t.a) - slope(t.q, t.b)
-    ok = gap > -deg_k if t.q < t.p else gap < deg_k
+    an, ad = slope(t.p, t.a).as_integer_ratio()
+    bn, bd = slope(t.q, t.b).as_integer_ratio()
+    # the gap an/ad - bn/bd, over den = ad * bd > 0
+    gap, den = an * bd - bn * ad, ad * bd
+    ok = gap > -deg_k * den if t.q < t.p else gap < deg_k * den
     if not ok:
         return "tau bound did not force the slope-gap condition"
     return None

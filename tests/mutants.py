@@ -162,6 +162,34 @@ MUTANTS = [
         ["tests/test_oracle.py"],
     ),
     (
+        "selftest translation check: the shift's denominator dropped from x's side",
+        "oracle.py",
+        "if xn * yd * sd != (yn * sd + sn * yd) * xd:",
+        "if xn * yd != (yn * sd + sn * yd) * xd:",
+        ["tests/test_oracle.py"],
+    ),
+    (
+        "selftest Toledo duality check: the dual's pair not negated",
+        "oracle.py",
+        "if tau != (-n, d):",
+        "if tau != (n, d):",
+        ["tests/test_oracle.py"],
+    ),
+    (
+        "selftest bounds duality check: the mirrored upper end tested against the negated upper end",
+        "oracle.py",
+        "mirrored.upper.as_integer_ratio() != (-ln, ld)",
+        "mirrored.upper.as_integer_ratio() != (-un, ud)",
+        ["tests/test_oracle.py"],
+    ),
+    (
+        "selftest tau-gap check: -deg K not put over the gap's denominator",
+        "oracle.py",
+        "ok = gap > -deg_k * den if",
+        "ok = gap > -deg_k if",
+        ["tests/test_oracle.py"],
+    ),
+    (
         "type check message: the value's repr past the digit limit, not the limit named",
         "core.py",
         'raise TypeError(f"{name} must be an integer, got {_shown_number(value, repr)}")',

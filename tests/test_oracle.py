@@ -6,6 +6,7 @@ import copy
 import inspect
 import itertools
 import json
+import operator
 import pickle
 import sys
 from fractions import Fraction
@@ -19,13 +20,16 @@ from upqstab import (
     QuiverNumericalType,
     Wall,
     WallWitness,
+    alpha_slope_quiver,
     alpha_slope_upq,
     brute_force_walls,
+    compare_at,
     enumerate_walls,
     envelope_toledo_bounds,
     format_rational,
     property_driver,
     required_degree_bound,
+    slope,
     toledo,
     toledo_bounds,
 )
@@ -369,6 +373,97 @@ def test_failures_carry_trial_reason_and_the_drawn_inputs(suite, name, broken, r
     assert printed["suites"] == report["suites"]
     names = ", ".join(s["name"] for s in report["suites"] if not s["passed"])
     assert captured.err == f"upqstab: error: selftest suites failed: {names}\n"
+
+
+# The four checks as they were written on Fractions, kept as the reference for the
+# integer-pair forms in oracle.  They look their engine names up in this module, so a
+# test that patches a name in oracle patches it here as well.
+def _reference_translation_case(case: dict) -> str | None:
+    shifted = case["alpha"].shifted(case["shift"])
+    for key in ("sub", "whole"):
+        e = case[key]
+        if alpha_slope_quiver(e, shifted) != alpha_slope_quiver(e, case["alpha"]) + case["shift"]:
+            return f"slope shift identity broken on {key}"
+    if compare_at(case["sub"], case["whole"], shifted) != compare_at(
+        case["sub"], case["whole"], case["alpha"]
+    ):
+        return "comparison sign changed under translation"
+    return None
+
+
+def _reference_toledo_duality_case(case: dict) -> str | None:
+    t = case["type"]
+    if toledo(t) != -toledo(t.dual()):
+        return "toledo duality broken"
+    return None
+
+
+def _reference_bounds_duality_case(case: dict) -> str | None:
+    p, q, deg_l, a = case["p"], case["q"], case["deg_l"], case["alpha"]
+    direct = toledo_bounds(p, q, deg_l, a)
+    mirrored = toledo_bounds(q, p, deg_l, -a)
+    if mirrored.lower != -direct.upper or mirrored.upper != -direct.lower:
+        return "bounds duality broken"
+    return None
+
+
+def _reference_tau_gap_case(case: dict) -> str | None:
+    t, deg_k = case["type"], 2 * case["genus"] - 2
+    gap = slope(t.p, t.a) - slope(t.q, t.b)
+    ok = gap > -deg_k if t.q < t.p else gap < deg_k
+    if not ok:
+        return "tau bound did not force the slope-gap condition"
+    return None
+
+
+# (maker, check, its reference, the engine name whose values the check compares)
+_REWRITTEN_CHECKS = {
+    "translation_invariance": (oracle._make_translation_case, oracle._check_translation_case,
+                               _reference_translation_case, "alpha_slope_quiver"),
+    "toledo_duality": (oracle._make_toledo_duality_case, oracle._check_toledo_duality_case,
+                       _reference_toledo_duality_case, "toledo"),
+    "bounds_duality": (oracle._make_bounds_duality_case, oracle._check_bounds_duality_case,
+                       _reference_bounds_duality_case, "toledo_bounds"),
+    "tau_bound_implies_slope_gap": (oracle._make_tau_gap_case, oracle._check_tau_gap_case,
+                                    _reference_tau_gap_case, "slope"),
+}
+
+
+def _nudged(value):
+    return value + Fraction(1, value.denominator + 1)
+
+
+def _perturbed(true, form):
+    """`true` with `form` applied to its value, or to both ends of a bound interval."""
+
+    def patched(*args):
+        value = true(*args)
+        if isinstance(value, BoundInterval):
+            return BoundInterval(form(value.lower), form(value.upper), value.regime_label)
+        return form(value)
+
+    return patched
+
+
+@pytest.mark.parametrize("suite", _REWRITTEN_CHECKS)
+def test_an_integer_pair_check_returns_what_its_fraction_form_returns(suite, monkeypatch):
+    # on the engine's true values, then on each value plus 1/(den + 1), then on its negation
+    make_case, check, reference, name = _REWRITTEN_CHECKS[suite]
+    rng = SplitMix64(3203)
+    cases = [make_case(rng) for _ in range(2000)]
+    true = getattr(oracle, name)
+    outcomes = set()
+    for form in (None, _nudged, operator.neg):
+        if form is not None:
+            patched = _perturbed(true, form)
+            monkeypatch.setattr(oracle, name, patched)
+            monkeypatch.setitem(globals(), name, patched)
+        for case in cases:
+            reason = check(case)
+            assert reason == reference(case), (suite, form, case)
+            outcomes.add(reason)
+    # the perturbed values break the identity on some cases, so both answers are compared
+    assert None in outcomes and len(outcomes) > 1
 
 
 def test_property_driver_single_trial():
