@@ -27,7 +27,7 @@ import operator
 import os
 import stat
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
@@ -331,25 +331,40 @@ def _execute(config: RunConfig) -> dict:
 # by index.  Each renderer lays each period out once, however many runs take
 # copies of it, and writes the runs in turn.  Each wall alpha is "%d/%d" of
 # its key and the scale, both divided by their gcd, so no Fraction, Wall or
-# Chamber is built per wall.  The templates reproduce, byte for byte, what json.dumps(...,
-# indent=2, sort_keys=True) writes for Wall.to_json and ChamberReport.to_json
-# at their depth in the report, and what csv.writer writes per witness; the
-# stdlib encoder's pure-Python indent path costs more than the walls
-# themselves.
+# Chamber is built per wall.  The templates reproduce, byte for byte, what
+# json.dumps(..., indent=2, sort_keys=True) writes for Wall.to_json and
+# ChamberReport.to_json at their depth in the report, and what csv.writer
+# writes per witness; the stdlib encoder's pure-Python indent path costs more
+# than the walls themselves.
 #
-# Each renderer lays one period out as byte templates, one per item (a wall,
-# a witness row or a pair of neighbouring walls), each ending in the
-# separator that follows it.  A number that is the same in every copy of the
-# period is a "%d" slot and comes from a tuple of the period's constants.  A
-# number that moves from one copy to the next is a "%%d" slot with a base
-# (its value in the first copy) and a step: a wall's alpha numerator moves by
-# P times its denominator (P the period) and a witness's d' by p0 q' - q0 p'
-# ((p0, q0) = (p, q)/g).  `_periodic_pieces` fills the constants in with one
-# `%`, which leaves one "%d" per moving number, then writes each copy with
-# one more `%` over its moving numbers, taken from one arithmetic progression
-# per slot.  Bytes `%` finds its slots with memchr, where str `%` steps
-# through the long literals one character at a time.  The pieces are written
-# out as they are, never joined, so the report is held once.
+# A period is laid out as byte templates, one per item (a wall, a witness row
+# or a pair of neighbouring walls), each ending in the separator that follows
+# it.  A number that is the same in every copy of the period is a "%d" slot
+# and comes from a tuple of the period's constants.  A number that moves from
+# one copy to the next is a "%%d" slot with a base (its value in the first
+# copy) and a step: a wall's alpha numerator moves by P times its denominator
+# (P the period) and a witness's d' by p0 q' - q0 p' ((p0, q0) = (p, q)/g).
+#
+# Constants, bases and steps are flat int lists.  A layout flattens the
+# period's witnesses once and puts each column in place by extended-slice
+# assignment, as `bases[1::2] = d's` in a CSV row of (alpha num, d'), so no
+# iterator or tuple is made per wall or per row.  A JSON wall's head sits
+# among its witnesses, at no fixed stride: every slot first takes the d'
+# step its numbers would have as a witness's, and one pass over the walls
+# then sets each head's numerator step over it.
+#
+# `_periodic_pieces` fills the constants in with one `%`, which leaves one
+# "%d" per moving number, then writes each copy with one more `%` over its
+# moving numbers, advanced by one `itertools.count` per slot.  Bytes `%`
+# finds its slots with memchr, where str `%` steps through the long literals
+# one character at a time.  The pieces are written out as they are, never
+# joined, so the report is held once.  The counts cost one object per slot
+# up front and little per copy, which suits many copies of a short period:
+# advancing each copy by tuple(map(add, values, steps)) instead made the
+# walls_mw cycle (runs of 9 to 20 copies of a 10-wall (4,4) period) 5%
+# slower in process, 1.199 -> 1.261 ms per request (median of 6 alternating
+# rounds of 640 requests, Python 3.11.7, 2 vCPUs), though it helped
+# walls_wide's 8 copies of a 188-wall (7,5) period.
 _WITNESS_JSON = b"        [\n          %d,\n          %d,\n          %%d\n        ]"
 _WITNESS_SEP = b",\n" + _WITNESS_JSON
 # a wall's head has two constant slots in both reports, so `_walls_json` lays
@@ -428,46 +443,40 @@ def _reduced(keys: list[int], scale: int) -> tuple[list[int], list[int]]:
     return list(map(operator.floordiv, keys, gcds)), list(map(operator.floordiv, repeat(scale), gcds))
 
 
-def _columns(groups) -> tuple[list[int], list[int], list[int]]:
-    """The p', q' and d' of a period's witnesses, wall by wall, as three columns."""
-    flat = list(chain.from_iterable(chain.from_iterable(groups)))
-    return flat[0::3], flat[1::3], flat[2::3]
-
-
 def _d_steps(table, ps: list[int], qs: list[int]) -> Iterator[int]:
     """How far each witness's d' moves per period: p0 q' - q0 p'."""
     return map(operator.sub, map(operator.mul, repeat(table.p0), qs), map(operator.mul, repeat(table.q0), ps))
 
 
-def _per_row(values: Iterable[int], counts: list[int]) -> Iterator[int]:
-    """Each wall's value, once per witness of the wall."""
-    return chain.from_iterable(map(repeat, values, counts))
-
-
 def _walls_json(table, periods: list, counted: bool) -> list[bytes]:
     """The walls member's items, each ending in its separator."""
+    period = table.p0 + table.q0
 
     def layout(groups, nums, dens, moves):
         counts = list(map(len, groups))
         head = _COUNTED_WALL_HEAD if counted else _WALL_HEAD
         templates = {n: head + _WITNESS_SEP * (n - 1) + _WALL_TAIL for n in set(counts)}
-        # each wall as (den, witness count or b"", alpha numerator), then its
-        # witnesses' (p', q', d'): every third number moves, the rest are constants
-        heads = zip(dens, counts if counted else repeat(b""), nums)
-        flat = list(chain.from_iterable(chain.from_iterable(map(operator.add, zip(heads), groups))))
-        bases = flat[2::3]
-        del flat[2::3]
+        # one slot per wall head (den, witness count, alpha numerator) and per
+        # witness (p', q', d'), in report order: each slot's last number moves
+        slots = list(chain.from_iterable(chain.from_iterable(map(operator.add, zip(zip(dens, counts, nums)), groups))))
+        bases = slots[2::3]
+        del slots[2::3]
         steps = []
         if moves:
-            ps, qs, _ = _columns(groups)
-            num_steps = map(operator.mul, dens, repeat(table.p0 + table.q0))
-            # per wall: its numerator's step, then its witnesses' d' steps, each
-            # wall's islice taking them in turn from the one shared iterator
-            d_steps = map(islice, repeat(_d_steps(table, ps, qs)), counts)
-            steps = list(chain.from_iterable(map(chain, zip(num_steps), d_steps)))
-        return list(map(templates.__getitem__, counts)), tuple(flat), bases, steps
+            # every slot's step as a witness's d' step; each head's is set over it below
+            steps = list(_d_steps(table, slots[0::2], slots[1::2]))
+        # each wall's head slot comes after the heads and witnesses of the walls before it
+        slot = 0
+        for n, den in zip(counts, dens):
+            if moves:
+                steps[slot] = den * period
+            if not counted:
+                # a walls report's "%s" slot prints nothing
+                slots[2 * slot + 1] = b""
+            slot += n + 1
+        return list(map(templates.__getitem__, counts)), tuple(slots), bases, steps
 
-    laid = [period and layout(*period) for period in periods]
+    laid = [entry and layout(*entry) for entry in periods]
     items = []
     for index, first, walls in table.runs:
         items += _periodic_pieces(*laid[index], walls, first)
@@ -488,16 +497,19 @@ def _chambers_json(table, periods: list) -> list[bytes]:
     period = table.p0 + table.q0
 
     def layout(_, nums, dens, moves):
-        # chamber i of a period lies between walls i and i + 1, and wall n is wall 0 of the next copy
-        next_nums = [*nums[1:], nums[0] + period * dens[0]]
-        next_dens = [*dens[1:], dens[0]]
-        constants = tuple(chain.from_iterable(zip(next_dens, dens)))
-        bases = list(chain.from_iterable(zip(next_nums, nums)))
+        # chamber i of a period lies between walls i and i + 1, and wall n is
+        # wall 0 of the next copy: its (hi, lo) are walls (i + 1, i)
+        constants = [0] * (2 * len(nums))
+        constants[0::2] = [*dens[1:], dens[0]]
+        constants[1::2] = dens
+        bases = constants[:]
+        bases[0::2] = [*nums[1:], nums[0] + period * dens[0]]
+        bases[1::2] = nums
         # a numerator moves by P times its denominator per copy
         steps = list(map(operator.mul, constants, repeat(period))) if moves else []
-        return [_INNER_CHAMBER_JSON] * len(nums), constants, bases, steps
+        return [_INNER_CHAMBER_JSON] * len(nums), tuple(constants), bases, steps
 
-    laid = [period and layout(*period) for period in periods]
+    laid = [entry and layout(*entry) for entry in periods]
     items = []
     last = None
     for index, first, walls in table.runs:
@@ -556,17 +568,25 @@ def _render_csv(report: dict) -> list[bytes]:
 
     def layout(groups, nums, dens, moves):
         counts = list(map(len, groups))
-        ps, qs, ds = _columns(groups)
-        # a row's constants are its wall's alpha den and its p', q'; its alpha numerator and d' move
-        constants = tuple(chain.from_iterable(zip(_per_row(dens, counts), ps, qs)))
-        bases = list(chain.from_iterable(zip(_per_row(nums, counts), ds)))
+        # the rows' (p', q', d'), and their (alpha num, alpha den): each wall's pair once per witness
+        flat = list(chain.from_iterable(chain.from_iterable(groups)))
+        bases = list(chain.from_iterable(map(operator.mul, zip(nums, dens), counts)))
+        row_dens = bases[1::2]
+        # a row's alpha numerator and d' move
+        bases[1::2] = flat[2::3]
+        # its alpha den, p' and q' are constants: one slot on from flat, each
+        # row's first slot holds the d' of the row before, which its den replaces
+        constants = [0, *flat]
+        del constants[-1]
+        constants[0::3] = row_dens
         steps = []
         if moves:
-            num_steps = map(operator.mul, dens, repeat(table.p0 + table.q0))
-            steps = list(chain.from_iterable(zip(_per_row(num_steps, counts), _d_steps(table, ps, qs))))
-        return ([_CSV_ROW] * len(ds), constants, bases, steps), counts
+            steps = [0] * len(bases)
+            steps[0::2] = map(operator.mul, row_dens, repeat(table.p0 + table.q0))
+            steps[1::2] = _d_steps(table, flat[0::3], flat[1::3])
+        return ([_CSV_ROW] * len(row_dens), tuple(constants), bases, steps), counts
 
-    laid = [period and layout(*period) for period in _periods(table)]
+    laid = [entry and layout(*entry) for entry in _periods(table)]
     pieces = [b"alpha_num,alpha_den,p_sub,q_sub,d_sub\n"]
     for index, first, walls in table.runs:
         rows_laid, counts = laid[index]

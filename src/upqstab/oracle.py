@@ -295,6 +295,9 @@ def _check_bounds_duality_case(case: dict) -> str | None:
     p, q, deg_l, a = case["p"], case["q"], case["deg_l"], case["alpha"]
     direct = toledo_bounds(p, q, deg_l, a)
     mirrored = toledo_bounds(q, p, deg_l, -a)
+    if direct.lower is None or mirrored.lower is None:
+        # the bounds always exist; an infeasible interval has no ends to mirror
+        return "bounds infeasible"
     ln, ld = direct.lower.as_integer_ratio()
     un, ud = direct.upper.as_integer_ratio()
     if mirrored.lower.as_integer_ratio() != (-un, ud) or mirrored.upper.as_integer_ratio() != (-ln, ld):

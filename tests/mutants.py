@@ -234,19 +234,40 @@ MUTANTS = [
     (
         "chamber renderer: hi and lo boundaries swapped",
         "cli.py",
-        "constants = tuple(chain.from_iterable(zip(next_dens, dens)))\n"
-        "        bases = list(chain.from_iterable(zip(next_nums, nums)))",
-        "constants = tuple(chain.from_iterable(zip(dens, next_dens)))\n"
-        "        bases = list(chain.from_iterable(zip(nums, next_nums)))",
+        "constants[0::2] = [*dens[1:], dens[0]]\n        constants[1::2] = dens\n"
+        "        bases = constants[:]\n"
+        "        bases[0::2] = [*nums[1:], nums[0] + period * dens[0]]\n        bases[1::2] = nums\n",
+        "constants[1::2] = [*dens[1:], dens[0]]\n        constants[0::2] = dens\n"
+        "        bases = constants[:]\n"
+        "        bases[1::2] = [*nums[1:], nums[0] + period * dens[0]]\n        bases[0::2] = nums\n",
         ["tests/test_render_differential.py"],
     ),
     (
         "CSV renderer: alpha numerator and denominator swapped in the row arguments",
         "cli.py",
-        "constants = tuple(chain.from_iterable(zip(_per_row(dens, counts), ps, qs)))\n"
-        "        bases = list(chain.from_iterable(zip(_per_row(nums, counts), ds)))",
-        "constants = tuple(chain.from_iterable(zip(_per_row(nums, counts), ps, qs)))\n"
-        "        bases = list(chain.from_iterable(zip(_per_row(dens, counts), ds)))",
+        "bases = list(chain.from_iterable(map(operator.mul, zip(nums, dens), counts)))",
+        "bases = list(chain.from_iterable(map(operator.mul, zip(dens, nums), counts)))",
+        ["tests/test_render_differential.py"],
+    ),
+    (
+        "CSV renderer: a row's d' step takes p' and q' in each other's place",
+        "cli.py",
+        "steps[1::2] = _d_steps(table, flat[0::3], flat[1::3])",
+        "steps[1::2] = _d_steps(table, flat[1::3], flat[0::3])",
+        ["tests/test_render_differential.py"],
+    ),
+    (
+        "JSON walls renderer: a wall's numerator step not scaled by its denominator",
+        "cli.py",
+        "steps[slot] = den * period",
+        "steps[slot] = period",
+        ["tests/test_render_differential.py"],
+    ),
+    (
+        "JSON walls renderer: the next head slot counts the witnesses but not the head",
+        "cli.py",
+        "slot += n + 1",
+        "slot += n",
         ["tests/test_render_differential.py"],
     ),
     (

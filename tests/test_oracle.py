@@ -340,6 +340,7 @@ _BROKEN_SUITES = [
     ("toledo_duality", "toledo", lambda t: Fraction(1), "toledo duality broken"),
     ("bounds_duality", "toledo_bounds", lambda p, q, deg_l, alpha: BoundInterval(Fraction(0), Fraction(p)),
      "bounds duality broken"),
+    ("bounds_duality", "toledo_bounds", lambda p, q, deg_l, alpha: BoundInterval.infeasible(), "bounds infeasible"),
     ("tau_bound_implies_slope_gap", "slope", lambda r, d: Fraction(-1000 * r),
      "tau bound did not force the slope-gap condition"),
     ("envelope_identity", "envelope_toledo_bounds", lambda p, q, deg_l, alpha: BoundInterval(None, None),
@@ -347,9 +348,16 @@ _BROKEN_SUITES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "suite, name, broken, reason", _BROKEN_SUITES, ids=[f"{s}-{n}" for s, n, *_ in _BROKEN_SUITES]
-)
+def _broken_ids(rows: list) -> list[str]:
+    """suite-name per row, and the reason too when an earlier row patches that name for that suite."""
+    ids = []
+    for suite, name, _, reason in rows:
+        ident = f"{suite}-{name}"
+        ids.append(ident if ident not in ids else f"{ident}-{reason.replace(' ', '_')}")
+    return ids
+
+
+@pytest.mark.parametrize("suite, name, broken, reason", _BROKEN_SUITES, ids=_broken_ids(_BROKEN_SUITES))
 def test_failures_carry_trial_reason_and_the_drawn_inputs(suite, name, broken, reason, monkeypatch, capsys):
     monkeypatch.setattr(oracle, name, broken)
     seed, trials = 5, 40
