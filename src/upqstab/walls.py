@@ -21,7 +21,8 @@ in integers, on the wall's scaled key, one family at a time.
 families once, cuts each family's d'-range to one period from lo (cut at hi
 on an interval shorter than that) and lists the interval's walls as runs of
 its copies; at deg L = 0 it also cuts out, and builds exactly, the few
-copies that meet |alpha| < 2.
+copies that meet |alpha| < 2.  `enumerate_walls` expands those runs into
+records, and the CLI renders them.
 """
 
 from __future__ import annotations
@@ -55,18 +56,18 @@ from .milnor_wood import toledo_bounds
 # have: both are counted before any is built.  Near the family cap a query
 # scans every family even where it has no wall, and keeps only those with one:
 # a `walls` run of (998,998,0,1) over [0, 0] takes about 0.4 s and 16 MB peak
-# RSS.  At the witness cap ((7,5,3,-2) over [-9250, 9250]) the integer table
-# `_wall_table` takes about 1 s and 177 MB peak RSS and `enumerate_walls`
-# about 4 s and 212 MB, most of it cyclic GC passes over the new records.
-# The CLI builds one period (`_periodic_wall_table`, 648 of the 999,004
-# witnesses there) and holds the report once, as byte pieces: a JSON `walls`
-# run takes about 0.35 s and 94 MB, a `chambers` run 0.45 s and 132 MB and a
-# CSV run 0.35 s and 33 MB, most of the memory being the report itself (CPU
-# time and peak RSS of a fresh `python -m upqstab` with stdout to /dev/null,
-# median of 5, Python 3.11.7, one core of a 2-vCPU Xeon VM).  With
-# `--mw-filter --degL 0` it also builds exactly the copies of the period that
-# meet |alpha| < 2 (one, [-10, 2), there), and each run takes the same within
-# 0.01 s and 1 MB (built whole, they took 2.7 to 3.3 s and 352 to 500 MB).
+# RSS.  At the witness cap ((7,5,3,-2) over [-9250, 9250]) every caller
+# builds one period (`_periodic_wall_table`, 648 of the 999,004 witnesses
+# there).  `enumerate_walls` expands it into about 290k `Wall` records and
+# takes about 2.6 s and 184 MB, most of it cyclic GC passes over the new
+# records (0.9 s with the collector off).  The CLI holds the report once, as
+# byte pieces: a JSON `walls` run takes about 0.3 s and 94 MB, a `chambers`
+# run 0.45 s and 132 MB and a CSV run 0.3 s and 33 MB, most of the memory
+# being the report itself (CPU time and peak RSS of a fresh process, median
+# of 5, Python 3.11.7, one core of a 2-vCPU Xeon VM).  With `--mw-filter
+# --degL 0` the table also builds exactly the copies of the period that meet
+# |alpha| < 2 (one, [-10, 2), there), and each run takes the same within
+# 0.05 s and 1 MB (built whole, they took 2.7 to 3.3 s and 352 to 500 MB).
 # The largest test or benchmark query has about 49k witnesses.
 MAX_WITNESSES = 1_000_000
 
@@ -274,32 +275,14 @@ def _held_families(
     return lo, hi, math.lcm(*(abs(coeff) for _, _, coeff, _ in held)), held
 
 
-def _wall_table(
-    t: HitchinPairType,
-    interval: tuple[RationalLike, RationalLike],
-    mw_twist_degree: int | None,
-) -> tuple[Fraction, Fraction, int, list[int], list[tuple[tuple[int, int, int], ...]]]:
-    """The walls of `enumerate_walls` as plain ints: (lo, hi, scale, keys, groups).
-
-    lo and hi are the interval ends as Fractions.  The walls are scaled by
-    scale = lcm(|coeff|) over the families with a wall in the interval (1 when
-    none has one) to integer keys, so keys[i] = alpha_i * scale for the walls
-    in increasing alpha, and groups[i] is the tuple of the (p', q', d')
-    triples witnessing wall i, in (p', q', d') order and never empty.  No
-    Fraction is built per wall, nor per witness the Milnor-Wood filter
-    checks: it checks on the integer key.  More than MAX_WITNESSES rank
-    families, or candidate witnesses, is refused before any is listed, or
-    any key is built.
-    """
-    lo, hi, scale, held = _held_families(t, interval, mw_twist_degree)
-    return (lo, hi, scale, *_walls_of(t, held, scale, mw_twist_degree))
-
-
 def _walls_of(t: HitchinPairType, held: Iterable, scale: int, mw_twist_degree: int | None) -> tuple[list, list]:
-    """The keys and groups of `_wall_table` over the d'-ranges in held, keyed over scale, a multiple of each |coeff|.
+    """The walls over the d'-ranges in held as (keys, groups), keyed over scale, a multiple of each |coeff|.
 
-    At deg L = 0 each family's witnesses pass `_mw_kept` before they are
-    grouped, so a wall whose witnesses all fail is never listed.
+    keys[i] = alpha_i * scale for the walls in increasing alpha, and
+    groups[i] is the tuple of the (p', q', d') triples witnessing wall i, in
+    (p', q', d') order and never empty; no Fraction is built.  At deg L = 0
+    each family's witnesses pass `_mw_kept` before they are grouped, so a
+    wall whose witnesses all fail is never listed.
     """
     r, total_degree = t.total_rank, t.total_degree
     groups: dict[int, list[tuple[int, int, int]]] = {}
@@ -339,15 +322,16 @@ def _window_copies(held: list, g: int, first: int, n: int) -> Iterator[tuple[int
 
 
 class _PeriodicWallTable(namedtuple("_PeriodicWallTable", "lo hi scale p0 q0 periods runs")):
-    """The walls of `_wall_table` over [lo, hi] as runs of copies of its periods.
+    """The walls of `enumerate_walls` over [lo, hi] as runs of copies of its periods.
 
-    lo, hi and scale are as in `_wall_table`, and P = p0 + q0 with (p0, q0)
-    = (p, q)/gcd(p, q).  periods holds (keys, groups) pairs as `_wall_table`
-    lists walls: the window, the walls of [lo, lo + P) unfiltered (cut at
-    hi, and empty when the exact run starts at lo and reaches hi), then the
-    exact run if there is one.  Copy j of a wall has key + j P scale, and
-    each of its witnesses (p', q', d') becomes (p', q', d' + j (p0 q' - q0
-    p')).
+    lo and hi are the interval ends as Fractions, scale = lcm(|coeff|) over
+    the families with a wall in the interval (1 when none has one), and P =
+    p0 + q0 with (p0, q0) = (p, q)/gcd(p, q).  periods holds (keys, groups)
+    pairs as `_walls_of` lists walls: the window, the walls of [lo, lo + P)
+    unfiltered (cut at hi, and empty when the exact run starts at lo and
+    reaches hi), then the exact run if there is one.  Copy j of a wall has
+    key + j P scale, and each of its witnesses (p', q', d') becomes (p', q',
+    d' + j (p0 q' - q0 p')).
 
     runs lists the walls in increasing alpha, as runs (index, first, walls),
     each holding the first `walls` (>= 1) walls of copies first, first + 1,
@@ -389,11 +373,11 @@ def _periodic_wall_table(
     interval: tuple[RationalLike, RationalLike],
     mw_twist_degree: int | None,
 ) -> _PeriodicWallTable:
-    """The walls of `_wall_table(t, interval, mw_twist_degree)`, built from one period.
+    """The walls of `enumerate_walls(t, interval, mw_twist_degree=mw_twist_degree)`, built from one period.
 
     One scan of the rank families over the whole interval counts the
-    candidates, and refuses them with the limits and messages of
-    `_wall_table`, before any is built.  The window is copy 0, cut at hi
+    candidates, and refuses more than MAX_WITNESSES of them, or of the rank
+    families, before any is built.  The window is copy 0, cut at hi
     when the interval is shorter than a period; without an exact run one run
     of its copies reaches hi.  Copies are built exactly only where the
     Milnor-Wood filter can drop a witness: at deg L = 0, the copies [first,
@@ -445,16 +429,26 @@ def enumerate_walls(
     MAX_WITNESSES candidates (unfiltered, as they bound the work), or rank
     families, is a ValueError naming the count.
 
-    The walls are those of the integer table `_wall_table`, one Fraction per
-    wall.
+    The walls are those of the periodic table `_periodic_wall_table`,
+    expanded run by run and copy by copy, one Fraction per wall.
     """
-    _, _, scale, keys, groups = _wall_table(t, interval, mw_twist_degree)
+    _, _, scale, p0, q0, periods, runs = _periodic_wall_table(t, interval, mw_twist_degree)
     # records are built by tuple.__new__, as their constructors would build
-    # them but without a Python-level call per object; each group is popped,
-    # so its triples are freed as its record is built
+    # them but without a Python-level call per object
     witness = partial(tuple.__new__, WallWitness)
-    groups.reverse()
-    return [tuple.__new__(Wall, (Fraction(key, scale), tuple(map(witness, groups.pop())))) for key in keys]
+    walls = []
+    for index, first, count in runs:
+        keys, groups = periods[index]
+        for done in range(0, count, len(keys)):
+            # copy j moves each key by j P scale and each witness (p', q', d')
+            # to (p', q', d' + j (p0 q' - q0 p')); copy 0 takes its triples as they are
+            copy = first + done // len(keys)
+            shift = copy * (p0 + q0) * scale
+            for key, group in zip(keys[: count - done], groups):
+                if copy:
+                    group = [(p_sub, q_sub, d_sub + copy * (p0 * q_sub - q0 * p_sub)) for p_sub, q_sub, d_sub in group]
+                walls.append(tuple.__new__(Wall, (Fraction(key + shift, scale), tuple(map(witness, group)))))
+    return walls
 
 
 def chamber_report(

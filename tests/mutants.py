@@ -320,6 +320,20 @@ MUTANTS = [
         ["tests/test_periodic_table.py"],
     ),
     (
+        "library expander: the d' shift per copy has the wrong sign",
+        "walls.py",
+        "d_sub + copy * (p0 * q_sub - q0 * p_sub)",
+        "d_sub + copy * (q0 * p_sub - p0 * q_sub)",
+        ["tests/test_periodic_table.py"],
+    ),
+    (
+        "library expander: the key shift per copy drops the factor P",
+        "walls.py",
+        "shift = copy * (p0 + q0) * scale",
+        "shift = copy * scale",
+        ["tests/test_periodic_table.py"],
+    ),
+    (
         "periodic renderer: the d' shift per period has the wrong sign",
         "cli.py",
         "return map(operator.sub, map(operator.mul, repeat(table.p0), qs), map(operator.mul, repeat(table.q0), ps))",

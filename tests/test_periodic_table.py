@@ -6,13 +6,15 @@ the deg L = 0 Milnor-Wood filter can drop a witness; the window is empty
 exactly when that run starts at lo and reaches hi.  Every table is checked
 against that shape, then expanded run by run and copy by copy, shifting each
 key by P scale and each d' by -coeff/g per copy (coeff = p' q - p q', g =
-gcd(p, q), P = (p + q)/g), and compared with `walls._wall_table` over the
-same interval, key for key and group for group.  Types are seeded with g in
-{1, 2, 3, 4}, p = q included; intervals are rational, narrower than P,
-exactly k P wide, and k P plus or minus the gap to a neighbouring wall, with
-ends on and off walls, under every Milnor-Wood filter setting, deg L = 0
-intervals inside, across, on and outside |alpha| < 2 included, and +-2 on a
-cut point lo + k P.
+gcd(p, q), P = (p + q)/g), and compared with `_wall_table` over the same
+interval, key for key and group for group; `enumerate_walls`, which expands
+the same table into records, must equal that table's records.  The reference
+`_wall_table` lives in `wall_reference.py`, outside the package.  Types are
+seeded with g in {1, 2, 3, 4}, p = q included; intervals are rational,
+narrower than P, exactly k P wide, and k P plus or minus the gap to a
+neighbouring wall, with ends on and off walls, under every Milnor-Wood filter
+setting, deg L = 0 intervals inside, across, on and outside |alpha| < 2
+included, and +-2 on a cut point lo + k P.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from fractions import Fraction
 import pytest
 
 from test_render_differential import _expected_csv, _expected_json
-from upqstab import HitchinPairType, chamber_report
+from upqstab import HitchinPairType, chamber_report, enumerate_walls
 from upqstab import walls as walls_module
 from upqstab.cli import main
 from upqstab.oracle import SplitMix64
-from upqstab.walls import _period_cuts, _periodic_wall_table, _wall_table
+from upqstab.walls import _period_cuts, _periodic_wall_table
+from wall_reference import _wall_table, wall_records
 
 _TWISTS = (None, 0, 1, 2)
 
@@ -89,7 +92,9 @@ def _random_interval(rng: SplitMix64, t: HitchinPairType) -> tuple[Fraction, Fra
 
 def _check(t: HitchinPairType, interval, twist) -> object:
     table = _periodic_wall_table(t, interval, twist)
-    assert _expanded(t, table) == _wall_table(t, interval, twist), (t, interval, twist)
+    direct = _wall_table(t, interval, twist)
+    assert _expanded(t, table) == direct, (t, interval, twist)
+    assert enumerate_walls(t, interval, mw_twist_degree=twist) == wall_records(direct), (t, interval, twist)
     return table
 
 

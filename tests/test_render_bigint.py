@@ -5,7 +5,8 @@ and interval ends with 20-digit numerators and denominators, half of them
 shifted by up to 10^20, put the wall alphas' numerators and the chamber ends
 past it too.  Every `walls` JSON, `walls` CSV and `chambers` report must equal
 the stdlib encoding of the library's records (the reference of
-test_render_differential), under all three Milnor-Wood filter twists, with
+test_render_differential), whose walls must equal those of the
+whole-interval `_wall_table`, under all three Milnor-Wood filter twists, with
 reports reaching over several copies of their period and the deg L = 0
 filter dropping witnesses.
 """
@@ -18,6 +19,7 @@ from test_render_differential import _TWISTS, _expected_csv, _expected_json, _st
 from upqstab import HitchinPairType, chamber_report, enumerate_walls, format_rational
 from upqstab.oracle import SplitMix64
 from upqstab.walls import MAX_WITNESSES, _periodic_wall_table
+from wall_reference import _wall_table, wall_records
 
 _WORD = 2**64
 
@@ -40,6 +42,7 @@ def test_big_integer_reports_match_the_stdlib_encoders(capsys):
         lo = shift + Fraction((2 * rng.randint(0, 1) - 1) * _twenty_digits(rng), _twenty_digits(rng))
         hi = lo + Fraction(rng.randint(0, 60), rng.randint(1, 4))
         report = chamber_report(t, (lo, hi), mw_twist_degree=mw_twist_degree)
+        assert list(report.walls) == wall_records(_wall_table(t, (lo, hi), mw_twist_degree)), (t, lo, hi)
         witnesses = [w for wall in report.walls for w in wall.witnesses]
         assert len(witnesses) < MAX_WITNESSES
         base = ["--type", f"{t.p},{t.q},{t.a},{t.b}",

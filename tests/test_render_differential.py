@@ -7,6 +7,9 @@ over explicit chamber shapes and seeded random types with p, q <= 7 and
 rational intervals: intervals with no walls, intervals with an end or both
 ends on a wall, and both Milnor-Wood filter twists.  A second seeded set draws intervals 40 to 100
 wide, so reports reach over 1000 walls and single walls over 20 witnesses.
+The library's walls expand the same periodic table the renderer writes from,
+so each report's walls are first checked against the whole-interval
+`_wall_table` of `wall_reference.py`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from upqstab import (
 )
 from upqstab.cli import main
 from upqstab.oracle import SplitMix64
+from wall_reference import _wall_table, wall_records
 
 # (argv suffix, geometry context) per Milnor-Wood filter setting
 _TWISTS = [
@@ -134,8 +138,11 @@ def test_rendered_reports_match_the_stdlib_encoders(capsys):
     rng = SplitMix64(4040)
     shapes = {"no_walls": 0, "degenerate_on_wall": 0, "end_on_wall": 0, "degL_0": 0, "canonical": 0}
     for t, (lo, hi), (twist_args, ctx) in _cases(rng):
-        # walls are those of the chamber report: chamber_report calls enumerate_walls
-        report = chamber_report(t, (lo, hi), mw_twist_degree=None if ctx is None else ctx.twist_degree)
+        # walls are those of the chamber report: chamber_report calls enumerate_walls, which
+        # expands the CLI's periodic table, so they are also checked against the whole-interval table
+        twist = None if ctx is None else ctx.twist_degree
+        report = chamber_report(t, (lo, hi), mw_twist_degree=twist)
+        assert list(report.walls) == wall_records(_wall_table(t, (lo, hi), twist)), (t, lo, hi, twist)
         base = ["--type", f"{t.p},{t.q},{t.a},{t.b}",
                 "--interval", f"{format_rational(lo)},{format_rational(hi)}", *twist_args]
         for command in ("walls", "chambers"):
@@ -160,7 +167,9 @@ def test_wide_reports_match_the_stdlib_encoders(capsys):
         lo = rng.rational(8)
         hi = lo + Fraction(rng.randint(240, 600), 6)
         twist_args, ctx = _TWISTS[index % 3]
-        report = chamber_report(t, (lo, hi), mw_twist_degree=None if ctx is None else ctx.twist_degree)
+        twist = None if ctx is None else ctx.twist_degree
+        report = chamber_report(t, (lo, hi), mw_twist_degree=twist)
+        assert list(report.walls) == wall_records(_wall_table(t, (lo, hi), twist)), (t, lo, hi, twist)
         base = ["--type", f"{t.p},{t.q},{t.a},{t.b}",
                 "--interval", f"{format_rational(lo)},{format_rational(hi)}", *twist_args]
         for command in ("walls", "chambers"):

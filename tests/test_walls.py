@@ -213,10 +213,10 @@ def test_family_limit_counts_the_rank_families(monkeypatch):
         t = HitchinPairType(rng.randint(1, 12), rng.randint(1, 12), rng.randint(-3, 3), rng.randint(-3, 3))
         families = len(list(walls_module._wall_families(t)))
         monkeypatch.setattr(walls_module, "MAX_WITNESSES", families)
-        walls_module._wall_table(t, (0, 0), None)
+        enumerate_walls(t, (0, 0))
         monkeypatch.setattr(walls_module, "MAX_WITNESSES", families - 1)
         with pytest.raises(ValueError, match=rf"has {families} rank families, more than the limit of {families - 1}"):
-            walls_module._wall_table(t, (0, 0), None)
+            enumerate_walls(t, (0, 0))
 
 
 def test_scale_spans_only_the_families_with_a_wall():
@@ -224,17 +224,19 @@ def test_scale_spans_only_the_families_with_a_wall():
     # The scan keeps nothing: a list of every family with a range each peaked at about 28 MB
     tracemalloc.start()
     try:
-        assert walls_module._wall_table(HitchinPairType(400, 400, 0, 1), (0, 0), None) == (0, 0, 1, [], [])
+        table = walls_module._periodic_wall_table(HitchinPairType(400, 400, 0, 1), (0, 0), None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000, peak
+    assert (table.lo, table.hi, table.scale, table.periods, table.runs) == (0, 0, 1, (([], []),), ())
     # (3,2,0,0) has coefficients +-1, ..., +-6 (lcm 12); only those of +-3 and +-6 have a wall at 5/3
     t = HitchinPairType(3, 2, 0, 0)
-    assert walls_module._wall_table(t, (Fraction(5, 3), Fraction(5, 3)), None)[2:] == (
-        6, [10], [((0, 1, 1), (0, 2, 2), (3, 0, -2), (3, 1, -1))]
+    table = walls_module._periodic_wall_table(t, (Fraction(5, 3), Fraction(5, 3)), None)
+    assert (table.scale, table.periods, table.runs) == (
+        6, (([10], [((0, 1, 1), (0, 2, 2), (3, 0, -2), (3, 1, -1))]),), ((0, 0, 1),)
     )
-    assert walls_module._wall_table(t, (-3, 3), None)[2] == 12
+    assert walls_module._periodic_wall_table(t, (-3, 3), None).scale == 12
 
 
 def test_mw_filter_drops_witness_without_integral_split():
