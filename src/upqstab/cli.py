@@ -36,6 +36,7 @@ from .core import (
     GeometryContext,
     HiggsRankPair,
     HitchinPairType,
+    _exceeds_digit_limit,
     _json,
     _parse_error,
     _shown,
@@ -337,13 +338,14 @@ def _execute(config: RunConfig) -> dict:
 # writes per witness; the stdlib encoder's pure-Python indent path costs more
 # than the walls themselves.
 #
-# A period is laid out as byte templates, one per item (a wall, a witness row
-# or a pair of neighbouring walls), each ending in the separator that follows
-# it.  A number that is the same in every copy of the period is a "%d" slot
-# and comes from a tuple of the period's constants.  A number that moves from
-# one copy to the next is a "%%d" slot with a base (its value in the first
-# copy) and a step: a wall's alpha numerator moves by P times its denominator
-# (P the period) and a witness's d' by p0 q' - q0 p' ((p0, q0) = (p, q)/g).
+# A period is laid out as byte templates, one per item (a wall, whose CSV
+# rows make one item, or a pair of neighbouring walls), each ending in the
+# separator that follows it.  A number that is the same in every copy of the
+# period is a "%d" slot and comes from a tuple of the period's constants.  A
+# number that moves from one copy to the next is a "%%d" slot with a base
+# (its value in the first copy) and a step: a wall's alpha numerator moves by
+# P times its denominator (P the period) and a witness's d' by p0 q' - q0 p'
+# ((p0, q0) = (p, q)/g).
 #
 # Constants, bases and steps are flat int lists.  A layout flattens the
 # period's witnesses once and puts each column in place by extended-slice
@@ -390,12 +392,12 @@ def _periodic_pieces(
 ) -> list[bytes]:
     """The first `total` items of a periodic sequence from copy `first` on, as byte pieces.
 
-    period holds the item templates of one period.  Its "%d" slots are the
-    same in every copy and take constants in order; in copy j its i-th
-    "%%d" slot is bases[i] + j * steps[i].  The period has at least one
-    "%%d" slot, and steps may be empty when first is 0 and total is at most
-    one period.  The pieces are one per whole copy, then one for the items
-    of the last, partial copy.
+    period holds the item templates of one period, one per wall or per pair
+    of neighbouring walls.  Its "%d" slots are the same in every copy and
+    take constants in order; in copy j its i-th "%%d" slot is bases[i] + j *
+    steps[i].  The period has at least one "%%d" slot, and steps may be empty
+    when first is 0 and total is at most one period.  The pieces are one per
+    whole copy, then one for the items of the last, partial copy.
     """
     if not total:
         return []
@@ -448,6 +450,15 @@ def _d_steps(table, ps: list[int], qs: list[int]) -> Iterator[int]:
     return map(operator.sub, map(operator.mul, repeat(table.p0), qs), map(operator.mul, repeat(table.q0), ps))
 
 
+def _run_pieces(table, layout, periods: list) -> list[bytes]:
+    """The items of every run in turn, each period laid out once by layout(groups, nums, dens, moves)."""
+    laid = [entry and layout(*entry) for entry in periods]
+    items = []
+    for index, first, walls in table.runs:
+        items += _periodic_pieces(*laid[index], walls, first)
+    return items
+
+
 def _walls_json(table, periods: list, counted: bool) -> list[bytes]:
     """The walls member's items, each ending in its separator."""
     period = table.p0 + table.q0
@@ -476,24 +487,19 @@ def _walls_json(table, periods: list, counted: bool) -> list[bytes]:
             slot += n + 1
         return list(map(templates.__getitem__, counts)), tuple(slots), bases, steps
 
-    laid = [entry and layout(*entry) for entry in periods]
-    items = []
-    for index, first, walls in table.runs:
-        items += _periodic_pieces(*laid[index], walls, first)
-    return items
+    return _run_pieces(table, layout, periods)
 
 
 def _chambers_json(table, periods: list) -> list[bytes]:
     """The chambers member's items, each ending in its separator.
 
     Each gap between neighbouring walls is one chamber, within a run or
-    across the join of two, and each interval end adds one of its own unless
-    a wall sits on it.  A wall on an end prints as that end, and a chamber
-    that starts or stops at a wall is open there, so the gaps need no case of
-    their own for it.
+    across the join of two.  `end` is the end below the next chamber, as its
+    "num/den" text and closed flag: lo, closed, then each run's last wall,
+    open.  The chamber from it to a run's first wall is written unless that
+    wall is lo, and the one from it to hi, closed, unless it is a wall on hi.
     """
-    lo, hi = table.lo, table.hi
-    lo_text, hi_text = format_rational(lo).encode(), format_rational(hi).encode()
+    lo_text, hi_text = format_rational(table.lo).encode(), format_rational(table.hi).encode()
     period = table.p0 + table.q0
 
     def layout(_, nums, dens, moves):
@@ -511,23 +517,18 @@ def _chambers_json(table, periods: list) -> list[bytes]:
 
     laid = [entry and layout(*entry) for entry in periods]
     items = []
-    last = None
+    end = (lo_text, b"true")
     for index, first, walls in table.runs:
         _, nums, dens, _ = periods[index]
-        # the run's first and last walls, as (num, den)
+        # the run's first and last walls
         copy, i = divmod(first * len(nums) + walls - 1, len(nums))
-        start = (nums[0] + first * period * dens[0], dens[0])
-        if last is None:
-            if start != (lo.numerator, lo.denominator):
-                items.append(_CHAMBER_JSON % (b"%d/%d" % start, b"false", lo_text, b"true"))
-        else:
-            items.append(_CHAMBER_JSON % (b"%d/%d" % start, b"false", b"%d/%d" % last, b"false"))
+        start = b"%d/%d" % (nums[0] + first * period * dens[0], dens[0])
+        if start != end[0]:
+            items.append(_CHAMBER_JSON % (start, b"false", *end))
         items += _periodic_pieces(*laid[index], walls - 1, first)
-        last = (nums[i] + copy * period * dens[i], dens[i])
-    if last is None:
-        return [_CHAMBER_JSON % (hi_text, b"true", lo_text, b"true")]
-    if last != (hi.numerator, hi.denominator):
-        items.append(_CHAMBER_JSON % (hi_text, b"true", b"%d/%d" % last, b"false"))
+        end = (b"%d/%d" % (nums[i] + copy * period * dens[i], dens[i]), b"false")
+    if end != (hi_text, b"false"):
+        items.append(_CHAMBER_JSON % (hi_text, b"true", *end))
     return items
 
 
@@ -568,6 +569,7 @@ def _render_csv(report: dict) -> list[bytes]:
 
     def layout(groups, nums, dens, moves):
         counts = list(map(len, groups))
+        templates = {n: _CSV_ROW * n for n in set(counts)}
         # the rows' (p', q', d'), and their (alpha num, alpha den): each wall's pair once per witness
         flat = list(chain.from_iterable(chain.from_iterable(groups)))
         bases = list(chain.from_iterable(map(operator.mul, zip(nums, dens), counts)))
@@ -584,16 +586,9 @@ def _render_csv(report: dict) -> list[bytes]:
             steps = [0] * len(bases)
             steps[0::2] = map(operator.mul, row_dens, repeat(table.p0 + table.q0))
             steps[1::2] = _d_steps(table, flat[0::3], flat[1::3])
-        return ([_CSV_ROW] * len(row_dens), tuple(constants), bases, steps), counts
+        return list(map(templates.__getitem__, counts)), tuple(constants), bases, steps
 
-    laid = [entry and layout(*entry) for entry in _periods(table)]
-    pieces = [b"alpha_num,alpha_den,p_sub,q_sub,d_sub\n"]
-    for index, first, walls in table.runs:
-        rows_laid, counts = laid[index]
-        copies, rest = divmod(walls, len(counts))
-        rows = copies * len(rows_laid[0]) + sum(counts[:rest])
-        pieces += _periodic_pieces(*rows_laid, rows, first)
-    return pieces
+    return [b"alpha_num,alpha_den,p_sub,q_sub,d_sub\n", *_run_pieces(table, layout, _periods(table))]
 
 
 def render(config: RunConfig, report: dict) -> list[bytes]:
@@ -604,14 +599,14 @@ def render(config: RunConfig, report: dict) -> list[bytes]:
 
 
 def run(config: RunConfig) -> int:
-    """Execute the configured command; engine failures, failed writes and failed selftest suites exit 1.
+    """Execute the configured command; engine errors (ValueError), failed writes and failed selftest suites exit 1.
 
     Every piece of the report is built before the first byte is written, so
     an engine error leaves stdout empty.
     """
     try:
         report = _execute(config)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"upqstab: error: {_too_long_reason(exc) or exc}", file=sys.stderr)
         return 1
     try:
@@ -639,9 +634,9 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _too_long_reason(exc: Exception) -> str | None:
+def _too_long_reason(exc: ValueError) -> str | None:
     # results are unbounded integers, and str() refuses one past the interpreter's digit limit
-    if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+    if _exceeds_digit_limit(exc):
         return f"a result is too long to print: it has an integer of more than {sys.get_int_max_str_digits()} digits"
     return None
 

@@ -82,13 +82,18 @@ def _shown_tuple(values: tuple[int, ...]) -> str:
     return f"({', '.join(map(_shown_number, values))}{',' * (len(values) == 1)})"
 
 
+def _exceeds_digit_limit(exc: ValueError) -> bool:
+    """Whether exc is int(), str() or bytes % refusing an integer past the interpreter's int-to-str digit limit."""
+    return str(exc).startswith("Exceeds the limit")
+
+
 def _parse_error(exc: ValueError, message: str) -> ValueError:
     """The ValueError to raise for a text that int() refused with exc.
 
     It says message, except for an integer past the interpreter's int-to-str
     digit limit: that one names the limit and does not repeat the text.
     """
-    if str(exc).startswith("Exceeds the limit"):
+    if _exceeds_digit_limit(exc):
         return ValueError(
             f"the value is too long to read: it has an integer of more than {sys.get_int_max_str_digits()} digits"
         )

@@ -292,17 +292,24 @@ MUTANTS = [
         ["tests/test_render_differential.py"],
     ),
     (
-        "chamber renderer: the leading chamber's closed flags swapped",
+        "chamber renderer: lo written open",
         "cli.py",
-        'b"%d/%d" % start, b"false", lo_text, b"true")',
-        'b"%d/%d" % start, b"true", lo_text, b"false")',
+        'end = (lo_text, b"true")',
+        'end = (lo_text, b"false")',
         ["tests/test_render_differential.py"],
     ),
     (
-        "chamber renderer: a wall on lo detected by numerator only",
+        "chamber renderer: a zero-width chamber written before a wall on lo",
         "cli.py",
-        "if start != (lo.numerator, lo.denominator):",
-        "if start[0] != lo.numerator:",
+        "if start != end[0]:",
+        "if True:",
+        ["tests/test_render_differential.py"],
+    ),
+    (
+        "chamber renderer: the closed chamber [lo, lo] of a one-point interval with no wall dropped",
+        "cli.py",
+        'if end != (hi_text, b"false"):',
+        "if end[0] != hi_text:",
         ["tests/test_render_differential.py"],
     ),
     (
@@ -419,11 +426,25 @@ MUTANTS = [
         ["tests/test_report_pieces.py", "tests/test_periodic_table.py"],
     ),
     (
-        "chamber renderer: the chamber across a join between runs written hi first",
+        "chamber renderer: the chamber before a run written with its ends swapped",
         "cli.py",
-        'b"%d/%d" % start, b"false", b"%d/%d" % last, b"false"))',
-        'b"%d/%d" % last, b"false", b"%d/%d" % start, b"false"))',
-        ["tests/test_periodic_table.py"],
+        "_CHAMBER_JSON % (start, b\"false\", *end)",
+        "_CHAMBER_JSON % (*end, start, b\"false\")",
+        ["tests/test_render_differential.py"],
+    ),
+    (
+        "run renderer: each run of the walls and CSV reports one wall short",
+        "cli.py",
+        "items += _periodic_pieces(*laid[index], walls, first)",
+        "items += _periodic_pieces(*laid[index], walls - 1, first)",
+        ["tests/test_render_differential.py"],
+    ),
+    (
+        "engine errors: a TypeError from the engine reported as bad input",
+        "cli.py",
+        "    except ValueError as exc:\n        print(f\"upqstab: error: {_too_long_reason(exc) or exc}\"",
+        "    except (ValueError, TypeError) as exc:\n        print(f\"upqstab: error: {_too_long_reason(exc) or exc}\"",
+        ["tests/test_cli.py"],
     ),
     (
         "report write: the unwritten rest of a piece after a short write dropped",

@@ -506,6 +506,17 @@ def test_a_fault_in_a_template_is_not_an_engine_error(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_a_type_error_in_the_engine_is_a_fault_not_bad_input(monkeypatch, capsys):
+    # the library raises TypeError only from its argument-type checks, which parsed values never reach
+    def fault(type_spec):
+        raise TypeError("a fault in the engine")
+
+    monkeypatch.setattr(cli, "toledo", fault)
+    with pytest.raises(TypeError, match="a fault in the engine"):
+        main(["toledo", "--type", "1,1,1,0"])
+    assert capsys.readouterr() == ("", "")
+
+
 def test_a_value_error_from_a_template_is_not_an_engine_error(monkeypatch, capsys):
     # a ValueError that is not the int-to-str digit limit is a fault in render, not bad input
     monkeypatch.setattr(cli, "_CSV_ROW", b"%%d,%d,%d,%d,%%q\n")

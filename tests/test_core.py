@@ -31,6 +31,7 @@ from upqstab import (
     upq_parameter_vector,
     upq_quiver_type,
 )
+from upqstab.core import _exceeds_digit_limit
 from upqstab.oracle import SplitMix64, _random_pair_type, _random_quiver_type
 
 
@@ -490,3 +491,16 @@ def test_a_refused_value_past_the_digit_limit_keeps_its_error(call, small, shown
         with pytest.raises(error) as info:
             call(value)
         assert str(info.value) == message.format(fill)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit")
+@pytest.mark.parametrize(
+    "call",
+    [lambda: int("9" * 5001), lambda: str(_BIG), lambda: b"%d" % _BIG],
+    ids=["int_of_text", "str_of_int", "bytes_format_of_int"],
+)
+def test_the_interpreters_digit_limit_error_is_recognised(call):
+    # parse_rational reads with int(), and the reports print with str() and bytes %: each interpreter words it alike
+    with pytest.raises(ValueError) as info:
+        call()
+    assert _exceeds_digit_limit(info.value), str(info.value)
