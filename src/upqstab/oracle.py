@@ -13,10 +13,11 @@ test an algebraic identity between separate engine calls (translation
 invariance of the alpha-slope, the U(p,q) slope as a quiver slope, Toledo
 duality, duality of the Milnor-Wood bounds, tau bound => slope gap);
 `envelope_identity` tests `toledo_bounds` against the rank scan above.  The
-checks build no Fraction of their own: they take the engine's values as
-integer pairs (`as_integer_ratio()`, lowest terms with a positive
-denominator, so two pairs are equal exactly when the values are) and
-cross-multiply where a sum or a difference is tested.  A suite's check returns
+makers take fixed-count draws in one batch (`SplitMix64.draws`) and their
+rationals from a bounded memo.  The checks build no Fraction of their own:
+they take the engine's values as integer pairs (`as_integer_ratio()`, lowest
+terms with a positive denominator, so two pairs are equal exactly when the
+values are) and cross-multiply where a sum or a difference is tested.  A suite's check returns
 a reason or None; a failure is the trial number, the reason and the case's own
 inputs, never a value derived from them.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 # perfbench/tracing.py patches oracle.ordered_map by name, so the name stays bound
 from .concurrency import ordered_map
@@ -176,7 +177,11 @@ class SplitMix64:
     explicit little-endian bytes, so the stream is the same everywhere.  Draws
     read the batch by index; a refill replaces it and never mutates it, so a
     copy or a pickle taken mid-batch goes on with the same stream.
-    `next_u64` is the draw over the full 64-bit range.
+    `next_u64` is the draw over the full 64-bit range.  `draws(k)` is the batch
+    take: the next k raw outputs, as k `next_u64` calls would return them,
+    sliced from the batch and refilled across its end; a case maker that draws
+    a fixed count maps them to its ranges itself, `lo + v % span` as `randint`
+    does.
     """
 
     _MASK = (1 << 64) - 1
@@ -200,6 +205,17 @@ class SplitMix64:
     def next_u64(self) -> int:
         return self.randint(0, self._MASK)
 
+    def draws(self, k: int) -> tuple[int, ...]:
+        """The next k >= 0 raw 64-bit outputs, in stream order."""
+        index, taken = self._index, ()
+        while index + k > _BATCH:
+            taken += self._values[index:]
+            k -= _BATCH - index
+            self._refill()
+            index = 0
+        self._index = index + k
+        return taken + self._values[index:index + k]
+
     def randint(self, lo: int, hi: int) -> int:
         """Integer in [lo, hi]; modulo reduction (bias immaterial for testing)."""
         if lo > hi:
@@ -216,28 +232,40 @@ class SplitMix64:
         return Fraction(randint(-span * max_den, span * max_den), randint(1, max_den))
 
 
+# the makers' drawn rationals, keyed on the drawn (num, den): their ranges hold 583 keys
+_rational = lru_cache(maxsize=1024)(Fraction)
+
+
 def _random_quiver_type(rng: SplitMix64, n: int) -> QuiverNumericalType:
-    randint = rng.randint
-    ranks = [randint(0, 3) for _ in range(n)]
-    if sum(ranks) == 0:
-        ranks[randint(0, n - 1)] = randint(1, 3)
-    degrees = [randint(-5, 5) for _ in range(n)]
+    ranks = [v % 4 for v in rng.draws(n)]
+    if not any(ranks):
+        # the stream gives the rank first, then the entry it goes to
+        rank, index = rng.draws(2)
+        ranks[index % n] = 1 + rank % 3
+    degrees = [v % 11 - 5 for v in rng.draws(n)]
     # ranks >= 0 with a positive sum, and as many degrees: valid as drawn
     return tuple.__new__(QuiverNumericalType, (tuple(ranks), tuple(degrees)))
 
 
 def _random_pair_type(rng: SplitMix64) -> HitchinPairType:
-    randint = rng.randint
-    return tuple.__new__(HitchinPairType, (randint(1, 6), randint(1, 6), randint(-8, 8), randint(-8, 8)))
+    p, q, a, b = rng.draws(4)
+    # p, q in [1, 6], a, b in [-8, 8]
+    return tuple.__new__(HitchinPairType, (1 + p % 6, 1 + q % 6, a % 17 - 8, b % 17 - 8))
 
 
 def _make_translation_case(rng: SplitMix64) -> dict:
     n = rng.randint(2, 4)
+    sub = _random_quiver_type(rng, n)
+    whole = _random_quiver_type(rng, n)
+    # n entries of alpha, num in [-24, 24] over den in [1, 6], then the shift, num in [-30, 30]
+    *drawn, shift_num, shift_den = rng.draws(2 * n + 2)
     return {
-        "sub": _random_quiver_type(rng, n),
-        "whole": _random_quiver_type(rng, n),
-        "alpha": tuple.__new__(ParameterVector, [rng.rational(4) for _ in range(n)]),
-        "shift": rng.rational(5),
+        "sub": sub,
+        "whole": whole,
+        "alpha": tuple.__new__(ParameterVector, [
+            _rational(num % 49 - 24, 1 + den % 6) for num, den in zip(drawn[0::2], drawn[1::2])
+        ]),
+        "shift": _rational(shift_num % 61 - 30, 1 + shift_den % 6),
     }
 
 
@@ -258,12 +286,16 @@ def _check_translation_case(case: dict) -> str | None:
 
 
 def _make_specialization_case(rng: SplitMix64) -> dict:
-    return {"type": _random_pair_type(rng), "alpha": rng.rational(6)}
+    t = _random_pair_type(rng)
+    num, den = rng.draws(2)
+    # alpha: num in [-36, 36] over den in [1, 6]
+    return {"type": t, "alpha": _rational(num % 73 - 36, 1 + den % 6)}
 
 
 def _check_specialization_case(case: dict) -> str | None:
     t, a = case["type"], case["alpha"]
-    if alpha_slope_upq(t, a) != alpha_slope_quiver(upq_quiver_type(t), upq_parameter_vector(a)):
+    scalar = alpha_slope_upq(t, a).as_integer_ratio()
+    if scalar != alpha_slope_quiver(upq_quiver_type(t), upq_parameter_vector(a)).as_integer_ratio():
         return "scalar and quiver slopes disagree"
     return None
 
@@ -282,13 +314,11 @@ def _check_toledo_duality_case(case: dict) -> str | None:
 
 
 def _make_bounds_duality_case(rng: SplitMix64) -> dict:
-    deg_l = rng.randint(0, 4)
-    return {
-        "p": rng.randint(1, 8),
-        "q": rng.randint(1, 8),
-        "deg_l": deg_l,
-        "alpha": Fraction(rng.randint(-12 * (deg_l + 2), 12 * (deg_l + 2)), 12),
-    }
+    deg_l, p, q, num = rng.draws(4)
+    deg_l %= 5
+    # p, q in [1, 8]; alpha = num/12 with |num| <= 12 (deg L + 2)
+    reach = 12 * (deg_l + 2)
+    return {"p": 1 + p % 8, "q": 1 + q % 8, "deg_l": deg_l, "alpha": _rational(num % (2 * reach + 1) - reach, 12)}
 
 
 def _check_bounds_duality_case(case: dict) -> str | None:
@@ -337,11 +367,18 @@ def _check_tau_gap_case(case: dict) -> str | None:
     return None
 
 
+def _ends(box: BoundInterval) -> tuple:
+    """A bound interval's ends as integer pairs, None for a missing end."""
+    lower, upper = box.lower, box.upper
+    return (
+        None if lower is None else lower.as_integer_ratio(),
+        None if upper is None else upper.as_integer_ratio(),
+    )
+
+
 def _check_envelope_case(case: dict) -> str | None:
     p, q, deg_l, a = case["p"], case["q"], case["deg_l"], case["alpha"]
-    closed_form = toledo_bounds(p, q, deg_l, a)
-    scanned = envelope_toledo_bounds(p, q, deg_l, a)
-    if closed_form.lower != scanned.lower or closed_form.upper != scanned.upper:
+    if _ends(toledo_bounds(p, q, deg_l, a)) != _ends(envelope_toledo_bounds(p, q, deg_l, a)):
         return "regime formulas disagree with the rank scan"
     return None
 

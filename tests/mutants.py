@@ -155,6 +155,27 @@ MUTANTS = [
         ["tests/test_oracle.py"],
     ),
     (
+        "SplitMix64 batch take: a refill drops the old batch's tail",
+        "oracle.py",
+        "            taken += self._values[index:]\n",
+        "",
+        ["tests/test_oracle.py"],
+    ),
+    (
+        "selftest quiver maker: the index of an all-zero rank vector drawn before its rank",
+        "oracle.py",
+        "rank, index = rng.draws(2)",
+        "index, rank = rng.draws(2)",
+        ["tests/test_oracle.py"],
+    ),
+    (
+        "selftest bounds maker: alpha's numerator range one value short",
+        "oracle.py",
+        "num % (2 * reach + 1) - reach",
+        "num % (2 * reach) - reach",
+        ["tests/test_oracle.py"],
+    ),
+    (
         "selftest tau-gap case: the integer tau test <= -> <",
         "oracle.py",
         "if abs(2 * (q * a - p * b)) <= min(p, q)",
@@ -188,6 +209,27 @@ MUTANTS = [
         "ok = gap > -deg_k * den if",
         "ok = gap > -deg_k if",
         ["tests/test_oracle.py"],
+    ),
+    (
+        "selftest envelope check: a missing end compared as the other interval's end",
+        "oracle.py",
+        "None if lower is None else lower.as_integer_ratio(),",
+        "(0, 1) if lower is None else lower.as_integer_ratio(),",
+        ["tests/test_oracle.py"],
+    ),
+    (
+        "certificate window 2: q*q for p*p in lo2's denominator",
+        "walls.py",
+        "t.p * t.q - t.p * t.p + t.p + t.q",
+        "t.p * t.q - t.q * t.q + t.p + t.q",
+        ["tests/test_walls.py"],
+    ),
+    (
+        "certificate window 2: its open end lo2 closed",
+        "walls.py",
+        "lo2 < a <= 0",
+        "lo2 <= a <= 0",
+        ["tests/test_walls.py"],
     ),
     (
         "type check message: the value's repr past the digit limit, not the limit named",

@@ -32,6 +32,8 @@ from upqstab import (
     slope,
     toledo,
     toledo_bounds,
+    upq_parameter_vector,
+    upq_quiver_type,
 )
 from upqstab import oracle
 from upqstab.cli import main
@@ -201,6 +203,32 @@ def test_a_copy_or_pickle_taken_mid_batch_goes_on_with_the_same_stream(seed, tak
         assert [other.next_u64() for _ in rest] == rest
 
 
+_TAKES = (0, 1, 255, 256, 257, 769)
+
+
+def _takes(gen):
+    """Each batch take of _TAKES, each followed by a randint and a next_u64."""
+    out = []
+    for k in _TAKES:
+        out += [gen.draws(k), gen.randint(-9, 9), gen.next_u64()]
+    return out
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("taken", [0, 1, 100, _BATCH - 1, _BATCH, _BATCH + 44])
+def test_batch_takes_follow_the_scalar_stream_across_a_copy_or_pickle(seed, taken):
+    gen, scalar = SplitMix64(seed), _ScalarSplitMix64(seed)
+    assert gen.draws(taken) == tuple(scalar.next_u64() for _ in range(taken))
+    copies = [copy.copy(gen), copy.deepcopy(gen), pickle.loads(pickle.dumps(gen))]
+    expected = []
+    for k in _TAKES:
+        expected += [tuple(scalar.next_u64() for _ in range(k)), scalar.randint(-9, 9), scalar.next_u64()]
+    # the original runs on first; its refills must not reach its copies
+    assert _takes(gen) == expected
+    for other in copies:
+        assert _takes(other) == expected
+
+
 def test_splitmix64_randint_bounds_and_determinism():
     a, b = SplitMix64(42), SplitMix64(42)
     draws_a = [a.randint(-5, 7) for _ in range(500)]
@@ -226,6 +254,62 @@ def test_drawn_records_equal_their_checked_constructors():
         assert all(type(value) is Fraction for value in alpha) and len(alpha) == len(case["sub"].ranks)
         for drawn in (oracle._random_pair_type(rng), oracle._make_tau_gap_case(rng)["type"]):
             assert type(drawn) is HitchinPairType and drawn == HitchinPairType(*drawn)
+
+
+# The fixed-count makers as they were written on randint, one call per value, kept as the
+# reference for the batch takes and the rational memo in oracle.
+def _randint_quiver_type(rng, n):
+    ranks = [rng.randint(0, 3) for _ in range(n)]
+    if sum(ranks) == 0:
+        ranks[rng.randint(0, n - 1)] = rng.randint(1, 3)
+    return QuiverNumericalType(ranks, [rng.randint(-5, 5) for _ in range(n)])
+
+
+def _randint_pair_type(rng):
+    return HitchinPairType(rng.randint(1, 6), rng.randint(1, 6), rng.randint(-8, 8), rng.randint(-8, 8))
+
+
+def _randint_translation_case(rng):
+    n = rng.randint(2, 4)
+    return {
+        "sub": _randint_quiver_type(rng, n),
+        "whole": _randint_quiver_type(rng, n),
+        "alpha": ParameterVector([rng.rational(4) for _ in range(n)]),
+        "shift": rng.rational(5),
+    }
+
+
+def _randint_bounds_duality_case(rng):
+    deg_l = rng.randint(0, 4)
+    return {
+        "p": rng.randint(1, 8),
+        "q": rng.randint(1, 8),
+        "deg_l": deg_l,
+        "alpha": Fraction(rng.randint(-12 * (deg_l + 2), 12 * (deg_l + 2)), 12),
+    }
+
+
+# the tau-gap maker draws with randint itself
+_RANDINT_MAKERS = {
+    "translation_invariance": _randint_translation_case,
+    "upq_specialization": lambda rng: {"type": _randint_pair_type(rng), "alpha": rng.rational(6)},
+    "toledo_duality": lambda rng: {"type": _randint_pair_type(rng)},
+    "bounds_duality": _randint_bounds_duality_case,
+    "tau_bound_implies_slope_gap": oracle._make_tau_gap_case,
+    "envelope_identity": _randint_bounds_duality_case,
+}
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_the_makers_draw_the_cases_of_their_randint_forms(seed):
+    # the suites in the driver's order, 300 trials each, so takes cross many batch ends
+    drawn, reference = SplitMix64(seed), SplitMix64(seed)
+    for name, make_case, _ in oracle._SUITES:
+        for _ in range(300):
+            case, expected = make_case(drawn), _RANDINT_MAKERS[name](reference)
+            assert case == expected and list(case) == list(expected), (name, case, expected)
+            assert [type(value) for value in case.values()] == [type(value) for value in expected.values()]
+    assert drawn.next_u64() == reference.next_u64()
 
 
 class _Scripted:
@@ -383,7 +467,7 @@ def test_failures_carry_trial_reason_and_the_drawn_inputs(suite, name, broken, r
     assert captured.err == f"upqstab: error: selftest suites failed: {names}\n"
 
 
-# The four checks as they were written on Fractions, kept as the reference for the
+# The six checks as they were written on Fractions, kept as the reference for the
 # integer-pair forms in oracle.  They look their engine names up in this module, so a
 # test that patches a name in oracle patches it here as well.
 def _reference_translation_case(case: dict) -> str | None:
@@ -396,6 +480,13 @@ def _reference_translation_case(case: dict) -> str | None:
         case["sub"], case["whole"], case["alpha"]
     ):
         return "comparison sign changed under translation"
+    return None
+
+
+def _reference_specialization_case(case: dict) -> str | None:
+    t, a = case["type"], case["alpha"]
+    if alpha_slope_upq(t, a) != alpha_slope_quiver(upq_quiver_type(t), upq_parameter_vector(a)):
+        return "scalar and quiver slopes disagree"
     return None
 
 
@@ -424,16 +515,29 @@ def _reference_tau_gap_case(case: dict) -> str | None:
     return None
 
 
+def _reference_envelope_case(case: dict) -> str | None:
+    p, q, deg_l, a = case["p"], case["q"], case["deg_l"], case["alpha"]
+    closed_form = toledo_bounds(p, q, deg_l, a)
+    scanned = envelope_toledo_bounds(p, q, deg_l, a)
+    if closed_form.lower != scanned.lower or closed_form.upper != scanned.upper:
+        return "regime formulas disagree with the rank scan"
+    return None
+
+
 # (maker, check, its reference, the engine name whose values the check compares)
 _REWRITTEN_CHECKS = {
     "translation_invariance": (oracle._make_translation_case, oracle._check_translation_case,
                                _reference_translation_case, "alpha_slope_quiver"),
+    "upq_specialization": (oracle._make_specialization_case, oracle._check_specialization_case,
+                           _reference_specialization_case, "alpha_slope_upq"),
     "toledo_duality": (oracle._make_toledo_duality_case, oracle._check_toledo_duality_case,
                        _reference_toledo_duality_case, "toledo"),
     "bounds_duality": (oracle._make_bounds_duality_case, oracle._check_bounds_duality_case,
                        _reference_bounds_duality_case, "toledo_bounds"),
     "tau_bound_implies_slope_gap": (oracle._make_tau_gap_case, oracle._check_tau_gap_case,
                                     _reference_tau_gap_case, "slope"),
+    "envelope_identity": (oracle._make_bounds_duality_case, oracle._check_envelope_case,
+                          _reference_envelope_case, "envelope_toledo_bounds"),
 }
 
 
@@ -472,6 +576,23 @@ def test_an_integer_pair_check_returns_what_its_fraction_form_returns(suite, mon
             outcomes.add(reason)
     # the perturbed values break the identity on some cases, so both answers are compared
     assert None in outcomes and len(outcomes) > 1
+
+
+def test_the_envelope_check_on_missing_ends_returns_what_its_fraction_form_returns(monkeypatch):
+    # a missing end equals only a missing end, so an interval with a None end fails against one with a value
+    case = {"p": 2, "q": 3, "deg_l": 1, "alpha": Fraction(1, 2)}
+    ends = (None, Fraction(0), Fraction(-3, 2))
+    boxes = [BoundInterval(lower, upper) for lower in ends for upper in ends]
+    outcomes = set()
+    for closed_form, scanned in itertools.product(boxes, repeat=2):
+        for namespace in (oracle.__dict__, globals()):
+            monkeypatch.setitem(namespace, "toledo_bounds", lambda *args: closed_form)
+            monkeypatch.setitem(namespace, "envelope_toledo_bounds", lambda *args: scanned)
+        reason = oracle._check_envelope_case(case)
+        assert reason == _reference_envelope_case(case), (closed_form, scanned)
+        assert (reason is None) == (closed_form == scanned)
+        outcomes.add(reason)
+    assert outcomes == {None, "regime formulas disagree with the rank scan"}
 
 
 def test_property_driver_single_trial():

@@ -447,6 +447,37 @@ def test_certificate_strictness_at_window_edges():
     assert not irreducibility_certificate(t, 2, Fraction(-1, 1000)).condition1.holds
 
 
+def _negated(window: BoundInterval) -> BoundInterval:
+    return window if window.is_infeasible else BoundInterval.closed(-window.upper, -window.lower)
+
+
+def test_certificate_swap_duality():
+    # swapping (V, W, beta, gamma) for (W, V, gamma, beta) maps alpha-stability of (p, q, a, b)
+    # to (-alpha)-stability of (q, p, b, a), since mu_alpha = mu + alpha p / (p + q)
+    rng = SplitMix64(137)
+    at_ends = 0
+    for _ in range(1500):
+        t = HitchinPairType(rng.randint(1, 6), rng.randint(1, 6), rng.randint(-15, 15), rng.randint(-15, 15))
+        genus = rng.randint(2, 6)
+        windows = irreducibility_certificate(t, genus, 0)
+        ends = {end for c in (windows.condition1, windows.condition2) for end in c.alpha_window[:2] if end is not None}
+        # a random alpha, each window end, and each end nudged either way
+        steps = (Fraction(1, 997), Fraction(-1, 997))
+        alphas = [rng.rational(4), *ends, *(end + step for end in ends for step in steps)]
+        at_ends += bool(ends)
+        for alpha in alphas:
+            cert = irreducibility_certificate(t, genus, alpha)
+            dual = irreducibility_certificate(t.dual(), genus, -alpha)
+            assert dual.tau == -cert.tau, (t, genus, alpha)
+            assert (dual.tau_bound_ok, dual.closure_irreducible, dual.fully_irreducible) == (
+                cert.tau_bound_ok, cert.closure_irreducible, cert.fully_irreducible), (t, genus, alpha)
+            for mine, theirs in ((cert.condition1, dual.condition2), (cert.condition2, dual.condition1)):
+                assert mine.holds == theirs.holds, (t, genus, alpha)
+                assert _negated(mine.alpha_window) == theirs.alpha_window, (t, genus, alpha)
+    # most draws have a window, so the ends are sampled
+    assert at_ends > 500
+
+
 def test_certificate_tau_bound_implies_gap_condition_when_ranks_differ():
     rng = SplitMix64(131)
     checked = 0
