@@ -22,6 +22,14 @@ in lowest terms with a positive denominator; the kernels (`alpha_slope_upq`,
 `milnor_wood` and the walls' integer keys) compute on their integer
 numerators and denominators.  Floats are rejected at the boundary: walls and
 regime boundaries are equalities that floating point cannot certify.
+
+`_fraction(num, den)` is the engine's one constructor of a Fraction from an
+integer pair with den > 0: slopes, Toledo invariants, the Milnor-Wood bound
+ends, shifted entries and wall alphas.  Those pairs need none of
+`Fraction.__new__`'s argument dispatch (strings, floats, Rationals, a sign to
+move), so it takes one gcd and sets the two slots, at about half the cost.
+`oracle` does not use it: its reference values keep the stdlib constructor,
+so a fault in `_fraction` shows up as a disagreement with the oracle.
 """
 
 from __future__ import annotations
@@ -35,6 +43,20 @@ from fractions import Fraction
 RationalLike = Fraction | int | str
 
 
+def _fraction(num: int, den: int) -> Fraction:
+    """num/den as a Fraction in lowest terms, for ints num and den with den > 0.
+
+    It builds what Fraction(num, den) builds, without that constructor's
+    argument dispatch: one gcd, then the two slots every stdlib Fraction has
+    had from 3.6 to 3.13.  The caller guarantees the types and the sign.
+    """
+    g = math.gcd(num, den)
+    value = object.__new__(Fraction)
+    value._numerator = num // g
+    value._denominator = den // g
+    return value
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or "num/den" string to an exact Fraction.
 
@@ -45,7 +67,7 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
+        return _fraction(value, 1)
     if isinstance(value, str):
         return parse_rational(value)
     if isinstance(value, float):
@@ -191,7 +213,7 @@ class HitchinPairType(_Record, _input_record("HitchinPairType", "p q a b")):
 
     def rank_ratio(self) -> Fraction:
         """The ratio p/(p+q) weighting the stability parameter."""
-        return Fraction(self.p, self.p + self.q)
+        return _fraction(self.p, self.p + self.q)
 
     def dual(self) -> "HitchinPairType":
         """Swap the two bundles: (p, q, a, b) -> (q, p, b, a)."""
@@ -306,7 +328,7 @@ class ParameterVector(_Record, tuple):
         entries = []
         for v in self:
             vn, vd = v.as_integer_ratio()
-            entries.append(Fraction(vn * d + n * vd, vd * d))
+            entries.append(_fraction(vn * d + n * vd, vd * d))
         return tuple.__new__(ParameterVector, entries)
 
     def to_json(self) -> dict:
@@ -381,7 +403,7 @@ def slope(rank: int, degree: int) -> Fraction:
     _require_int(degree, "degree")
     if rank < 1:
         raise ValueError(f"undefined slope: rank must be >= 1, got {_shown_number(rank)}")
-    return Fraction(degree, rank)
+    return _fraction(degree, rank)
 
 
 def _slope_terms(e: QuiverNumericalType, alpha: ParameterVector) -> tuple[int, int]:
@@ -404,20 +426,20 @@ def alpha_slope_quiver(e: QuiverNumericalType, alpha: ParameterVector | Sequence
     """Parameter-weighted slope sum_i(deg E_i + alpha_i rk E_i) / sum_i rk E_i."""
     if not isinstance(alpha, ParameterVector):
         alpha = ParameterVector(alpha)
-    # one gcd, in the Fraction
-    return Fraction(*_slope_terms(e, alpha))
+    # one gcd, in _fraction
+    return _fraction(*_slope_terms(e, alpha))
 
 
 def alpha_slope_upq(t: HitchinPairType, alpha: RationalLike) -> Fraction:
     """mu_alpha of a U(p,q)-type: mu(V + W) + alpha * p/(p+q)."""
     n, d = as_rational(alpha).as_integer_ratio()
     # ((a + b) + alpha p) / (p + q) over the one denominator (p + q) * den(alpha)
-    return Fraction((t.a + t.b) * d + n * t.p, (t.p + t.q) * d)
+    return _fraction((t.a + t.b) * d + n * t.p, (t.p + t.q) * d)
 
 
 def toledo(t: HitchinPairType) -> Fraction:
     """Toledo invariant tau = 2pq/(p+q) * (mu(V) - mu(W)) = 2(qa - pb)/(p+q)."""
-    return Fraction(2 * (t.q * t.a - t.p * t.b), t.p + t.q)
+    return _fraction(2 * (t.q * t.a - t.p * t.b), t.p + t.q)
 
 
 def alpha_to_c_pair(t: HitchinPairType, alpha: RationalLike) -> tuple[Fraction, Fraction]:

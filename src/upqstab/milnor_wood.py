@@ -9,7 +9,6 @@ Both return exact rational closed intervals.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .core import (
     BoundInterval,
@@ -17,6 +16,7 @@ from .core import (
     HitchinPairType,
     RationalLike,
     _Record,
+    _fraction,
     _require_int,
     _shown_number,
     as_rational,
@@ -46,7 +46,7 @@ def toledo_bounds_for_ranks(
     upper = ranks.rk_gamma * deg_l * den + n * (ranks.rk_gamma * t.total_rank - weight)
     if lower > upper:
         return BoundInterval.infeasible()
-    return BoundInterval(Fraction(lower, den), Fraction(upper, den))
+    return BoundInterval(_fraction(lower, den), _fraction(upper, den))
 
 
 def toledo_bounds(p: int, q: int, deg_l: int, alpha: RationalLike) -> BoundInterval:
@@ -84,10 +84,10 @@ def toledo_bounds(p: int, q: int, deg_l: int, alpha: RationalLike) -> BoundInter
     weighted = -2 * p * q * n  # -alpha 2pq/(p+q), over den
 
     if n < -deg_l * d:  # alpha < -deg(L)
-        return BoundInterval(Fraction(lower_low, den), Fraction(weighted, den), "i")
+        return BoundInterval(_fraction(lower_low, den), _fraction(weighted, den), "i")
     if n > deg_l * d:  # alpha > deg(L)
-        return BoundInterval(Fraction(weighted, den), Fraction(upper_high, den), "iii")
-    return BoundInterval(Fraction(lower_low, den), Fraction(upper_high, den), "ii")
+        return BoundInterval(_fraction(weighted, den), _fraction(upper_high, den), "iii")
+    return BoundInterval(_fraction(lower_low, den), _fraction(upper_high, den), "ii")
 
 
 class MWVerdict(_Record, namedtuple("MWVerdict", "passed side margin tau interval")):

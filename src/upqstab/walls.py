@@ -41,6 +41,7 @@ from .core import (
     HitchinPairType,
     RationalLike,
     _Record,
+    _fraction,
     _require_int,
     _shown_number,
     as_rational,
@@ -447,7 +448,7 @@ def enumerate_walls(
             for key, group in zip(keys[: count - done], groups):
                 if copy:
                     group = [(p_sub, q_sub, d_sub + copy * (p0 * q_sub - q0 * p_sub)) for p_sub, q_sub, d_sub in group]
-                walls.append(tuple.__new__(Wall, (Fraction(key + shift, scale), tuple(map(witness, group)))))
+                walls.append(tuple.__new__(Wall, (_fraction(key + shift, scale), tuple(map(witness, group)))))
     return walls
 
 

@@ -115,9 +115,16 @@ MUTANTS = [
     (
         "parameter shift: an entry's numerator not scaled by the shift's denominator",
         "core.py",
-        "Fraction(vn * d + n * vd, vd * d)",
-        "Fraction(vn + n * vd, vd * d)",
+        "_fraction(vn * d + n * vd, vd * d)",
+        "_fraction(vn + n * vd, vd * d)",
         ["tests/test_integer_kernels.py"],
+    ),
+    (
+        "direct Fraction constructor: the gcd reduction skipped, so results leave lowest terms",
+        "core.py",
+        "    g = math.gcd(num, den)\n",
+        "    g = 1\n",
+        ["tests/test_core.py", "tests/test_oracle.py"],
     ),
     (
         "compare_at: equal slopes compare as +1",

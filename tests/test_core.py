@@ -31,7 +31,7 @@ from upqstab import (
     upq_parameter_vector,
     upq_quiver_type,
 )
-from upqstab.core import _exceeds_digit_limit
+from upqstab.core import _exceeds_digit_limit, _fraction
 from upqstab.oracle import SplitMix64, _random_pair_type, _random_quiver_type
 
 
@@ -504,3 +504,51 @@ def test_the_interpreters_digit_limit_error_is_recognised(call):
     with pytest.raises(ValueError) as info:
         call()
     assert _exceeds_digit_limit(info.value), str(info.value)
+
+
+def _direct_fraction_pairs() -> list[tuple[int, int]]:
+    """Seeded (num, den) pairs with den > 0: zero, negative numerators, den = 1, shared factors, 60-digit values."""
+    rng = SplitMix64(149)
+
+    def sixty_digits() -> int:
+        a, b, c, d = rng.draws(4)
+        return 10**59 + (a << 192 | b << 128 | c << 64 | d) % (9 * 10**59)
+
+    pairs = [(0, 1), (0, 12), (1, 1), (-1, 1), (6, 4), (-6, 4), (12, 18), (-7, 7)]
+    for _ in range(150):
+        num, den, factor = rng.randint(-500, 500), rng.randint(1, 500), rng.randint(2, 60)
+        pairs += [(num, den), (-abs(num) - 1, den), (num, 1), (num * factor, den * factor)]
+        big_num, big_den, big_factor = sixty_digits(), sixty_digits(), sixty_digits()
+        pairs += [
+            (big_num, big_den),
+            (-big_num, big_den),
+            (-big_num, 1),
+            (big_num * big_factor, big_den * big_factor),
+            (num * big_factor, den * big_factor),
+        ]
+    return pairs
+
+
+def test_direct_fraction_is_the_stdlib_fraction():
+    # _fraction sets Fraction's private slots, so each supported Python must build what Fraction(num, den) builds
+    pairs = _direct_fraction_pairs()
+    others = [Fraction(3, -4), Fraction(0), Fraction(5), *(Fraction(n, d) for n, d in pairs[::7])]
+    for index, (num, den) in enumerate(pairs):
+        fast, slow = _fraction(num, den), Fraction(num, den)
+        assert type(fast) is Fraction, (num, den)
+        assert fast.as_integer_ratio() == slow.as_integer_ratio(), (num, den)
+        assert type(fast.numerator) is int and type(fast.denominator) is int
+        assert fast == slow and hash(fast) == hash(slow), (num, den)
+        assert (str(fast), repr(fast), format_rational(fast)) == (str(slow), repr(slow), format_rational(slow))
+        for twin in (pickle.loads(pickle.dumps(fast)), copy.copy(fast), copy.deepcopy(fast)):
+            assert type(twin) is Fraction and twin.as_integer_ratio() == slow.as_integer_ratio(), (num, den)
+        other = others[index % len(others)]
+        results = [fast + other, other + fast, fast - other, other - fast, fast * other, other * fast]
+        expected = [slow + other, other + slow, slow - other, other - slow, slow * other, other * slow]
+        if other:
+            results.append(fast / other)
+            expected.append(slow / other)
+        if slow:
+            results.append(other / fast)
+            expected.append(other / slow)
+        assert [r.as_integer_ratio() for r in results] == [e.as_integer_ratio() for e in expected], (num, den, other)

@@ -478,6 +478,36 @@ def test_certificate_swap_duality():
     assert at_ends > 500
 
 
+def test_certificate_closure_implies_milnor_wood():
+    # wherever closure_irreducible holds at alpha, tau lies in the rank-free
+    # Milnor-Wood interval for the canonical twist, deg L = 2g - 2
+    rng = SplitMix64(139)
+    steps = (0, Fraction(1, 997), Fraction(-1, 997))
+    inside = at_ends = 0
+    for _ in range(1500):
+        t = HitchinPairType(rng.randint(1, 6), rng.randint(1, 6), rng.randint(-15, 15), rng.randint(-15, 15))
+        genus = rng.randint(2, 6)
+        windows = irreducibility_certificate(t, genus, 0)
+        for condition in (windows.condition1, windows.condition2):
+            lo, hi = condition.alpha_window[:2]
+            if lo is None:
+                continue
+            # points inside the window, then each end and each end nudged either way
+            points = [lo + (hi - lo) * Fraction(rng.randint(1, 996), 997) for _ in range(3)]
+            points += [end + step for end in (lo, hi) for step in steps]
+            for index, alpha in enumerate(points):
+                if not irreducibility_certificate(t, genus, alpha).closure_irreducible:
+                    continue
+                if index < 3:
+                    inside += 1
+                else:
+                    at_ends += 1
+                verdict = mw_check(t, 2 * genus - 2, alpha)
+                assert verdict.passed, (t, genus, alpha, verdict)
+    # the certificate holds at enough sampled points for the implication to be tested
+    assert inside > 400 and at_ends > 400, (inside, at_ends)
+
+
 def test_certificate_tau_bound_implies_gap_condition_when_ranks_differ():
     rng = SplitMix64(131)
     checked = 0
